@@ -29,9 +29,9 @@ from .model import (
     ForecastDocument,
     ForecastPeriod,
     ValueRange,
+    _worst_case,
     require_valid,
     require_valid_period,
-    worst_case_view,
 )
 
 
@@ -347,8 +347,11 @@ def derive_icons(
     winter-precipitation icon for any snow, sleet, or freezing-rain event.
     At most one icon per kind.
     """
-    require_valid_period(period)
-    tables = tables or load_tables()
+    return _derive_icons(require_valid_period(period), tables or load_tables(), config)
+
+
+def _derive_icons(period: ForecastPeriod, tables, config: IconRuleConfig) -> tuple[HazardIcon, ...]:
+    """The rules behind :func:`derive_icons`, for a period already valid."""
     icons: list[HazardIcon] = []
 
     wind_table = tables[HazardKind.WIND]
@@ -390,8 +393,13 @@ def effective_worst_case(doc: ForecastDocument) -> ForecastPeriod:
     keeps the overall icon exactly as severe as the worst single period,
     never more, never less.
     """
-    worst = worst_case_view(doc)
-    low = min(period_wind_chill(p) for p in doc.periods)
+    return _effective_worst_case(require_valid(doc).periods)
+
+
+def _effective_worst_case(periods) -> ForecastPeriod:
+    """The fold behind :func:`effective_worst_case`, over periods already valid."""
+    worst = _worst_case(periods)
+    low = min(period_wind_chill(p) for p in periods)
     high = worst.wind_chill.high if worst.wind_chill is not None else low
     return replace(worst, wind_chill=ValueRange(low=low, high=max(low, high), unit="F"))
 
@@ -410,10 +418,11 @@ def derive_document_icons(
     single period.
     """
     require_valid(doc)
+    tables = tables or load_tables()
     if mode == "overall":
-        return (derive_icons(effective_worst_case(doc), tables=tables, config=config),)
+        return (_derive_icons(_effective_worst_case(doc.periods), tables, config),)
     if mode == "per_period":
-        return tuple(derive_icons(p, tables=tables, config=config) for p in doc.periods)
+        return tuple(_derive_icons(p, tables, config) for p in doc.periods)
     raise ValueError(f"mode must be 'overall' or 'per_period', got {mode!r}")
 
 

@@ -20,14 +20,15 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
+from .canonical import _fmt_num
 from .hazards import (
     DEFAULT_ICON_CONFIG,
     GLYPH_IDS,
     HazardIcon,
     HazardKind,
     IconRuleConfig,
-    derive_document_icons,
-    derive_icons,
+    _derive_icons,
+    _effective_worst_case,
     load_tables,
 )
 from .model import ForecastDocument, ForecastPeriod, require_valid
@@ -82,12 +83,6 @@ class _IconRow:
     icons: tuple[HazardIcon, ...]
 
 
-def _num(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
-
-
 _CHILL_SHORT = {1: "30 MIN", 2: "10 MIN", 3: "5 MIN"}
 
 
@@ -104,7 +99,7 @@ def _short_label(icon: HazardIcon) -> str:
 def _accessible_label(icon: HazardIcon) -> str:
     text = f"{icon.scale_name}: {icon.label}"
     if icon.gust_annotation is not None:
-        text += f", gusts to {_num(icon.gust_annotation)} mph"
+        text += f", gusts to {_fmt_num(icon.gust_annotation)} mph"
     return text
 
 
@@ -112,7 +107,7 @@ def _plain_icon(icon: HazardIcon) -> str:
     if icon.kind is HazardKind.WIND:
         inner = f"WIND F{icon.level}"
         if icon.gust_annotation is not None:
-            inner += f" G{_num(icon.gust_annotation)}"
+            inner += f" G{_fmt_num(icon.gust_annotation)}"
     elif icon.kind is HazardKind.WIND_CHILL:
         inner = f"WIND CHILL {_CHILL_SHORT.get(icon.level, f'L{icon.level}').replace(' ', '')}"
     elif icon.kind is HazardKind.FREEZING_TEMP:
@@ -158,7 +153,7 @@ def _icon_svg(icon: HazardIcon, element_id: str | None = None) -> str:
     if icon.gust_annotation is not None:
         parts.append(
             f'<text class="icon-badge" x="37" y="37" text-anchor="end" '
-            f'fill="{_glyph_color(icon.color)}">G{_num(icon.gust_annotation)}</text>'
+            f'fill="{_glyph_color(icon.color)}">G{_fmt_num(icon.gust_annotation)}</text>'
         )
     parts.append(
         f'<text class="icon-label" x="20" y="51" text-anchor="middle">{_esc(_short_label(icon))}</text>'
@@ -173,7 +168,7 @@ def _icon_html(icon: HazardIcon, element_id: str | None = None) -> str:
     id_attr = f' id="{element_id}"' if element_id else ""
     badge = ""
     if icon.gust_annotation is not None:
-        badge = f'<span class="icon-badge">G{_num(icon.gust_annotation)}</span>'
+        badge = f'<span class="icon-badge">G{_fmt_num(icon.gust_annotation)}</span>'
     return (
         f'<span{id_attr} class="icon" role="img" aria-label="{label}" '
         f'style="background:{icon.color};color:{_glyph_color(icon.color)}">'
@@ -204,23 +199,23 @@ def _period_elements(index: int, period: ForecastPeriod) -> list[_TextElement]:
         _TextElement(
             f"period-{n}-temperature",
             f"{prefix}.temperature",
-            (f"  Temperatures: {_num(period.temperature.low)} to {_num(period.temperature.high)} F",),
+            (f"  Temperatures: {_fmt_num(period.temperature.low)} to {_fmt_num(period.temperature.high)} F",),
         ),
     ]
     wind = period.wind
     direction = f"{wind.direction} " if wind.direction else ""
     wind_line = (
-        f"  Winds: {direction}{_num(wind.sustained.low)} to {_num(wind.sustained.high)} mph"
+        f"  Winds: {direction}{_fmt_num(wind.sustained.low)} to {_fmt_num(wind.sustained.high)} mph"
     )
     if wind.gust_high is not None:
-        wind_line += f", gusts to {_num(wind.gust_high)} mph"
+        wind_line += f", gusts to {_fmt_num(wind.gust_high)} mph"
     out.append(_TextElement(f"period-{n}-wind", f"{prefix}.wind", (wind_line,)))
     if period.wind_chill is not None:
         out.append(
             _TextElement(
                 f"period-{n}-wind-chill",
                 f"{prefix}.wind_chill",
-                (f"  Wind chills: {_num(period.wind_chill.low)} to {_num(period.wind_chill.high)} F",),
+                (f"  Wind chills: {_fmt_num(period.wind_chill.low)} to {_fmt_num(period.wind_chill.high)} F",),
             )
         )
     for k, event in enumerate(period.precip_events):
@@ -268,7 +263,7 @@ def _build_groups(
                 f"icons-period-{i + 1}",
                 f"derived:periods[{i}]",
                 "HAZARDS:",
-                derive_icons(period, tables=tables, config=config),
+                _derive_icons(period, tables, config),
             )
             elements.insert(1, row)
         period_groups.append(elements)
@@ -280,7 +275,7 @@ def _build_groups(
                 "icons-overall",
                 "derived:worst_case",
                 "HAZARDS (48 HOURS):",
-                derive_document_icons(doc, "overall", tables=tables, config=config)[0],
+                _derive_icons(_effective_worst_case(doc.periods), tables, config),
             )
         ])
     if condition in (LayoutCondition.BASELINE, LayoutCondition.ICONS):

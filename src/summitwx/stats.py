@@ -513,6 +513,8 @@ def _parse_float(text: str, what: str, origin: str) -> float:
         raise StudyDataError(f"{origin}: {what} is not a number: {text!r}") from None
     if math.isnan(value):
         raise StudyDataError(f"{origin}: {what} is NaN")
+    if math.isinf(value):
+        raise StudyDataError(f"{origin}: {what} is not finite")
     return value
 
 

@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import documents
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, documents
 from helpers import build_random_document, make_doc, make_period
 from summitwx.canonical import SCHEMA, emit_canonical, parse_canonical
 from summitwx.model import (
@@ -185,3 +186,79 @@ def test_coverage_counts_unrecognized_lines():
     text = emit_canonical(make_doc()) + "footer: done\n"
     result = parse_canonical(text)
     assert 0.0 < result.coverage < 1.0
+
+
+_NUMBER = st.one_of(
+    st.integers(-120, 160).map(str),
+    st.floats(-200, 200, allow_nan=False).map(lambda x: f"{x:.2f}"),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "1_0", " 10", "10 ", "\uff11\uff10", ""]),
+)
+_HEADER = st.sampled_from([
+    "Today:", "Tonight:", "This afternoon:", "Overnight:", "Tomorrow:",
+    "Tomorrow night:", "Monday:", "Friday night:", "Issued: 2026-01-10T04:30:00",
+    "Issued: soon",
+])
+_STATEMENT = st.one_of(
+    st.builds(
+        "{}: {}{}-{}{}.".format,
+        st.sampled_from(["Temperatures", "Temperature", "Winds", "Wind", "Wind chills", "Wind chill"]),
+        st.sampled_from(["", "NW ", "SSE ", "N/"]),
+        _NUMBER,
+        _NUMBER,
+        st.sampled_from(["F", " mph", " below zero", " degrees below", ""]),
+    ),
+    st.builds("gusts to {} mph.".format, _NUMBER),
+    st.sampled_from([
+        "Snow likely.", "Chance of freezing rain.", "Sleet.", "Rain showers.",
+        "Wintry mix.", "Flurries.", "Fog and low visibility.", "Flooding possible.",
+        "Whiteout conditions.",
+    ]),
+)
+_CANONICAL_LINE = st.one_of(
+    st.builds(
+        "{}{}: {}".format,
+        st.sampled_from(["", "  ", "   "]),
+        st.sampled_from([
+            "schema", "issued_at", "source_id", "summary", "label", "temp_low_f",
+            "temp_high_f", "wind_dir", "wind_low_mph", "wind_high_mph", "gust_high_mph",
+            "chill_low_f", "chill_high_f", "precip", "hazard_note", "period",
+        ]),
+        st.one_of(_NUMBER, st.sampled_from(["| text", "|", "snow | likely", "NW", "2026-01-10"])),
+    ),
+    st.sampled_from(["period:", f"schema: {SCHEMA}", "schema: hsf-canonical/0"]),
+)
+_ANY_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40)
+_SEPARATOR = st.sampled_from(["\n", " ", "\r\n", ""])
+_FRAGMENTS = st.lists(
+    st.tuples(st.one_of(_HEADER, _STATEMENT, _CANONICAL_LINE, _ANY_TEXT), _SEPARATOR)
+    .map("".join),
+    max_size=60,
+).map("".join)
+_VALID_TEXTS = [
+    *((FIXTURE_DIR / f"{name}.txt").read_text(encoding="utf-8") for name in FIXTURE_NAMES),
+    emit_canonical(make_doc()),
+]
+
+
+@st.composite
+def _parser_inputs(draw):
+    """Fragment soup, or a valid forecast with fragments spliced into its lines."""
+    if draw(st.booleans()):
+        return draw(_FRAGMENTS)[:4096]
+    lines = draw(st.sampled_from(_VALID_TEXTS)).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()) and at < len(lines):
+            del lines[at]
+        else:
+            lines.insert(at, draw(_FRAGMENTS)[:512])
+    return "\n".join(lines)[:4096]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parser_inputs())
+def test_parsers_never_raise(text):
+    for parse in (parse_forecast, parse_canonical):
+        result = parse(text)
+        assert (result.document is None) == bool(result.errors)
+        assert 0.0 <= result.coverage <= 1.0

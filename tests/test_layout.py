@@ -7,7 +7,15 @@ import pytest
 
 from conftest import FIXTURE_NAMES, GOLDEN_DIR
 from helpers import make_doc, squash, visible_text
-from summitwx.hazards import derive_document_icons, derive_icons
+from summitwx import model
+from summitwx.canonical import emit_canonical
+from summitwx.hazards import (
+    TriadThresholds,
+    derive_document_icons,
+    derive_icons,
+    effective_worst_case,
+    triad_advisory,
+)
 from summitwx.layout import (
     CONDITION_TOKENS,
     FORMATS,
@@ -18,7 +26,7 @@ from summitwx.layout import (
     render_icon,
     render_stimulus_set,
 )
-from summitwx.model import InvalidDocument, with_periods
+from summitwx.model import InvalidDocument, with_periods, worst_case_view
 from summitwx.textparse import parse_forecast
 
 EXTENSIONS = {"plain": "txt", "svg": "svg", "html": "html"}
@@ -267,3 +275,55 @@ def test_stimulus_set_empty_input():
     renders, index = render_stimulus_set([], LayoutCondition.BASELINE)
     assert renders == ()
     assert index == ""
+
+
+@pytest.fixture
+def period_checks(monkeypatch):
+    """Every ``validate_period`` call made while the test runs, by prefix."""
+    calls = []
+    real = model.validate_period
+
+    def counting(period, prefix="period"):
+        calls.append(prefix)
+        return real(period, prefix)
+
+    monkeypatch.setattr(model, "validate_period", counting)
+    return calls
+
+
+_DOCUMENT_ENTRY_POINTS = [
+    *(
+        pytest.param(
+            lambda doc, c=condition, f=fmt: render(doc, c, format=f),
+            id=f"render-{condition.value}-{fmt}",
+        )
+        for condition in LayoutCondition
+        for fmt in FORMATS
+    ),
+    pytest.param(lambda doc: derive_document_icons(doc, "overall"), id="icons-overall"),
+    pytest.param(lambda doc: derive_document_icons(doc, "per_period"), id="icons-per_period"),
+    pytest.param(worst_case_view, id="worst_case_view"),
+    pytest.param(effective_worst_case, id="effective_worst_case"),
+    pytest.param(emit_canonical, id="emit_canonical"),
+]
+
+
+@pytest.mark.parametrize("entry_point", _DOCUMENT_ENTRY_POINTS)
+def test_document_entry_points_validate_each_period_once(fixture_docs, period_checks, entry_point):
+    doc = fixture_docs["severe-day"]
+    entry_point(doc)
+    assert sorted(period_checks) == [f"periods[{i}]" for i in range(4)]
+
+
+def test_stimulus_set_validates_each_period_once(fixture_docs, period_checks):
+    docs = [fixture_docs[name] for name in FIXTURE_NAMES]
+    render_stimulus_set(docs, LayoutCondition.ICONS, format="svg")
+    assert len(period_checks) == 4 * len(docs)
+
+
+def test_period_entry_points_validate_once(fixture_docs, period_checks):
+    period = fixture_docs["severe-day"].periods[0]
+    derive_icons(period)
+    assert len(period_checks) == 1
+    triad_advisory(period, TriadThresholds(wind_high_mph=50, temperature_low_f=0))
+    assert len(period_checks) == 2

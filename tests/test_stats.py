@@ -425,6 +425,12 @@ def test_load_study_accepts_numeric_bool_tokens(tmp_path):
          "participants with no responses: p2"),
         ([], ["p1,f1,1,2,3,4,5,6"], "no records"),
         (GOOD_PARTICIPANTS, [], "no records"),
+        (["p1,baseline,inf,true,false"], ["p1,f1,1,2,3,4,5,6"],
+         "participants.csv:2: grips_score is not finite"),
+        (["p1,baseline,1e999,true,false"], ["p1,f1,1,2,3,4,5,6"],
+         "participants.csv:2: grips_score is not finite"),
+        (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,inf,5,6", "p2,f1,1,2,3,4,5,6"],
+         "responses.csv:2: backcountry_skiing is not finite"),
     ],
 )
 def test_load_study_rejects_schema_violations(tmp_path, participants, responses, fragment):
