@@ -16,6 +16,8 @@ valid document.
 
 from __future__ import annotations
 
+import math
+import re
 from datetime import datetime
 
 from .model import (
@@ -40,6 +42,10 @@ _PERIOD_SCALARS = {
     "chill_low_f", "chill_high_f",
 }
 _PERIOD_REQUIRED = ("label", "temp_low_f", "temp_high_f", "wind_low_mph", "wind_high_mph")
+# The forms _fmt_num emits (integers, repr floats such as 1.5e-07). float()
+# alone would also take spaces, underscores, a leading '+', a bare '.', an
+# upper-case exponent, non-ASCII digits, nan and inf.
+_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
 
 
 def _fmt_num(x: float) -> str:
@@ -80,6 +86,7 @@ def emit_canonical(doc: ForecastDocument) -> str:
 class _PeriodDraft:
     def __init__(self) -> None:
         self.scalars: dict[str, str] = {}
+        self.spans: dict[str, tuple[int, int]] = {}
         self.precip: list[PrecipEvent] = []
         self.notes: list[str] = []
 
@@ -145,6 +152,7 @@ def parse_canonical(text: str) -> ParseResult:
                     err(span, f"duplicate key {key!r} in period {len(drafts)}")
                     continue
                 draft.scalars[key] = value
+                draft.spans[key] = span
             elif key == "precip":
                 pieces = value.split(" | ")
                 if len(pieces) != 2:
@@ -220,11 +228,14 @@ def parse_canonical(text: str) -> ParseResult:
         for key, value in draft.scalars.items():
             if key in ("label", "wind_dir"):
                 continue
-            try:
-                nums[key] = float(value)
-            except ValueError:
-                err(whole, f"period {i + 1}: {key} is not a number: {value!r}")
+            if not _NUMBER_RE.fullmatch(value):
+                err(draft.spans[key], f"period {i + 1}: {key} is not a number: {value!r}")
                 periods_ok = False
+            elif not math.isfinite(num := float(value)):
+                err(draft.spans[key], f"period {i + 1}: {key} is not finite: {value!r}")
+                periods_ok = False
+            else:
+                nums[key] = num
         if ("chill_low_f" in draft.scalars) != ("chill_high_f" in draft.scalars):
             err(whole, f"period {i + 1}: chill_low_f and chill_high_f must appear together")
             periods_ok = False

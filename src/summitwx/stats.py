@@ -113,8 +113,9 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
     all_values = [v for g in groups for v in g]
     n_total = len(all_values)
     grand = _mean(all_values)
-    ss_between = sum(len(g) * (_mean(g) - grand) ** 2 for g in groups)
-    ss_within = sum((v - _mean(g)) ** 2 for g in groups for v in g)
+    means = [_mean(g) for g in groups]
+    ss_between = sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ss_within = sum((v - m) ** 2 for g, m in zip(groups, means) for v in g)
     df_between = len(groups) - 1
     df_within = n_total - len(groups)
     if ss_between == 0.0:
@@ -163,9 +164,10 @@ def pairwise_t_tests(
     for (name_a, a), (name_b, b) in pairs:
         n_a, n_b = len(a), len(b)
         df = n_a + n_b - 2
-        diff = _mean(a) - _mean(b)
+        mean_a, mean_b = _mean(a), _mean(b)
+        diff = mean_a - mean_b
         pooled = (
-            sum((v - _mean(a)) ** 2 for v in a) + sum((v - _mean(b)) ** 2 for v in b)
+            sum((v - mean_a) ** 2 for v in a) + sum((v - mean_b) ** 2 for v in b)
         ) / df
         if diff == 0.0:
             t = 0.0

@@ -27,6 +27,7 @@ Grammar token sets (all keyword matching case-insensitive):
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
@@ -184,10 +185,6 @@ def _sentences(text: str, offset: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in spans if text[a - offset:b - offset].strip()]
 
 
-def _in_any(pos: int, intervals: list[tuple[int, int]]) -> bool:
-    return any(a <= pos < b for a, b in intervals)
-
-
 def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: int):
     text = scan.text
     start, end = block
@@ -195,12 +192,18 @@ def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: 
 
     segments: list[tuple[str, int, int]] = []  # (field kind, seg start, seg end)
     block_sentences = _sentences(text[start:end], start)
+    sentence_starts = [a for a, _ in block_sentences]
     labels = list(_LABEL_RE.finditer(text, start, end))
     for i, lm in enumerate(labels):
         seg_start = lm.end()
         # A labeled statement never outlives its own sentence; anything after
-        # the sentence is narrative, not part of the value.
-        sentence_end = next((b for a, b in block_sentences if a <= lm.start() < b), end)
+        # the sentence is narrative, not part of the value. Sentences are
+        # sorted and disjoint, so only the last one starting at or before the
+        # label can contain it.
+        j = bisect_right(sentence_starts, lm.start()) - 1
+        sentence_end = end
+        if j >= 0 and lm.start() < block_sentences[j][1]:
+            sentence_end = block_sentences[j][1]
         seg_end = min(
             labels[i + 1].start() if i + 1 < len(labels) else end,
             sentence_end,
@@ -209,7 +212,10 @@ def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: 
         kind = "chill" if word.startswith("wind chill") else "wind" if word.startswith("wind") else "temp"
         segments.append((kind, seg_start, seg_end))
         scan.mark(lm.start(), seg_end)
-    labeled_intervals = [(lm.start(), seg_end) for lm, (_, _, seg_end) in zip(labels, segments)]
+    # Labeled intervals are sorted and disjoint: each ends at or before the
+    # next label's start.
+    label_starts = [lm.start() for lm in labels]
+    label_ends = [seg_end for _, _, seg_end in segments]
 
     temp_values: list[float] = []
     chill_values: list[float] = []
@@ -264,12 +270,10 @@ def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: 
             if (kind, certainty) not in precip_events:
                 precip_events.append((kind, certainty))
 
-        if _in_any(s_start, labeled_intervals):
+        k = bisect_right(label_starts, s_start)
+        if k > 0 and s_start < label_ends[k - 1]:
             continue
-        note_end = s_end
-        for a, _ in labeled_intervals:
-            if s_start < a < note_end:
-                note_end = a
+        note_end = min(s_end, label_starts[k]) if k < len(label_starts) else s_end
         note_text = text[s_start:note_end].strip()
         if _HAZARD_NOTE_RE.search(note_text):
             notes.append(note_text)
@@ -312,8 +316,10 @@ def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: 
 
 
 def _coverage(scan: _Scan) -> float:
+    # str.split() and str.isspace() share one whitespace table, so joining
+    # the split pieces counts the non-whitespace characters.
     text = scan.text
-    total = sum(1 for ch in text if not ch.isspace())
+    total = len("".join(text.split()))
     if total == 0:
         return 0.0
     merged: list[list[int]] = []
@@ -322,7 +328,7 @@ def _coverage(scan: _Scan) -> float:
             merged[-1][1] = max(merged[-1][1], b)
         else:
             merged.append([a, b])
-    covered = sum(1 for a, b in merged for ch in text[a:b] if not ch.isspace())
+    covered = sum(len("".join(text[a:b].split())) for a, b in merged)
     return covered / total
 
 

@@ -15,7 +15,7 @@ from summitwx.model import (
     PrecipKind,
     with_periods,
 )
-from summitwx.textparse import parse_forecast
+from summitwx.textparse import format_diagnostic, parse_forecast
 
 
 def test_emission_is_deterministic_and_ordered():
@@ -146,6 +146,39 @@ def test_strict_parse_errors(mutate, fragment):
     assert any(fragment in d.message for d in result.errors), [
         d.message for d in result.errors
     ]
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1_0", " 10", "10 ", "１０", "+10", ".5", "10.", "1E1", "1e1", "0x10",
+     "nan", "-nan", "inf", "-inf", "Infinity", "1e999", "- 10", "10F", ""],
+)
+def test_loose_numbers_are_errors_on_their_line(value):
+    text = emit_canonical(make_doc()).replace("  temp_low_f: 20\n", f"  temp_low_f: {value}\n", 1)
+    result = parse_canonical(text)
+    assert result.document is None
+    messages = [format_diagnostic(d, text) for d in result.errors]
+    line = text.split("\n").index(f"  temp_low_f: {value}") + 1
+    assert messages == [f"error:{line}:1 period 1: temp_low_f is not a number: {value!r}"]
+
+
+def test_overflowing_number_is_not_finite():
+    text = emit_canonical(make_doc()).replace("  temp_low_f: 20\n", "  temp_low_f: 1e+999\n", 1)
+    result = parse_canonical(text)
+    assert result.document is None
+    assert [d.message for d in result.errors] == ["period 1: temp_low_f is not finite: '1e+999'"]
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("-40", -40.0), ("0", 0.0), ("-0", 0.0), ("12.25", 12.25), ("1.5e-07", 1.5e-07),
+     ("-1e-05", -1e-05), ("2.5e+01", 25.0)],
+)
+def test_emitted_number_forms_parse(value, expected):
+    text = emit_canonical(make_doc()).replace("  temp_low_f: 20\n", f"  temp_low_f: {value}\n", 1)
+    result = parse_canonical(text)
+    assert result.errors == ()
+    assert result.document.periods[0].temperature.low == expected
 
 
 def test_schema_line_must_come_first():

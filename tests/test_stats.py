@@ -193,6 +193,29 @@ def test_pairwise_matches_scipy_ttest_ind(seed):
             assert ours.p_adjusted == min(1.0, ours.p_raw * 6)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_statistics_equal_the_defining_sums_to_the_last_bit(seed):
+    # The full-precision report prints these floats, so the per-group sums
+    # must keep the defining expressions' order of operations exactly.
+    groups = random_groups(seed + 300, k=4, max_n=200)
+
+    def mean(g):
+        return sum(g) / len(g)
+
+    grand = mean([v for g in groups for v in g])
+    ss_between = sum(len(g) * (mean(g) - grand) ** 2 for g in groups)
+    ss_within = sum((v - mean(g)) ** 2 for g in groups for v in g)
+    df_within = sum(len(g) for g in groups) - len(groups)
+    assert one_way_anova(groups).f_statistic == (ss_between / 3) / (ss_within / df_within)
+
+    a, b = groups[:2]
+    df = len(a) + len(b) - 2
+    pooled = (sum((v - mean(a)) ** 2 for v in a) + sum((v - mean(b)) ** 2 for v in b)) / df
+    t = (mean(a) - mean(b)) / math.sqrt(pooled * (1.0 / len(a) + 1.0 / len(b)))
+    (pair,) = pairwise_t_tests([("a", a), ("b", b)])
+    assert pair.t_statistic == t
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_f_equals_t_squared_for_two_groups(seed):
     a, b = random_groups(seed + 200, k=2)

@@ -1,9 +1,13 @@
+import sys
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from summitwx import textparse
 from summitwx.model import Certainty, PrecipEvent, PrecipKind
-from summitwx.textparse import EPOCH, Severity, format_diagnostic, parse_forecast
+from summitwx.textparse import EPOCH, Severity, _coverage, _Scan, format_diagnostic, parse_forecast
 
 MINI_HEADER = "Issued: 2026-01-01T00:00:00\nQuiet pattern overall.\n\n"
 
@@ -279,3 +283,129 @@ def test_diagnostic_format_is_line_and_column():
 def test_parse_is_deterministic(fixture_texts):
     text = fixture_texts["severe-day"]
     assert parse_forecast(text) == parse_forecast(text)
+
+
+def test_label_at_the_very_start_of_a_period_block():
+    # No space after the header colon: the label opens the block and its
+    # sentence, so the statement still stops at the sentence end.
+    text = (
+        f"{MINI_HEADER}"
+        "Today:Temperatures: 20-30F. Highs near 90 in the valleys. Winds: NW 10-20 mph.\n"
+        "Tonight:Winds: NW 10-20 mph. Temperatures: 5-15F.\n"
+        "Tomorrow: Temperatures: 20-30F. Winds: NW 10-20 mph.\n"
+        "Tomorrow night: Temperatures: 20-30F. Winds: NW 10-20 mph.\n"
+    )
+    today, tonight = parse_ok(text).document.periods[:2]
+    assert (today.temperature.low, today.temperature.high) == (20, 30)
+    assert (today.wind.sustained.low, today.wind.sustained.high) == (10, 20)
+    assert (tonight.wind.sustained.low, tonight.wind.sustained.high) == (10, 20)
+    assert (tonight.temperature.low, tonight.temperature.high) == (5, 15)
+
+
+def test_narrative_sentence_right_after_a_labelled_segment():
+    # Sentences split only at whitespace, so one character after a labelled
+    # segment's end is the earliest a narrative sentence can start.
+    doc = parse_ok(mini("Winds: NW 10-20 mph.\nFog at times. Temperatures: 20-30F. Fog again.")).document
+    assert doc.periods[0].extra_hazard_notes == ("Fog at times.", "Fog again.")
+
+
+def test_sentence_starting_at_a_label_is_not_narrative():
+    doc = parse_ok(mini("Temperatures: 20-30F. Winds: NW 10-20 mph, fog at times.")).document
+    assert doc.periods[0].extra_hazard_notes == ()
+    assert (doc.periods[0].wind.sustained.low, doc.periods[0].wind.sustained.high) == (10, 20)
+
+
+def test_hazard_note_cut_short_by_a_later_label():
+    doc = parse_ok(mini("Temperatures: 20-30F. Dense fog then winds: NW 10-20 mph.")).document
+    assert doc.periods[0].extra_hazard_notes == ("Dense fog then",)
+    assert doc.periods[0].wind.direction == "NW"
+
+
+# Every code point str.isspace() accepts (29 on Python 3.11), with letters and
+# punctuation around them.
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def test_whitespace_table_is_complete_and_split_agrees():
+    assert _WHITESPACE == "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+    for c in _WHITESPACE:
+        assert f"a{c}b".split() == ["a", "b"]
+
+
+def _coverage_by_character(scan: _Scan) -> float:
+    """The per-character definition of coverage, for comparison."""
+    text = scan.text
+    total = sum(1 for ch in text if not ch.isspace())
+    if total == 0:
+        return 0.0
+    merged: list[list[int]] = []
+    for a, b in sorted(scan.recognized):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    covered = sum(1 for a, b in merged for ch in text[a:b] if not ch.isspace())
+    return covered / total
+
+
+@st.composite
+def _scans(draw):
+    text = draw(st.text(alphabet=st.sampled_from(_WHITESPACE + "aZé.9-"), max_size=80))
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, len(text)), st.integers(0, len(text))), max_size=8,
+    ))
+    scan = _Scan(text=text)
+    for a, b in spans:
+        scan.mark(min(a, b), max(a, b))
+    return scan
+
+
+@settings(max_examples=500, deadline=None)
+@given(_scans())
+def test_coverage_matches_per_character_definition(scan):
+    assert _coverage(scan) == _coverage_by_character(scan)
+
+
+_LINEARITY_BODY = (
+    "Temperatures: 20 to 30. Winds: NW 40 to 50 mph with gusts to 70. "
+    "Snow likely. Fog at times. "
+)
+
+
+def _textparse_line_events(text: str) -> int:
+    """Line events executed in textparse's own frames while parsing ``text``."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def global_(frame, event, arg):
+        return local if frame.f_code.co_filename == textparse.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(global_)
+    try:
+        result = parse_forecast(text)
+    finally:
+        sys.settrace(previous)
+    assert result.errors == ()
+    return count
+
+
+def test_parse_cost_grows_linearly_with_bulletin_length():
+    def bulletin(repeats: int) -> str:
+        body = _LINEARITY_BODY * repeats
+        return (
+            f"{MINI_HEADER}Today: {body}\nTonight: {body}\n"
+            f"Tomorrow: {body}\nTomorrow night: {body}\n"
+        )
+
+    ratio = _textparse_line_events(bulletin(100)) / _textparse_line_events(bulletin(25))
+    assert ratio <= 4.5, ratio
