@@ -9,11 +9,12 @@ flags and input files; no environment variables, clock, or network.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
 
-from .canonical import SCHEMA, emit_canonical, parse_canonical
+from .canonical import _NUMBER_RE, SCHEMA, emit_canonical, parse_canonical
 from .hazards import (
     TriadThresholds,
     derive_document_icons,
@@ -108,10 +109,12 @@ def _load_thresholds(path: str) -> TriadThresholds:
             raise _CliError(f"{path}:{lineno}: expected one of {', '.join(_THRESHOLD_KEYS)}")
         if key in values:
             raise _CliError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = float(value.strip())
-        except ValueError:
-            raise _CliError(f"{path}:{lineno}: {key} is not a number: {value.strip()!r}") from None
+        value = value.strip()
+        if not _NUMBER_RE.fullmatch(value):
+            raise _CliError(f"{path}:{lineno}: {key} is not a number: {value!r}")
+        values[key] = float(value)
+        if math.isinf(values[key]):
+            raise _CliError(f"{path}:{lineno}: {key} is not finite: {value!r}")
     missing = [k for k in _THRESHOLD_KEYS if k not in values]
     if missing:
         raise _CliError(f"{path}: missing threshold key(s): {', '.join(missing)}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
+from pathlib import Path, PurePath, PurePosixPath
 from types import MappingProxyType
 from typing import Mapping
 
@@ -106,12 +106,6 @@ class ScaleTable:
 
     def level_for(self, value: float) -> int:
         return self.band_for(value).level
-
-    def band_for_level(self, level: int) -> ScaleBand:
-        for band in self.bands:
-            if band.level == level:
-                return band
-        raise KeyError(f"{self.scale_name} scale has no level {level}")
 
 
 def _parse_scale_table(text: str, origin: str) -> ScaleTable:
@@ -219,22 +213,25 @@ def load_tables(directory: Path | None = None) -> Mapping[HazardKind, ScaleTable
     """
     if directory is None:
         return _packaged_tables()
-    tables = {}
-    for kind, filename in _TABLE_FILES.items():
-        table = load_scale_table(directory / filename)
-        if table.kind is not kind:
-            raise ScaleTableError(f"{directory / filename}: declares kind {table.kind.value!r}")
-        tables[kind] = table
-    return MappingProxyType(tables)
+    return _read_tables(directory, directory)
 
 
 @lru_cache(maxsize=1)
 def _packaged_tables() -> Mapping[HazardKind, ScaleTable]:
+    scales = resources.files("summitwx") / "scales"
+    return _read_tables(scales, PurePosixPath("summitwx/scales"))
+
+
+def _read_tables(root, origin_root: PurePath) -> Mapping[HazardKind, ScaleTable]:
+    """The four tables under ``root`` (a directory or package resource), each
+    named ``origin_root / filename`` in diagnostics."""
     tables = {}
-    root = resources.files("summitwx") / "scales"
     for kind, filename in _TABLE_FILES.items():
-        text = (root / filename).read_text(encoding="utf-8")
-        tables[kind] = _parse_scale_table(text, origin=f"summitwx/scales/{filename}")
+        origin = str(origin_root / filename)
+        table = _parse_scale_table((root / filename).read_text(encoding="utf-8"), origin)
+        if table.kind is not kind:
+            raise ScaleTableError(f"{origin}: declares kind {table.kind.value!r}")
+        tables[kind] = table
     return MappingProxyType(tables)
 
 
@@ -309,14 +306,13 @@ class IconRuleConfig:
 DEFAULT_ICON_CONFIG = IconRuleConfig()
 
 
-def _icon(table: ScaleTable, kind: HazardKind, level: int, gust: float | None = None) -> HazardIcon:
-    band = table.band_for_level(level)
+def _icon(table: ScaleTable, band: ScaleBand, gust: float | None = None) -> HazardIcon:
     return HazardIcon(
-        kind=kind,
-        level=level,
+        kind=table.kind,
+        level=band.level,
         color=band.color,
         scale_name=table.scale_name,
-        glyph_id=GLYPH_IDS[kind],
+        glyph_id=GLYPH_IDS[table.kind],
         label=band.label,
         gust_annotation=gust,
     )
@@ -355,29 +351,29 @@ def _derive_icons(period: ForecastPeriod, tables, config: IconRuleConfig) -> tup
     icons: list[HazardIcon] = []
 
     wind_table = tables[HazardKind.WIND]
-    force = wind_table.level_for(period.wind.sustained.high)
-    if force >= config.wind_display_floor:
+    force = wind_table.band_for(period.wind.sustained.high)
+    if force.level >= config.wind_display_floor:
         gust = period.wind.gust_high
         annotation = None
-        if gust is not None and wind_table.level_for(gust) > force:
+        if gust is not None and wind_table.level_for(gust) > force.level:
             annotation = gust
-        icons.append(_icon(wind_table, HazardKind.WIND, force, gust=annotation))
+        icons.append(_icon(wind_table, force, gust=annotation))
 
     chill_table = tables[HazardKind.WIND_CHILL]
-    category = chill_table.level_for(round_half_away(period_wind_chill(period)))
-    if category >= 1:
-        icons.append(_icon(chill_table, HazardKind.WIND_CHILL, category))
+    category = chill_table.band_for(round_half_away(period_wind_chill(period)))
+    if category.level >= 1:
+        icons.append(_icon(chill_table, category))
 
     freezing_table = tables[HazardKind.FREEZING_TEMP]
-    freeze_level = freezing_table.level_for(period.temperature.low)
-    if freeze_level >= 1:
-        icons.append(_icon(freezing_table, HazardKind.FREEZING_TEMP, freeze_level))
+    freeze = freezing_table.band_for(period.temperature.low)
+    if freeze.level >= 1:
+        icons.append(_icon(freezing_table, freeze))
 
     winter_table = tables[HazardKind.WINTER_PRECIP]
     winter_kinds = {ev.kind for ev in period.precip_events if ev.kind in WINTER_PRECIP_KINDS}
-    winter_level = winter_table.level_for(len(winter_kinds))
-    if winter_level >= 1:
-        icons.append(_icon(winter_table, HazardKind.WINTER_PRECIP, winter_level))
+    winter = winter_table.band_for(len(winter_kinds))
+    if winter.level >= 1:
+        icons.append(_icon(winter_table, winter))
 
     return tuple(icons)
 

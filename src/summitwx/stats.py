@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .distributions import f_sf, t_ppf, t_two_sided_p
 from .layout import LayoutCondition, condition_from_token
@@ -55,24 +55,22 @@ class ResponseRecord:
     mentioned_per_day_info: bool
     mentioned_summary_only_info: bool
 
-
-def _check_ratings(record: ResponseRecord) -> None:
-    if len(record.activity_ratings) != len(ACTIVITIES):
-        raise StudyDataError(
-            f"participant {record.participant_id!r}, forecast {record.forecast_id!r}: "
-            f"expected {len(ACTIVITIES)} ratings, found {len(record.activity_ratings)}"
-        )
-    for name, value in zip(ACTIVITIES, record.activity_ratings):
-        if math.isnan(value) or not RATING_MIN <= value <= RATING_MAX:
+    def __post_init__(self) -> None:
+        if len(self.activity_ratings) != len(ACTIVITIES):
             raise StudyDataError(
-                f"participant {record.participant_id!r}, forecast {record.forecast_id!r}: "
-                f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
+                f"participant {self.participant_id!r}, forecast {self.forecast_id!r}: "
+                f"expected {len(ACTIVITIES)} ratings, found {len(self.activity_ratings)}"
             )
+        for name, value in zip(ACTIVITIES, self.activity_ratings):
+            if math.isnan(value) or not RATING_MIN <= value <= RATING_MAX:
+                raise StudyDataError(
+                    f"participant {self.participant_id!r}, forecast {self.forecast_id!r}: "
+                    f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
+                )
 
 
 def aggregate_risk(record: ResponseRecord) -> float:
     """Sum of the six activity ratings: 0 (all safe) to 600 (all maximal)."""
-    _check_ratings(record)
     return sum(record.activity_ratings)
 
 
@@ -314,27 +312,13 @@ def _collect_participants(records: Sequence[ResponseRecord]) -> list[_Participan
 
 def _coding_cells(participants: list[_Participant], flag: str,
                   conditions: list[LayoutCondition]) -> tuple[CodingCell, ...]:
-    cells = [
-        CodingCell(
-            scope="overall",
-            count=sum(1 for p in participants if getattr(p, flag)),
-            total=len(participants),
-            percent=percentage(
-                sum(1 for p in participants if getattr(p, flag)), len(participants)
-            ),
-        )
+    scopes = [("overall", participants)] + [
+        (c.value, [p for p in participants if p.condition is c]) for c in conditions
     ]
-    for condition in conditions:
-        members = [p for p in participants if p.condition is condition]
+    cells = []
+    for scope, members in scopes:
         count = sum(1 for p in members if getattr(p, flag))
-        cells.append(
-            CodingCell(
-                scope=condition.value,
-                count=count,
-                total=len(members),
-                percent=percentage(count, len(members)),
-            )
-        )
+        cells.append(CodingCell(scope, count, len(members), percentage(count, len(members))))
     return tuple(cells)
 
 
@@ -344,14 +328,14 @@ def build_report(
 ) -> StatsReport:
     """Run the full analysis over joined response records."""
     participants = _collect_participants(records)
-    conditions = [c for c in LayoutCondition if any(p.condition is c for p in participants)]
+    values_by_condition: dict[LayoutCondition, list[float]] = {}
+    for p in participants:
+        values_by_condition.setdefault(p.condition, []).append(p.mean_risk)
+    conditions = [c for c in LayoutCondition if c in values_by_condition]
     if len(conditions) < 2:
         raise StudyDataError(
             f"analysis needs at least 2 conditions, found {len(conditions)}"
         )
-    values_by_condition = {
-        c: [p.mean_risk for p in participants if p.condition is c] for c in conditions
-    }
 
     groups = []
     for c in conditions:
@@ -508,6 +492,22 @@ def _check_header(actual: Sequence[str] | None, expected: Sequence[str], origin:
         )
 
 
+def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
+    """Data rows of a CSV file with an exact header, each with its ``path:line``.
+
+    The file is read whole and closed before the first row is yielded; field
+    counts are checked row by row, so the first bad line is the one reported.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    _check_header(rows[0] if rows else None, columns, str(path))
+    for lineno, row in enumerate(rows[1:], start=2):
+        origin = f"{path}:{lineno}"
+        if len(row) != len(columns):
+            raise StudyDataError(f"{origin}: expected {len(columns)} fields, found {len(row)}")
+        yield origin, row
+
+
 def _parse_float(text: str, what: str, origin: str) -> float:
     try:
         value = float(text)
@@ -529,16 +529,7 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseR
     ratings are hard errors.
     """
     participants: dict[str, dict] = {}
-    with open(participants_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    _check_header(rows[0] if rows else None, _PARTICIPANT_COLUMNS, str(participants_path))
-    for lineno, row in enumerate(rows[1:], start=2):
-        origin = f"{participants_path}:{lineno}"
-        if len(row) != len(_PARTICIPANT_COLUMNS):
-            raise StudyDataError(
-                f"{origin}: expected {len(_PARTICIPANT_COLUMNS)} fields, found {len(row)}"
-            )
+    for origin, row in _csv_rows(participants_path, _PARTICIPANT_COLUMNS):
         pid, condition_token, grips_text, flag_a, flag_b = row
         if not pid:
             raise StudyDataError(f"{origin}: empty participant_id")
@@ -566,16 +557,7 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseR
 
     records: list[ResponseRecord] = []
     seen: set[tuple[str, str]] = set()
-    with open(responses_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    _check_header(rows[0] if rows else None, _RESPONSE_COLUMNS, str(responses_path))
-    for lineno, row in enumerate(rows[1:], start=2):
-        origin = f"{responses_path}:{lineno}"
-        if len(row) != len(_RESPONSE_COLUMNS):
-            raise StudyDataError(
-                f"{origin}: expected {len(_RESPONSE_COLUMNS)} fields, found {len(row)}"
-            )
+    for origin, row in _csv_rows(responses_path, _RESPONSE_COLUMNS):
         pid, forecast_id = row[0], row[1]
         if pid not in participants:
             raise StudyDataError(f"{origin}: unknown participant {pid!r}")
@@ -589,16 +571,18 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseR
             _parse_float(text, name, origin) for name, text in zip(ACTIVITIES, row[2:])
         )
         meta = participants[pid]
-        record = ResponseRecord(
-            participant_id=pid,
-            condition=meta["condition"],
-            forecast_id=forecast_id,
-            activity_ratings=ratings,
-            grips_score=meta["grips_score"],
-            mentioned_per_day_info=meta["mentioned_per_day_info"],
-            mentioned_summary_only_info=meta["mentioned_summary_only_info"],
-        )
-        _check_ratings(record)
+        try:
+            record = ResponseRecord(
+                participant_id=pid,
+                condition=meta["condition"],
+                forecast_id=forecast_id,
+                activity_ratings=ratings,
+                grips_score=meta["grips_score"],
+                mentioned_per_day_info=meta["mentioned_per_day_info"],
+                mentioned_summary_only_info=meta["mentioned_summary_only_info"],
+            )
+        except StudyDataError as exc:
+            raise StudyDataError(f"{origin}: {exc}") from None
         records.append(record)
     if not records:
         raise StudyDataError(f"{responses_path}: no records")

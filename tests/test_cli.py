@@ -166,6 +166,20 @@ def test_classify_rejects_unknown_mode(capsys):
         ("wind_high_mph: fast\ntemperature_low_f: -10\n",
          "wind_high_mph is not a number: 'fast'"),
         ("wind_high_mph: 74\n", "missing threshold key(s): temperature_low_f"),
+        ("wind_high_mph: nan\ntemperature_low_f: -10\n",
+         "thresholds.txt:1: wind_high_mph is not a number: 'nan'"),
+        ("wind_high_mph: 74\ntemperature_low_f: -inf\n",
+         "thresholds.txt:2: temperature_low_f is not a number: '-inf'"),
+        ("wind_high_mph: inf\ntemperature_low_f: -10\n",
+         "thresholds.txt:1: wind_high_mph is not a number: 'inf'"),
+        ("wind_high_mph: 1_0\ntemperature_low_f: -10\n",
+         "thresholds.txt:1: wind_high_mph is not a number: '1_0'"),
+        ("wind_high_mph: \uff11\uff10\ntemperature_low_f: -10\n",
+         "thresholds.txt:1: wind_high_mph is not a number: '\uff11\uff10'"),
+        ("wind_high_mph: 1e999\ntemperature_low_f: -10\n",
+         "thresholds.txt:1: wind_high_mph is not a number: '1e999'"),
+        ("wind_high_mph: 1e+999\ntemperature_low_f: -10\n",
+         "thresholds.txt:1: wind_high_mph is not finite: '1e+999'"),
     ],
 )
 def test_classify_rejects_bad_threshold_files(tmp_path, capsys, content, fragment):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import documents, periods
 from helpers import make_doc, make_period
+from summitwx import hazards
 from summitwx.hazards import (
     DEFAULT_ICON_CONFIG,
     KIND_ORDER,
@@ -315,6 +316,23 @@ def test_tampered_table_fails_integrity(tmp_path, transform, message):
     directory = _tamper(tmp_path, "wind_chill.table", transform)
     with pytest.raises(ScaleTableError, match=message):
         load_tables(directory)
+
+
+def test_table_diagnostics_name_the_file_they_came_from(tmp_path):
+    directory = _tamper(
+        tmp_path, "wind_chill.table", lambda s: s.replace("kind: wind_chill", "kind: wind")
+    )
+    with pytest.raises(ScaleTableError) as err:
+        load_tables(directory)
+    assert str(err.value) == f"{directory / 'wind_chill.table'}: declares kind 'wind'"
+
+
+def test_packaged_tables_get_the_kind_check(monkeypatch):
+    swapped = {**hazards._TABLE_FILES, HazardKind.WIND_CHILL: "beaufort.table"}
+    monkeypatch.setattr(hazards, "_TABLE_FILES", swapped)
+    with pytest.raises(ScaleTableError) as err:
+        hazards._packaged_tables.__wrapped__()
+    assert str(err.value) == "summitwx/scales/beaufort.table: declares kind 'wind'"
 
 
 def test_band_lookup_respects_closed_edge(tmp_path):

@@ -454,6 +454,20 @@ def test_load_study_accepts_numeric_bool_tokens(tmp_path):
          "participants.csv:2: grips_score is not finite"),
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,inf,5,6", "p2,f1,1,2,3,4,5,6"],
          "responses.csv:2: backcountry_skiing is not finite"),
+        (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,101", "p2,f1,1,2,3,4,5,6"],
+         "responses.csv:2: participant 'p1', forecast 'f1': "
+         "multi_night_camping rating 101.0 outside [0, 100]"),
+        (GOOD_PARTICIPANTS, ["p1,f1,-1,2,3,4,5,6", "p2,f1,1,2,3,4,5,6"],
+         "responses.csv:2: participant 'p1', forecast 'f1': car_trip rating -1.0 outside"),
+        (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,6", "p2,f1,1,2,3,4,100.5,6"],
+         "responses.csv:3: participant 'p2', forecast 'f1': single_night_camping rating"),
+        # Line 3 has the wrong field count, but line 2 is wrong first.
+        (["p1,baseline,soon,true,false", "p2,icons,2.0,true"], GOOD_RESPONSES,
+         "participants.csv:2: grips_score is not a number: 'soon'"),
+        (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,six", "p2,f1,1,2,3,4,5"],
+         "responses.csv:2: multi_night_camping is not a number: 'six'"),
+        (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,101", "p2,f1,1,2,3,4,5"],
+         "responses.csv:2: participant 'p1', forecast 'f1': multi_night_camping rating"),
     ],
 )
 def test_load_study_rejects_schema_violations(tmp_path, participants, responses, fragment):
@@ -491,6 +505,27 @@ def test_load_study_error_messages_carry_file_and_line(tmp_path):
     with pytest.raises(StudyDataError) as err:
         load_study(*paths)
     assert "participants.csv:3" in str(err.value)
+
+
+def test_ratings_are_checked_once_per_record(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "simulate_study.py"
+    subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path), "--seed", "49"],
+        check=True,
+        capture_output=True,
+    )
+    calls = []
+    check = ResponseRecord.__post_init__
+
+    def counting(self):
+        calls.append(self.participant_id)
+        check(self)
+
+    monkeypatch.setattr(ResponseRecord, "__post_init__", counting)
+    records = load_study(tmp_path / "responses.csv", tmp_path / "participants.csv")
+    build_report(records)
+    assert len(records) == 640
+    assert len(calls) == 640
 
 
 # ------------------------------------------------------------------- report
@@ -564,6 +599,18 @@ def test_build_report_coding_counts_participants_once():
     assert summary_only["overall"].count == 2
     assert summary_only["baseline"].percent == "33.33"
     assert summary_only["icons"].percent == "33.33"
+
+
+def test_build_report_orders_groups_by_condition_not_by_data():
+    report = build_report(list(reversed(study_records())))
+    assert [g.condition for g in report.groups] == [
+        LayoutCondition.BASELINE,
+        LayoutCondition.ICONS,
+    ]
+    assert [g.n for g in report.groups] == [3, 3]
+    assert report.groups[0].mean == pytest.approx(210.0, abs=TOL)
+    assert [(pw.group_a, pw.group_b) for pw in report.pairwise] == [("baseline", "icons")]
+    assert [cell.scope for cell in report.coding.per_day] == ["overall", "baseline", "icons"]
 
 
 def test_build_report_is_deterministic():
