@@ -14,7 +14,6 @@ import re
 import sys
 from pathlib import Path
 
-from .canonical import _NUMBER_RE, SCHEMA, emit_canonical, parse_canonical
 from .hazards import (
     TriadThresholds,
     derive_document_icons,
@@ -22,17 +21,16 @@ from .hazards import (
     load_tables,
     triad_advisory,
 )
-from .layout import (
+from .model import (
     CONDITION_TOKENS,
     FORMATS,
+    WORST_CASE_LABEL,
+    ForecastDocument,
     condition_from_token,
-    render,
-    render_icon,
-    render_stimulus_set,
 )
-from .model import WORST_CASE_LABEL, ForecastDocument
-from .stats import build_report, emit_plot_spec, emit_report, format_report, load_study
-from .textparse import Severity, format_diagnostic, parse_forecast
+
+# Each subcommand imports the layers it runs, so that a one-shot call loads
+# neither the renderer nor the statistics lane unless it uses them.
 
 
 class _CliError(ValueError):
@@ -53,6 +51,9 @@ def _read_text(path: str) -> str:
 
 def _load_document(path: str) -> ForecastDocument:
     """Read a forecast file, raw or canonical, into a valid document."""
+    from .canonical import SCHEMA, parse_canonical
+    from .textparse import Severity, format_diagnostic, parse_forecast
+
     text = _read_text(path)
     if text.startswith("schema: " + SCHEMA):
         result = parse_canonical(text)
@@ -80,6 +81,9 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 
 def _cmd_parse(args) -> int:
+    from .canonical import emit_canonical
+    from .textparse import format_diagnostic, parse_forecast
+
     text = _read_text(args.input)
     result = parse_forecast(text, source_id=args.source_id or Path(args.input).stem)
     for diag in result.diagnostics:
@@ -91,6 +95,8 @@ def _cmd_parse(args) -> int:
 
 
 def _icon_line(icons) -> str:
+    from .layout import render_icon
+
     return " ".join(render_icon(icon, "plain") for icon in icons) if icons else "(none)"
 
 
@@ -98,6 +104,8 @@ _THRESHOLD_KEYS = ("wind_high_mph", "temperature_low_f")
 
 
 def _load_thresholds(path: str) -> TriadThresholds:
+    from .canonical import _NUMBER_RE
+
     values: dict[str, float] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -150,6 +158,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .layout import render
+
     doc = _load_document(args.input)
     tables = _load_tables_arg(args)
     condition = condition_from_token(args.condition)
@@ -169,6 +179,8 @@ _EXTENSIONS = {"svg": "svg", "html": "html", "plain": "txt"}
 
 
 def _cmd_stimuli(args) -> int:
+    from .layout import render_stimulus_set
+
     docs = [_load_document(path) for path in args.inputs]
     tables = _load_tables_arg(args)
     condition = condition_from_token(args.condition)
@@ -184,6 +196,8 @@ def _cmd_stimuli(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .stats import build_report, emit_plot_spec, emit_report, format_report, load_study
+
     records = load_study(Path(args.responses), Path(args.participants))
     report = build_report(records, correction_count=args.correction)
     sys.stdout.write(format_report(report))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import html
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
@@ -31,34 +30,17 @@ from .hazards import (
     _effective_worst_case,
     load_tables,
 )
-from .model import ForecastDocument, ForecastPeriod, require_valid
+from .model import (  # noqa: F401  (the condition names are re-exported)
+    CONDITION_TOKENS,
+    FORMATS,
+    ForecastDocument,
+    ForecastPeriod,
+    LayoutCondition,
+    condition_from_token,
+    require_valid,
+)
 
 STYLESHEET_VERSION = "hsf-layout/1"
-FORMATS = ("svg", "html", "plain")
-
-
-class LayoutCondition(Enum):
-    BASELINE = "baseline"
-    SUMMARY_LAST = "summary_last"
-    ICONS = "icons"
-    PER_DAY_ICONS = "per_day_icons"
-
-
-#: Command-line spelling of each condition.
-CONDITION_TOKENS = {
-    "baseline": LayoutCondition.BASELINE,
-    "summary-last": LayoutCondition.SUMMARY_LAST,
-    "icons": LayoutCondition.ICONS,
-    "per-day-icons": LayoutCondition.PER_DAY_ICONS,
-}
-
-
-def condition_from_token(token: str) -> LayoutCondition:
-    try:
-        return CONDITION_TOKENS[token]
-    except KeyError:
-        valid = "|".join(CONDITION_TOKENS)
-        raise ValueError(f"unknown condition {token!r}; expected one of {valid}") from None
 
 
 @dataclass(frozen=True)

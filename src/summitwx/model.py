@@ -5,6 +5,10 @@ A :class:`ForecastDocument` holds a narrative summary plus exactly four
 frozen dataclasses: immutable after construction and safe to share across
 threads. Internal units are fixed to degrees Fahrenheit and statute mph;
 unit conversion, if any, belongs at parse/render boundaries.
+
+The four study layout conditions, their command-line tokens and the render
+formats live here too, so that the statistics lane can name a condition
+without importing the renderer.
 """
 
 from __future__ import annotations
@@ -43,6 +47,32 @@ COMPASS_POINTS = (
 )
 
 WORST_CASE_LABEL = "Worst case (48 hours)"
+
+FORMATS = ("svg", "html", "plain")
+
+
+class LayoutCondition(Enum):
+    BASELINE = "baseline"
+    SUMMARY_LAST = "summary_last"
+    ICONS = "icons"
+    PER_DAY_ICONS = "per_day_icons"
+
+
+#: Command-line spelling of each condition.
+CONDITION_TOKENS = {
+    "baseline": LayoutCondition.BASELINE,
+    "summary-last": LayoutCondition.SUMMARY_LAST,
+    "icons": LayoutCondition.ICONS,
+    "per-day-icons": LayoutCondition.PER_DAY_ICONS,
+}
+
+
+def condition_from_token(token: str) -> LayoutCondition:
+    try:
+        return CONDITION_TOKENS[token]
+    except KeyError:
+        valid = "|".join(CONDITION_TOKENS)
+        raise ValueError(f"unknown condition {token!r}; expected one of {valid}") from None
 
 
 @dataclass(frozen=True)

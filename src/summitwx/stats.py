@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .distributions import f_sf, t_ppf, t_two_sided_p
-from .layout import LayoutCondition, condition_from_token
+from .model import LayoutCondition, condition_from_token
 
 #: Rated activities, in the fixed column order of the response file.
 ACTIVITIES = (
@@ -495,17 +495,21 @@ def _check_header(actual: Sequence[str] | None, expected: Sequence[str], origin:
 def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
     """Data rows of a CSV file with an exact header, each with its ``path:line``.
 
-    The file is read whole and closed before the first row is yielded; field
-    counts are checked row by row, so the first bad line is the one reported.
+    The line is the physical line a record starts on, so a quoted field with
+    an embedded newline does not shift the lines of later records. Rows are
+    read one at a time and field counts checked row by row, so the first bad
+    line is the one reported.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    _check_header(rows[0] if rows else None, columns, str(path))
-    for lineno, row in enumerate(rows[1:], start=2):
-        origin = f"{path}:{lineno}"
-        if len(row) != len(columns):
-            raise StudyDataError(f"{origin}: expected {len(columns)} fields, found {len(row)}")
-        yield origin, row
+        reader = csv.reader(fh)
+        _check_header(next(reader, None), columns, str(path))
+        start = reader.line_num + 1
+        for row in reader:
+            origin = f"{path}:{start}"
+            start = reader.line_num + 1
+            if len(row) != len(columns):
+                raise StudyDataError(f"{origin}: expected {len(columns)} fields, found {len(row)}")
+            yield origin, row
 
 
 def _parse_float(text: str, what: str, origin: str) -> float:

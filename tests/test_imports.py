@@ -1,0 +1,167 @@
+"""Import footprint and the lazy package namespace.
+
+``import summitwx`` loads no submodule, each CLI subcommand loads only the
+layers it runs, and every public name of the package still resolves to the
+object its home module defines. Footprints are sets of loaded modules, read
+from ``sys.modules`` in a fresh interpreter; nothing here is timed.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import summitwx
+from conftest import FIXTURE_DIR
+from test_cli import write_csvs
+
+SRC = Path(summitwx.__file__).resolve().parents[1]
+SUBMODULES = ("canonical", "cli", "distributions", "hazards", "layout", "model", "stats",
+              "textparse")
+
+#: The package's public names and the modules they were imported from when
+#: the package imported every layer eagerly. The lazy namespace keeps each.
+EAGER_EXPORTS = {
+    "canonical": "SCHEMA emit_canonical parse_canonical",
+    "hazards": """DEFAULT_ICON_CONFIG KIND_ORDER HazardIcon HazardKind IconRuleConfig ScaleBand
+        ScaleTable ScaleTableError TriadAdvisory TriadThresholds TriadVerdict beaufort_force
+        derive_document_icons derive_icons effective_worst_case load_scale_table load_tables
+        period_wind_chill round_half_away triad_advisory wind_chill wind_chill_category""",
+    "layout": """CONDITION_TOKENS FORMATS STYLESHEET_VERSION LayoutCondition RenderedDocument
+        condition_from_token render render_icon render_stimulus_set""",
+    "model": """COMPASS_POINTS WINTER_PRECIP_KINDS WORST_CASE_LABEL Certainty ForecastDocument
+        ForecastPeriod InvalidDocument PrecipEvent PrecipKind ValueRange Violation
+        WindPrediction require_valid require_valid_period validate validate_period
+        with_periods worst_case_view""",
+    "stats": """ACTIVITIES AnovaResult CodingCell CodingTable GroupSummary PairwiseResult
+        RegressionResult ResponseRecord StatsReport StudyDataError aggregate_risk build_report
+        emit_plot_spec emit_report format_report grips_regression load_study one_way_anova
+        pairwise_t_tests participant_mean_risk percentage t_ci95""",
+    "textparse": "Diagnostic ParseResult Severity format_diagnostic parse_forecast",
+}
+EXPORT_HOMES = [(name, module) for module, names in EAGER_EXPORTS.items()
+                for name in names.split()]
+
+
+def fresh_python(*args):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+LOADED_MODULES = """
+import json, sys
+print(json.dumps(sorted(m[len("summitwx."):] for m in sys.modules
+                        if m.startswith("summitwx."))))
+"""
+
+
+def loaded_after(code):
+    """The ``summitwx`` submodules a fresh interpreter holds after ``code``."""
+    proc = fresh_python("-c", code + LOADED_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+# ---------------------------------------------------------------- footprint
+
+PARSE_LAYERS = {"cli", "model", "hazards", "textparse", "canonical"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["parse", "{calm}"], PARSE_LAYERS),
+        (["classify", "{severe}"], PARSE_LAYERS | {"layout"}),
+        (["render", "{severe}", "--condition", "icons", "--format", "svg"],
+         PARSE_LAYERS | {"layout"}),
+        (["stimuli", "{calm}", "{severe}", "--condition", "per-day-icons", "--out", "{tmp}/set"],
+         PARSE_LAYERS | {"layout"}),
+        (["stats", "--responses", "{tmp}/responses.csv",
+          "--participants", "{tmp}/participants.csv"],
+         {"cli", "model", "hazards", "stats", "distributions"}),
+        (["validate-tables"], {"cli", "model", "hazards"}),
+    ],
+    ids=["parse", "classify", "render", "stimuli", "stats", "validate-tables"],
+)
+def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers):
+    write_csvs(tmp_path)
+    argv = [arg.format(calm=FIXTURE_DIR / "calm-day.txt", severe=FIXTURE_DIR / "severe-day.txt",
+                       tmp=tmp_path) for arg in argv]
+    code = f"from summitwx import cli\nassert cli.main({argv!r}) == 0\n"
+    assert loaded_after(code) == layers
+
+
+def test_import_summitwx_loads_no_submodule():
+    assert loaded_after("import summitwx\n") == set()
+
+
+def test_a_public_name_loads_only_its_home_layers():
+    assert loaded_after("import summitwx\nsummitwx.LayoutCondition\n") == {"model"}
+    assert loaded_after("import summitwx\nsummitwx.load_study\n") == {
+        "model", "stats", "distributions"}
+
+
+# ---------------------------------------------------------- lazy namespace
+
+
+def test_all_is_the_eager_export_list():
+    assert sorted(summitwx.__all__) == sorted(name for name, _ in EXPORT_HOMES)
+
+
+@pytest.mark.parametrize("name, module", EXPORT_HOMES)
+def test_each_name_is_its_home_module_attribute(name, module):
+    home = importlib.import_module(f"summitwx.{module}")
+    assert getattr(summitwx, name) is getattr(home, name)
+
+
+def test_dir_lists_every_name_and_submodule():
+    # In a fresh interpreter, where no name has been looked up and cached yet.
+    proc = fresh_python("-c", "import json, summitwx\nprint(json.dumps(dir(summitwx)))")
+    assert proc.returncode == 0, proc.stderr
+    listed = set(json.loads(proc.stdout))
+    assert set(summitwx.__all__) <= listed
+    assert set(SUBMODULES) <= listed
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from summitwx import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(summitwx.__all__)
+
+
+def test_submodules_resolve_after_a_bare_import():
+    assert loaded_after("import summitwx\nsummitwx.layout.render\n") >= {"layout"}
+    assert loaded_after("import summitwx\nsummitwx.distributions.t_ppf\n") == {"distributions"}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'summitwx' has no attribute 'no_such_name'"):
+        summitwx.no_such_name
+
+
+def test_condition_names_are_one_object_on_every_path():
+    assert (summitwx.LayoutCondition is summitwx.layout.LayoutCondition
+            is summitwx.model.LayoutCondition is summitwx.stats.LayoutCondition)
+    for name in ("CONDITION_TOKENS", "FORMATS", "condition_from_token"):
+        assert getattr(summitwx.layout, name) is getattr(summitwx.model, name)
+
+
+# ------------------------------------------------------------- import order
+
+
+@pytest.mark.parametrize("module", ("summitwx",) + tuple(f"summitwx.{m}" for m in SUBMODULES))
+def test_each_module_imports_first_without_warnings(module):
+    proc = fresh_python("-W", "error", "-c", f"import {module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_module_help_runs_without_warnings():
+    proc = fresh_python("-W", "error", "-m", "summitwx.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: summitwx")

@@ -468,6 +468,11 @@ def test_load_study_accepts_numeric_bool_tokens(tmp_path):
          "responses.csv:2: multi_night_camping is not a number: 'six'"),
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,101", "p2,f1,1,2,3,4,5"],
          "responses.csv:2: participant 'p1', forecast 'f1': multi_night_camping rating"),
+        # A quoted newline makes one record of lines 2-3; lines are physical.
+        (['"p\n1",baseline,3.0,true,false', "p2,icons,soon,true,false"], GOOD_RESPONSES,
+         "participants.csv:4: grips_score is not a number: 'soon'"),
+        (['"p\n1",baseline,soon,true,false', "p2,icons,2.0,true,false"], GOOD_RESPONSES,
+         "participants.csv:2: grips_score is not a number: 'soon'"),
     ],
 )
 def test_load_study_rejects_schema_violations(tmp_path, participants, responses, fragment):
