@@ -20,8 +20,8 @@ _EXPORTS = {
         "DEFAULT_ICON_CONFIG", "KIND_ORDER", "HazardIcon", "HazardKind", "IconRuleConfig",
         "ScaleBand", "ScaleTable", "ScaleTableError", "TriadAdvisory", "TriadThresholds",
         "TriadVerdict", "beaufort_force", "derive_document_icons", "derive_icons",
-        "effective_worst_case", "load_scale_table", "load_tables", "period_wind_chill",
-        "round_half_away", "triad_advisory", "wind_chill", "wind_chill_category",
+        "load_scale_table", "load_tables", "period_wind_chill", "round_half_away",
+        "triad_advisory", "wind_chill", "wind_chill_category",
     ),
     "layout": (
         "STYLESHEET_VERSION", "RenderedDocument", "render", "render_icon", "render_stimulus_set",

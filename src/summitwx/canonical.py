@@ -56,7 +56,11 @@ def _fmt_num(x: float) -> str:
 
 def emit_canonical(doc: ForecastDocument) -> str:
     """Serialize a valid document. Raises InvalidDocument otherwise."""
-    require_valid(doc)
+    return _emit_canonical(require_valid(doc))
+
+
+def _emit_canonical(doc: ForecastDocument) -> str:
+    """The serializer behind :func:`emit_canonical`, for a document already valid."""
     lines = [f"schema: {SCHEMA}", f"issued_at: {doc.issued_at.isoformat()}"]
     if doc.source_id:
         lines.append(f"source_id: {doc.source_id}")

@@ -15,11 +15,12 @@ import sys
 from pathlib import Path
 
 from .hazards import (
+    DEFAULT_ICON_CONFIG,
     TriadThresholds,
-    derive_document_icons,
-    derive_icons,
+    _derive_icons,
+    _overall_icons,
+    _triad_advisory,
     load_tables,
-    triad_advisory,
 )
 from .model import (
     CONDITION_TOKENS,
@@ -81,7 +82,7 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 
 def _cmd_parse(args) -> int:
-    from .canonical import emit_canonical
+    from .canonical import _emit_canonical
     from .textparse import format_diagnostic, parse_forecast
 
     text = _read_text(args.input)
@@ -90,7 +91,7 @@ def _cmd_parse(args) -> int:
         print(f"{args.input}: {format_diagnostic(diag, text)}", file=sys.stderr)
     if result.document is None:
         raise _CliError(f"{args.input}: {len(result.errors)} error diagnostic(s); no document")
-    _write_or_print(emit_canonical(result.document), args.out)
+    _write_or_print(_emit_canonical(result.document), args.out)
     return 0
 
 
@@ -140,17 +141,17 @@ def _cmd_classify(args) -> int:
     if mode in ("per-period", "both"):
         lines.append("per-period:")
         for i, period in enumerate(doc.periods):
-            icons = derive_icons(period, tables=tables)
+            icons = _derive_icons(period, tables, DEFAULT_ICON_CONFIG)
             lines.append(f"  {i + 1}. {period.label}: {_icon_line(icons)}")
     if mode in ("overall", "both"):
-        icons = derive_document_icons(doc, "overall", tables=tables)[0]
+        icons = _overall_icons(doc.periods, tables, DEFAULT_ICON_CONFIG)
         lines.append("overall:")
         lines.append(f"  {WORST_CASE_LABEL}: {_icon_line(icons)}")
     if args.triad_thresholds:
         thresholds = _load_thresholds(args.triad_thresholds)
         lines.append("triad advisory:")
         for i, period in enumerate(doc.periods):
-            advisory = triad_advisory(period, thresholds)
+            advisory = _triad_advisory(period, thresholds)
             factors = ", ".join(sorted(advisory.factors_dangerous)) or "none"
             lines.append(f"  {i + 1}. {period.label}: {advisory.verdict.value} ({factors})")
     _write_or_print("".join(f"{line}\n" for line in lines), args.out)
@@ -158,12 +159,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .layout import render
+    from .layout import _render
 
     doc = _load_document(args.input)
     tables = _load_tables_arg(args)
     condition = condition_from_token(args.condition)
-    rendered = render(doc, condition, format=args.format, tables=tables)
+    rendered = _render(doc, condition, args.format, tables, DEFAULT_ICON_CONFIG)
     if args.out is None:
         sys.stdout.write(rendered.payload.decode("utf-8"))
     else:

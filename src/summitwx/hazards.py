@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -28,8 +28,6 @@ from .model import (
     WINTER_PRECIP_KINDS,
     ForecastDocument,
     ForecastPeriod,
-    ValueRange,
-    _worst_case,
     require_valid,
     require_valid_period,
 )
@@ -348,56 +346,42 @@ def derive_icons(
 
 def _derive_icons(period: ForecastPeriod, tables, config: IconRuleConfig) -> tuple[HazardIcon, ...]:
     """The rules behind :func:`derive_icons`, for a period already valid."""
-    icons: list[HazardIcon] = []
+    return _icons(_bands(period, tables), period.wind.gust_high, tables, config)
 
-    wind_table = tables[HazardKind.WIND]
-    force = wind_table.band_for(period.wind.sustained.high)
-    if force.level >= config.wind_display_floor:
-        gust = period.wind.gust_high
-        annotation = None
-        if gust is not None and wind_table.level_for(gust) > force.level:
-            annotation = gust
-        icons.append(_icon(wind_table, force, gust=annotation))
 
-    chill_table = tables[HazardKind.WIND_CHILL]
-    category = chill_table.band_for(round_half_away(period_wind_chill(period)))
-    if category.level >= 1:
-        icons.append(_icon(chill_table, category))
-
-    freezing_table = tables[HazardKind.FREEZING_TEMP]
-    freeze = freezing_table.band_for(period.temperature.low)
-    if freeze.level >= 1:
-        icons.append(_icon(freezing_table, freeze))
-
-    winter_table = tables[HazardKind.WINTER_PRECIP]
+def _bands(period: ForecastPeriod, tables) -> tuple[ScaleBand, ...]:
+    """The period's band on each scale, in :data:`KIND_ORDER`."""
     winter_kinds = {ev.kind for ev in period.precip_events if ev.kind in WINTER_PRECIP_KINDS}
-    winter = winter_table.band_for(len(winter_kinds))
-    if winter.level >= 1:
-        icons.append(_icon(winter_table, winter))
+    return (
+        tables[HazardKind.WIND].band_for(period.wind.sustained.high),
+        tables[HazardKind.WIND_CHILL].band_for(round_half_away(period_wind_chill(period))),
+        tables[HazardKind.FREEZING_TEMP].band_for(period.temperature.low),
+        tables[HazardKind.WINTER_PRECIP].band_for(len(winter_kinds)),
+    )
 
+
+def _icons(bands, gust: float | None, tables, config: IconRuleConfig) -> tuple[HazardIcon, ...]:
+    """Icons for one band per kind: wind at or above the display floor, badged
+    with ``gust`` when that reaches a higher force; other kinds at level >= 1."""
+    force, *others = bands
+    icons: list[HazardIcon] = []
+    wind_table = tables[HazardKind.WIND]
+    if force.level >= config.wind_display_floor:
+        badge = gust if gust is not None and wind_table.level_for(gust) > force.level else None
+        icons.append(_icon(wind_table, force, gust=badge))
+    for kind, band in zip(KIND_ORDER[1:], others):
+        if band.level >= 1:
+            icons.append(_icon(tables[kind], band))
     return tuple(icons)
 
 
-def effective_worst_case(doc: ForecastDocument) -> ForecastPeriod:
-    """Worst-case fold with the wind chill resolved period by period.
-
-    Starts from ``worst_case_view`` and replaces its wind chill with the
-    minimum of each period's effective chill (stated when present, else
-    computed from that period's own temperature and wind). Pairing one
-    period's coldest temperature with another period's strongest wind would
-    describe conditions the forecast never predicts; folding per period
-    keeps the overall icon exactly as severe as the worst single period,
-    never more, never less.
-    """
-    return _effective_worst_case(require_valid(doc).periods)
-
-
-def _effective_worst_case(periods) -> ForecastPeriod:
-    """The fold behind :func:`effective_worst_case`, over periods already valid."""
-    worst = _worst_case(periods)
-    low = min(period_wind_chill(p) for p in periods)
-    high = worst.wind_chill.high if worst.wind_chill is not None else low
-    return replace(worst, wind_chill=ValueRange(low=low, high=max(low, high), unit="F"))
+def _overall_icons(periods, tables, config: IconRuleConfig) -> tuple[HazardIcon, ...]:
+    """The 48-hour row, over periods already valid: per kind, the highest
+    band any period reaches, badged with the highest stated gust."""
+    worst = [max(column, key=lambda band: band.level)
+             for column in zip(*(_bands(p, tables) for p in periods))]
+    gust = max((p.wind.gust_high for p in periods if p.wind.gust_high is not None), default=None)
+    return _icons(worst, gust, tables, config)
 
 
 def derive_document_icons(
@@ -408,15 +392,15 @@ def derive_document_icons(
 ) -> tuple[tuple[HazardIcon, ...], ...]:
     """Icon sets for a whole document.
 
-    ``overall`` folds the document to its worst case first and yields one
-    set; ``per_period`` yields one set per period, in order. The overall
-    set carries, per hazard kind, exactly the highest level found in any
-    single period.
+    ``per_period`` yields one set per period, in order; ``overall`` yields
+    one set that carries, per hazard kind, the highest level any single
+    period reaches, with the wind icon badged by the highest stated gust
+    when that gust reaches a higher force.
     """
     require_valid(doc)
     tables = tables or load_tables()
     if mode == "overall":
-        return (_derive_icons(_effective_worst_case(doc.periods), tables, config),)
+        return (_overall_icons(doc.periods, tables, config),)
     if mode == "per_period":
         return tuple(_derive_icons(p, tables, config) for p in doc.periods)
     raise ValueError(f"mode must be 'overall' or 'per_period', got {mode!r}")
@@ -459,7 +443,11 @@ def triad_advisory(period: ForecastPeriod, thresholds: TriadThresholds) -> Triad
     """
     if thresholds is None:
         raise ValueError("triad thresholds must be supplied explicitly")
-    require_valid_period(period)
+    return _triad_advisory(require_valid_period(period), thresholds)
+
+
+def _triad_advisory(period: ForecastPeriod, thresholds: TriadThresholds) -> TriadAdvisory:
+    """The rule behind :func:`triad_advisory`, for a period already valid."""
     dangerous = set()
     if period.wind.sustained.high >= thresholds.wind_high_mph:
         dangerous.add("wind")

@@ -13,7 +13,6 @@ and the scale tables fully determine the output bytes.
 
 from __future__ import annotations
 
-import hashlib
 import html
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,7 @@ from .hazards import (
     HazardKind,
     IconRuleConfig,
     _derive_icons,
-    _effective_worst_case,
+    _overall_icons,
     load_tables,
 )
 from .model import (  # noqa: F401  (the condition names are re-exported)
@@ -257,7 +256,7 @@ def _build_groups(
                 "icons-overall",
                 "derived:worst_case",
                 "HAZARDS (48 HOURS):",
-                _derive_icons(_effective_worst_case(doc.periods), tables, config),
+                _overall_icons(doc.periods, tables, config),
             )
         ])
     if condition in (LayoutCondition.BASELINE, LayoutCondition.ICONS):
@@ -411,8 +410,11 @@ def render(
         raise ValueError(f"unknown format {format!r}; expected one of {'|'.join(FORMATS)}")
     if not isinstance(condition, LayoutCondition):
         raise ValueError(f"unknown condition {condition!r}")
-    require_valid(doc)
-    tables = tables or load_tables()
+    return _render(require_valid(doc), condition, format, tables or load_tables(), config)
+
+
+def _render(doc: ForecastDocument, condition, format: str, tables, config) -> RenderedDocument:
+    """The renderer behind :func:`render`, for a document already valid."""
     groups = _build_groups(doc, condition, tables, config)
     if format == "plain":
         text = _render_plain(groups)
@@ -438,6 +440,8 @@ def render_stimulus_set(
     ordinal, source id, condition, format, payload digest) for study
     administration.
     """
+    import hashlib  # here, so that a render or a classify alone never loads it
+
     renders = tuple(
         render(doc, condition, format=format, tables=tables, config=config) for doc in docs
     )

@@ -230,11 +230,7 @@ def worst_case_view(doc: ForecastDocument) -> ForecastPeriod:
     notes. The result is itself a valid period. Deterministic, idempotent,
     and insensitive to period order for every numeric and set field.
     """
-    return _worst_case(require_valid(doc).periods)
-
-
-def _worst_case(periods) -> ForecastPeriod:
-    """The fold behind :func:`worst_case_view`, over periods already valid."""
+    periods = require_valid(doc).periods
     temperature = ValueRange(
         low=min(p.temperature.low for p in periods),
         high=min(p.temperature.high for p in periods),

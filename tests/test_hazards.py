@@ -20,12 +20,12 @@ from summitwx.hazards import (
     beaufort_force,
     derive_document_icons,
     derive_icons,
-    effective_worst_case,
     load_scale_table,
     load_tables,
     period_wind_chill,
     triad_advisory,
     wind_chill,
+    wind_chill_category,
 )
 from summitwx.model import (
     Certainty,
@@ -208,9 +208,9 @@ def test_icon_levels_monotone_under_worse_conditions(period, colder, windier):
         assert after_wind[kind] >= before[kind]
 
 
-def test_effective_worst_case_uses_per_period_chill():
-    # Coldest air and strongest wind sit in different periods; the fold must
-    # not pair them into a chill no single period predicts.
+def test_overall_wind_chill_pairs_each_period_with_its_own_wind():
+    # Coldest air and strongest wind sit in different periods; the overall
+    # row must not pair them into a chill no single period predicts.
     doc = make_doc(
         (
             make_period("Today", temp=(-10, 0), wind=(5, 10)),
@@ -219,10 +219,10 @@ def test_effective_worst_case_uses_per_period_chill():
             make_period("Tomorrow night", temp=(10, 20), wind=(10, 15)),
         )
     )
-    worst = effective_worst_case(doc)
-    per_period = [period_wind_chill(p) for p in doc.periods]
-    assert worst.wind_chill.low == min(per_period)
-    assert worst.wind_chill.low > wind_chill(-10, 60)
+    (overall,) = derive_document_icons(doc, "overall")
+    assert _kind_levels(overall)[HazardKind.WIND_CHILL] == 1
+    # Cross-pairing the coldest air with the strongest wind would give 2.
+    assert wind_chill_category(wind_chill(-10, 60)) == 2
 
 
 def test_overall_mixed_stated_and_computed_chill():
@@ -253,6 +253,16 @@ def test_overall_level_equals_max_of_per_period_levels(doc):
     for kind in HazardKind:
         expected = max(_kind_levels(icons).get(kind, 0) for icons in per_period)
         assert overall_levels[kind] == expected, kind
+    assert list(per_period) == [derive_icons(p) for p in doc.periods]
+
+    # With no display floor the wind icon always shows, so its badge can be
+    # checked: the highest stated gust, exactly when its force is higher.
+    unfloored = IconRuleConfig(wind_display_floor=0)
+    (wind, *_) = derive_document_icons(doc, "overall", config=unfloored)[0]
+    gusts = [p.wind.gust_high for p in doc.periods if p.wind.gust_high is not None]
+    beaufort = load_tables()[HazardKind.WIND]
+    badged = bool(gusts) and beaufort.level_for(max(gusts)) > wind.level
+    assert wind.gust_annotation == (max(gusts) if badged else None)
 
 
 def test_document_icons_rejects_unknown_mode():
@@ -318,6 +328,67 @@ def test_tampered_table_fails_integrity(tmp_path, transform, message):
         load_tables(directory)
 
 
+def _levels_by_kind(icons):
+    return [_kind_levels(icons).get(kind, 0) for kind in KIND_ORDER]
+
+
+def _row_levels(doc, tables):
+    """Per-period and overall icon levels, one list in kind order each."""
+    (overall,) = derive_document_icons(doc, "overall", tables=tables)
+    per_period = derive_document_icons(doc, "per_period", tables=tables)
+    return [_levels_by_kind(icons) for icons in per_period], _levels_by_kind(overall)
+
+
+def test_overall_row_is_max_of_periods_under_an_inverted_freezing_table(tmp_path):
+    # Valid but inverted: the icon fires at or above 32 F. The coldest low
+    # is then not the period with the highest level.
+    directory = _tamper(
+        tmp_path,
+        "freezing.table",
+        lambda s: s.replace("band: 1 | -150 | 32", "band: 0 | -150 | 32")
+        .replace("band: 0 | 32 | 150", "band: 1 | 32 | 150"),
+    )
+    tables = load_tables(directory)
+    doc = make_doc(
+        tuple(make_period(label, temp=(low, low + 10))
+              for label, low in zip(("Today", "Tonight", "Tomorrow", "Tomorrow night"),
+                                    (20, 40, 20, 20)))
+    )
+    per_period, overall = _row_levels(doc, tables)
+    assert overall == [max(column) for column in zip(*per_period)]
+    freezing = KIND_ORDER.index(HazardKind.FREEZING_TEMP)
+    assert [levels[freezing] for levels in per_period] == [0, 1, 0, 0]
+    assert overall[freezing] == 1
+
+
+def test_overall_row_is_max_of_periods_under_a_three_band_winter_table(tmp_path):
+    # Snow in one period and sleet in another is one winter kind per
+    # period, so no period reaches level 2.
+    directory = _tamper(
+        tmp_path,
+        "winter_precip.table",
+        lambda s: s.replace(
+            "band: 1 | 1 | 5 | #7B68EE | Winter precipitation",
+            "band: 1 | 1 | 2 | #7B68EE | Winter precipitation\n"
+            "band: 2 | 2 | 5 | #4B0082 | Mixed winter precipitation",
+        ),
+    )
+    tables = load_tables(directory)
+    doc = make_doc(
+        (
+            make_period("Today", precip=(PrecipEvent(PrecipKind.SNOW, Certainty.LIKELY),)),
+            make_period("Tonight", precip=(PrecipEvent(PrecipKind.SLEET, Certainty.CHANCE),)),
+            make_period("Tomorrow"),
+            make_period("Tomorrow night"),
+        )
+    )
+    per_period, overall = _row_levels(doc, tables)
+    assert overall == [max(column) for column in zip(*per_period)]
+    winter = KIND_ORDER.index(HazardKind.WINTER_PRECIP)
+    assert [levels[winter] for levels in per_period] == [1, 1, 0, 0]
+    assert overall[winter] == 1
+
+
 def test_table_diagnostics_name_the_file_they_came_from(tmp_path):
     directory = _tamper(
         tmp_path, "wind_chill.table", lambda s: s.replace("kind: wind_chill", "kind: wind")
@@ -360,7 +431,7 @@ def test_icons_require_valid_period():
         derive_icons(bad)
 
 
-def test_effective_worst_case_on_fully_stated_docs_folds_stated_chill():
+def test_overall_wind_chill_on_fully_stated_docs_takes_the_coldest_stated_chill():
     doc = make_doc(
         (
             make_period("Today", chill=(-20, -10)),
@@ -369,5 +440,5 @@ def test_effective_worst_case_on_fully_stated_docs_folds_stated_chill():
             make_period("Tomorrow night", chill=(-5, 0)),
         )
     )
-    worst = effective_worst_case(doc)
-    assert (worst.wind_chill.low, worst.wind_chill.high) == (-44, -30)
+    (overall,) = derive_document_icons(doc, "overall")
+    assert _kind_levels(overall)[HazardKind.WIND_CHILL] == 2

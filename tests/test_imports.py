@@ -29,8 +29,8 @@ EAGER_EXPORTS = {
     "canonical": "SCHEMA emit_canonical parse_canonical",
     "hazards": """DEFAULT_ICON_CONFIG KIND_ORDER HazardIcon HazardKind IconRuleConfig ScaleBand
         ScaleTable ScaleTableError TriadAdvisory TriadThresholds TriadVerdict beaufort_force
-        derive_document_icons derive_icons effective_worst_case load_scale_table load_tables
-        period_wind_chill round_half_away triad_advisory wind_chill wind_chill_category""",
+        derive_document_icons derive_icons load_scale_table load_tables period_wind_chill
+        round_half_away triad_advisory wind_chill wind_chill_category""",
     "layout": """CONDITION_TOKENS FORMATS STYLESHEET_VERSION LayoutCondition RenderedDocument
         condition_from_token render render_icon render_stimulus_set""",
     "model": """COMPASS_POINTS WINTER_PRECIP_KINDS WORST_CASE_LABEL Certainty ForecastDocument
@@ -94,6 +94,20 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers):
                        tmp=tmp_path) for arg in argv]
     code = f"from summitwx import cli\nassert cli.main({argv!r}) == 0\n"
     assert loaded_after(code) == layers
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "{severe}"], ["render", "{severe}", "--condition", "icons", "--format", "svg"]],
+    ids=["classify", "render"],
+)
+def test_one_shot_subcommands_do_not_load_hashlib(argv):
+    # Only the stimulus-set index digests its renders.
+    argv = [arg.format(severe=FIXTURE_DIR / "severe-day.txt") for arg in argv]
+    code = (f"import sys\nfrom summitwx import cli\nassert cli.main({argv!r}) == 0\n"
+            "assert 'hashlib' not in sys.modules, 'hashlib loaded'\n")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_summitwx_loads_no_submodule():

@@ -5,15 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURE_NAMES, GOLDEN_DIR
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, GOLDEN_DIR
 from helpers import make_doc, squash, visible_text
-from summitwx import model
+from test_cli import GOOD_THRESHOLDS
+from summitwx import cli, model
 from summitwx.canonical import emit_canonical
 from summitwx.hazards import (
     TriadThresholds,
     derive_document_icons,
     derive_icons,
-    effective_worst_case,
     triad_advisory,
 )
 from summitwx.layout import (
@@ -303,7 +303,6 @@ _DOCUMENT_ENTRY_POINTS = [
     pytest.param(lambda doc: derive_document_icons(doc, "overall"), id="icons-overall"),
     pytest.param(lambda doc: derive_document_icons(doc, "per_period"), id="icons-per_period"),
     pytest.param(worst_case_view, id="worst_case_view"),
-    pytest.param(effective_worst_case, id="effective_worst_case"),
     pytest.param(emit_canonical, id="emit_canonical"),
 ]
 
@@ -312,6 +311,23 @@ _DOCUMENT_ENTRY_POINTS = [
 def test_document_entry_points_validate_each_period_once(fixture_docs, period_checks, entry_point):
     doc = fixture_docs["severe-day"]
     entry_point(doc)
+    assert sorted(period_checks) == [f"periods[{i}]" for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "{severe}", "--out", "{tmp}/out.canon"],
+        ["classify", "{severe}"],
+        ["classify", "{severe}", "--triad-thresholds", "{tmp}/thresholds.txt"],
+        ["render", "{severe}", "--condition", "icons", "--format", "svg", "--out", "{tmp}/out.svg"],
+    ],
+    ids=["parse", "classify", "classify-triad", "render"],
+)
+def test_cli_subcommands_validate_each_period_once(tmp_path, capsys, period_checks, argv):
+    (tmp_path / "thresholds.txt").write_text(GOOD_THRESHOLDS, encoding="utf-8")
+    severe = FIXTURE_DIR / "severe-day.txt"
+    assert cli.main([arg.format(severe=severe, tmp=tmp_path) for arg in argv]) == 0
     assert sorted(period_checks) == [f"periods[{i}]" for i in range(4)]
 
 
