@@ -30,9 +30,8 @@ _EXPORTS = {
         "COMPASS_POINTS", "CONDITION_TOKENS", "FORMATS", "WINTER_PRECIP_KINDS",
         "WORST_CASE_LABEL", "Certainty", "ForecastDocument", "ForecastPeriod",
         "InvalidDocument", "LayoutCondition", "PrecipEvent", "PrecipKind", "ValueRange",
-        "Violation", "WindPrediction", "condition_from_token", "require_valid",
-        "require_valid_period", "validate", "validate_period", "with_periods",
-        "worst_case_view",
+        "Violation", "WindPrediction", "condition_from_token", "require_valid", "validate",
+        "validate_period", "with_periods", "worst_case_view",
     ),
     "stats": (
         "ACTIVITIES", "AnovaResult", "CodingCell", "CodingTable", "GroupSummary",

@@ -17,17 +17,19 @@ valid document.
 from __future__ import annotations
 
 import math
-import re
 from datetime import datetime
 
 from .model import (
+    _NUMBER_RE,
     Certainty,
     ForecastDocument,
     ForecastPeriod,
+    InvalidDocument,
     PrecipEvent,
     PrecipKind,
     ValueRange,
     WindPrediction,
+    _fmt_num,
     require_valid,
     validate,
 )
@@ -42,25 +44,12 @@ _PERIOD_SCALARS = {
     "chill_low_f", "chill_high_f",
 }
 _PERIOD_REQUIRED = ("label", "temp_low_f", "temp_high_f", "wind_low_mph", "wind_high_mph")
-# The forms _fmt_num emits (integers, repr floats such as 1.5e-07). float()
-# alone would also take spaces, underscores, a leading '+', a bare '.', an
-# upper-case exponent, non-ASCII digits, nan and inf.
-_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
-
-
-def _fmt_num(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
 
 
 def emit_canonical(doc: ForecastDocument) -> str:
-    """Serialize a valid document. Raises InvalidDocument otherwise."""
-    return _emit_canonical(require_valid(doc))
-
-
-def _emit_canonical(doc: ForecastDocument) -> str:
-    """The serializer behind :func:`emit_canonical`, for a document already valid."""
+    """Serialize a document. Raises InvalidDocument when it breaks a document
+    rule; its periods are valid by construction."""
+    require_valid(doc)
     lines = [f"schema: {SCHEMA}", f"issued_at: {doc.issued_at.isoformat()}"]
     if doc.source_id:
         lines.append(f"source_id: {doc.source_id}")
@@ -88,7 +77,8 @@ def _emit_canonical(doc: ForecastDocument) -> str:
 
 
 class _PeriodDraft:
-    def __init__(self) -> None:
+    def __init__(self, span: tuple[int, int]) -> None:
+        self.span = span  # of its 'period:' marker line
         self.scalars: dict[str, str] = {}
         self.spans: dict[str, tuple[int, int]] = {}
         self.precip: list[PrecipEvent] = []
@@ -200,7 +190,7 @@ def parse_canonical(text: str) -> ParseResult:
                 if value != "":
                     err(span, f"'period:' takes no value, found {value!r}")
                     continue
-                drafts.append(_PeriodDraft())
+                drafts.append(_PeriodDraft(span))
             else:
                 err(span, f"unknown key {key!r}")
                 continue
@@ -248,20 +238,25 @@ def parse_canonical(text: str) -> ParseResult:
         wind_chill = None
         if "chill_low_f" in nums:
             wind_chill = ValueRange(nums["chill_low_f"], nums["chill_high_f"], "F")
-        periods.append(
-            ForecastPeriod(
-                label=draft.scalars["label"],
-                temperature=ValueRange(nums["temp_low_f"], nums["temp_high_f"], "F"),
-                wind=WindPrediction(
-                    sustained=ValueRange(nums["wind_low_mph"], nums["wind_high_mph"], "mph"),
-                    direction=draft.scalars.get("wind_dir"),
-                    gust_high=nums.get("gust_high_mph"),
-                ),
-                wind_chill=wind_chill,
-                precip_events=tuple(draft.precip),
-                extra_hazard_notes=tuple(draft.notes),
+        try:
+            periods.append(
+                ForecastPeriod(
+                    label=draft.scalars["label"],
+                    temperature=ValueRange(nums["temp_low_f"], nums["temp_high_f"], "F"),
+                    wind=WindPrediction(
+                        sustained=ValueRange(nums["wind_low_mph"], nums["wind_high_mph"], "mph"),
+                        direction=draft.scalars.get("wind_dir"),
+                        gust_high=nums.get("gust_high_mph"),
+                    ),
+                    wind_chill=wind_chill,
+                    precip_events=tuple(draft.precip),
+                    extra_hazard_notes=tuple(draft.notes),
+                )
             )
-        )
+        except InvalidDocument as exc:
+            for v in exc.violations:
+                field_name = v.field_name.removeprefix("period.")
+                err(draft.span, f"period {i + 1}: {field_name}: {v.rule}")
 
     coverage = recognized / meaningful if meaningful else 0.0
     if any(d.severity is Severity.ERROR for d in diags):

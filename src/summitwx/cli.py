@@ -17,12 +17,13 @@ from pathlib import Path
 from .hazards import (
     DEFAULT_ICON_CONFIG,
     TriadThresholds,
-    _derive_icons,
-    _overall_icons,
-    _triad_advisory,
+    derive_document_icons,
+    derive_icons,
     load_tables,
+    triad_advisory,
 )
 from .model import (
+    _NUMBER_RE,
     CONDITION_TOKENS,
     FORMATS,
     WORST_CASE_LABEL,
@@ -82,7 +83,7 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 
 def _cmd_parse(args) -> int:
-    from .canonical import _emit_canonical
+    from .canonical import emit_canonical
     from .textparse import format_diagnostic, parse_forecast
 
     text = _read_text(args.input)
@@ -91,7 +92,7 @@ def _cmd_parse(args) -> int:
         print(f"{args.input}: {format_diagnostic(diag, text)}", file=sys.stderr)
     if result.document is None:
         raise _CliError(f"{args.input}: {len(result.errors)} error diagnostic(s); no document")
-    _write_or_print(_emit_canonical(result.document), args.out)
+    _write_or_print(emit_canonical(result.document), args.out)
     return 0
 
 
@@ -105,8 +106,6 @@ _THRESHOLD_KEYS = ("wind_high_mph", "temperature_low_f")
 
 
 def _load_thresholds(path: str) -> TriadThresholds:
-    from .canonical import _NUMBER_RE
-
     values: dict[str, float] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -141,17 +140,17 @@ def _cmd_classify(args) -> int:
     if mode in ("per-period", "both"):
         lines.append("per-period:")
         for i, period in enumerate(doc.periods):
-            icons = _derive_icons(period, tables, DEFAULT_ICON_CONFIG)
+            icons = derive_icons(period, tables, DEFAULT_ICON_CONFIG)
             lines.append(f"  {i + 1}. {period.label}: {_icon_line(icons)}")
     if mode in ("overall", "both"):
-        icons = _overall_icons(doc.periods, tables, DEFAULT_ICON_CONFIG)
+        (icons,) = derive_document_icons(doc, "overall", tables, DEFAULT_ICON_CONFIG)
         lines.append("overall:")
         lines.append(f"  {WORST_CASE_LABEL}: {_icon_line(icons)}")
     if args.triad_thresholds:
         thresholds = _load_thresholds(args.triad_thresholds)
         lines.append("triad advisory:")
         for i, period in enumerate(doc.periods):
-            advisory = _triad_advisory(period, thresholds)
+            advisory = triad_advisory(period, thresholds)
             factors = ", ".join(sorted(advisory.factors_dangerous)) or "none"
             lines.append(f"  {i + 1}. {period.label}: {advisory.verdict.value} ({factors})")
     _write_or_print("".join(f"{line}\n" for line in lines), args.out)
@@ -159,12 +158,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .layout import _render
+    from .layout import render
 
     doc = _load_document(args.input)
     tables = _load_tables_arg(args)
     condition = condition_from_token(args.condition)
-    rendered = _render(doc, condition, args.format, tables, DEFAULT_ICON_CONFIG)
+    rendered = render(doc, condition, args.format, tables, DEFAULT_ICON_CONFIG)
     if args.out is None:
         sys.stdout.write(rendered.payload.decode("utf-8"))
     else:

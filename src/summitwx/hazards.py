@@ -29,7 +29,6 @@ from .model import (
     ForecastDocument,
     ForecastPeriod,
     require_valid,
-    require_valid_period,
 )
 
 
@@ -339,13 +338,9 @@ def derive_icons(
     above the configured Beaufort display floor; wind-chill icon for any
     frostbite-time category; freezing icon for a low strictly below 32 F;
     winter-precipitation icon for any snow, sleet, or freezing-rain event.
-    At most one icon per kind.
+    At most one icon per kind. A period is valid by construction.
     """
-    return _derive_icons(require_valid_period(period), tables or load_tables(), config)
-
-
-def _derive_icons(period: ForecastPeriod, tables, config: IconRuleConfig) -> tuple[HazardIcon, ...]:
-    """The rules behind :func:`derive_icons`, for a period already valid."""
+    tables = tables or load_tables()
     return _icons(_bands(period, tables), period.wind.gust_high, tables, config)
 
 
@@ -375,15 +370,6 @@ def _icons(bands, gust: float | None, tables, config: IconRuleConfig) -> tuple[H
     return tuple(icons)
 
 
-def _overall_icons(periods, tables, config: IconRuleConfig) -> tuple[HazardIcon, ...]:
-    """The 48-hour row, over periods already valid: per kind, the highest
-    band any period reaches, badged with the highest stated gust."""
-    worst = [max(column, key=lambda band: band.level)
-             for column in zip(*(_bands(p, tables) for p in periods))]
-    gust = max((p.wind.gust_high for p in periods if p.wind.gust_high is not None), default=None)
-    return _icons(worst, gust, tables, config)
-
-
 def derive_document_icons(
     doc: ForecastDocument,
     mode: str = "overall",
@@ -397,12 +383,16 @@ def derive_document_icons(
     period reaches, with the wind icon badged by the highest stated gust
     when that gust reaches a higher force.
     """
-    require_valid(doc)
+    periods = require_valid(doc).periods
     tables = tables or load_tables()
     if mode == "overall":
-        return (_overall_icons(doc.periods, tables, config),)
+        worst = [max(column, key=lambda band: band.level)
+                 for column in zip(*(_bands(p, tables) for p in periods))]
+        gust = max((p.wind.gust_high for p in periods if p.wind.gust_high is not None),
+                   default=None)
+        return (_icons(worst, gust, tables, config),)
     if mode == "per_period":
-        return tuple(_derive_icons(p, tables, config) for p in doc.periods)
+        return tuple(derive_icons(p, tables, config) for p in periods)
     raise ValueError(f"mode must be 'overall' or 'per_period', got {mode!r}")
 
 
@@ -443,11 +433,6 @@ def triad_advisory(period: ForecastPeriod, thresholds: TriadThresholds) -> Triad
     """
     if thresholds is None:
         raise ValueError("triad thresholds must be supplied explicitly")
-    return _triad_advisory(require_valid_period(period), thresholds)
-
-
-def _triad_advisory(period: ForecastPeriod, thresholds: TriadThresholds) -> TriadAdvisory:
-    """The rule behind :func:`triad_advisory`, for a period already valid."""
     dangerous = set()
     if period.wind.sustained.high >= thresholds.wind_high_mph:
         dangerous.add("wind")

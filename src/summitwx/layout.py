@@ -18,15 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .canonical import _fmt_num
 from .hazards import (
     DEFAULT_ICON_CONFIG,
     GLYPH_IDS,
     HazardIcon,
     HazardKind,
     IconRuleConfig,
-    _derive_icons,
-    _overall_icons,
+    derive_document_icons,
+    derive_icons,
     load_tables,
 )
 from .model import (  # noqa: F401  (the condition names are re-exported)
@@ -35,6 +34,7 @@ from .model import (  # noqa: F401  (the condition names are re-exported)
     ForecastDocument,
     ForecastPeriod,
     LayoutCondition,
+    _fmt_num,
     condition_from_token,
     require_valid,
 )
@@ -244,7 +244,7 @@ def _build_groups(
                 f"icons-period-{i + 1}",
                 f"derived:periods[{i}]",
                 "HAZARDS:",
-                _derive_icons(period, tables, config),
+                derive_icons(period, tables, config),
             )
             elements.insert(1, row)
         period_groups.append(elements)
@@ -256,7 +256,7 @@ def _build_groups(
                 "icons-overall",
                 "derived:worst_case",
                 "HAZARDS (48 HOURS):",
-                _overall_icons(doc.periods, tables, config),
+                derive_document_icons(doc, "overall", tables, config)[0],
             )
         ])
     if condition in (LayoutCondition.BASELINE, LayoutCondition.ICONS):
@@ -410,12 +410,7 @@ def render(
         raise ValueError(f"unknown format {format!r}; expected one of {'|'.join(FORMATS)}")
     if not isinstance(condition, LayoutCondition):
         raise ValueError(f"unknown condition {condition!r}")
-    return _render(require_valid(doc), condition, format, tables or load_tables(), config)
-
-
-def _render(doc: ForecastDocument, condition, format: str, tables, config) -> RenderedDocument:
-    """The renderer behind :func:`render`, for a document already valid."""
-    groups = _build_groups(doc, condition, tables, config)
+    groups = _build_groups(require_valid(doc), condition, tables or load_tables(), config)
     if format == "plain":
         text = _render_plain(groups)
     elif format == "svg":

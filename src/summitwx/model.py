@@ -6,14 +6,21 @@ frozen dataclasses: immutable after construction and safe to share across
 threads. Internal units are fixed to degrees Fahrenheit and statute mph;
 unit conversion, if any, belongs at parse/render boundaries.
 
-The four study layout conditions, their command-line tokens and the render
-formats live here too, so that the statistics lane can name a condition
-without importing the renderer.
+A :class:`ForecastPeriod` checks itself when constructed and raises
+:class:`InvalidDocument` listing every violation, so every period that
+exists is valid. A document's own rules are checked by :func:`require_valid`
+at each entry point that takes a document.
+
+The study layout conditions, their command-line tokens, the render formats
+and the canonical number grammar and formatter live here too, so that the
+statistics lane can name a condition without importing the renderer, and
+the renderer can print a number without importing a parser.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
@@ -67,6 +74,18 @@ CONDITION_TOKENS = {
 }
 
 
+# The forms _fmt_num emits (integers, repr floats such as 1.5e-07). float()
+# alone would also take spaces, underscores, a leading '+', a bare '.', an
+# upper-case exponent, non-ASCII digits, nan and inf.
+_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
+
+
+def _fmt_num(x: float) -> str:
+    if x == int(x):
+        return str(int(x))
+    return repr(x)
+
+
 def condition_from_token(token: str) -> LayoutCondition:
     try:
         return CONDITION_TOKENS[token]
@@ -109,6 +128,11 @@ class ForecastPeriod:
     precip_events: tuple[PrecipEvent, ...] = ()
     extra_hazard_notes: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        violations = validate_period(self)
+        if violations:
+            raise InvalidDocument(violations)
+
 
 @dataclass(frozen=True)
 class ForecastDocument:
@@ -127,7 +151,7 @@ class Violation:
 
 
 class InvalidDocument(ValueError):
-    """Raised by operations that require a valid document or period."""
+    """Raised on constructing an invalid period, or by an operation on an invalid document."""
 
     def __init__(self, violations: list[Violation]):
         self.violations = violations
@@ -184,7 +208,8 @@ def validate_period(period: ForecastPeriod, prefix: str = "period") -> list[Viol
 
 
 def validate(doc: ForecastDocument) -> list[Violation]:
-    """Collect all invariant violations. Violations are data, not failures."""
+    """Collect the document's own invariant violations (its periods checked
+    themselves when constructed). Violations are data, not failures."""
     out: list[Violation] = []
     if len(doc.periods) != 4:
         out.append(Violation("periods", f"expected exactly 4 periods, found {len(doc.periods)}"))
@@ -193,8 +218,6 @@ def validate(doc: ForecastDocument) -> list[Violation]:
     if "\r" in doc.summary_text:
         out.append(Violation("summary_text", "must use bare newlines, not carriage returns"))
     _check_single_line("source_id", doc.source_id, out)
-    for i, period in enumerate(doc.periods):
-        out.extend(validate_period(period, prefix=f"periods[{i}]"))
     return out
 
 
@@ -203,13 +226,6 @@ def require_valid(doc: ForecastDocument) -> ForecastDocument:
     if violations:
         raise InvalidDocument(violations)
     return doc
-
-
-def require_valid_period(period: ForecastPeriod) -> ForecastPeriod:
-    violations = validate_period(period)
-    if violations:
-        raise InvalidDocument(violations)
-    return period
 
 
 def _dedup(items):

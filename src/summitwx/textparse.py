@@ -36,6 +36,7 @@ from .model import (
     Certainty,
     ForecastDocument,
     ForecastPeriod,
+    InvalidDocument,
     PrecipEvent,
     PrecipKind,
     ValueRange,
@@ -305,14 +306,21 @@ def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: 
 
     if temperature is None or sustained is None:
         return None
-    return ForecastPeriod(
-        label=label,
-        temperature=temperature,
-        wind=WindPrediction(sustained=sustained, direction=direction, gust_high=gust_high),
-        wind_chill=wind_chill,
-        precip_events=tuple(PrecipEvent(k, c) for k, c in precip_events),
-        extra_hazard_notes=tuple(notes),
-    )
+    try:
+        return ForecastPeriod(
+            label=label,
+            temperature=temperature,
+            wind=WindPrediction(sustained=sustained, direction=direction, gust_high=gust_high),
+            wind_chill=wind_chill,
+            precip_events=tuple(PrecipEvent(k, c) for k, c in precip_events),
+            extra_hazard_notes=tuple(notes),
+        )
+    except InvalidDocument as exc:
+        for v in exc.violations:
+            field_name = v.field_name.removeprefix("period.")
+            scan.diag(Severity.ERROR, header.span(), f"period {index + 1} ({label!r}): "
+                      f"{field_name}: {v.rule}")
+        return None
 
 
 def _coverage(scan: _Scan) -> float:

@@ -79,6 +79,36 @@ def test_parse_error_diagnostics_exit_1(tmp_path, capsys):
     assert out == ""
 
 
+def test_raw_period_violation_is_reported_at_its_header(tmp_path, capsys):
+    bad = tmp_path / "negative-wind.txt"
+    text = (FIXTURE_DIR / "calm-day.txt").read_text(encoding="utf-8")
+    bad.write_text(text.replace("SW 6-14 mph", "SW -6 to 14 mph"), encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == (
+        f"{bad}: error:8:1 period 4 ('Tomorrow night'): wind.sustained: "
+        "wind speeds must be >= 0"
+    )
+
+
+def test_canonical_period_violation_is_reported_at_its_marker(tmp_path, capsys):
+    code, canon, _ = run(capsys, "parse", CALM)
+    assert code == 0
+    lines = canon.splitlines()
+    marker = max(i for i, line in enumerate(lines) if line == "period:")
+    low = lines.index("  wind_low_mph: 6", marker)
+    lines[low] = "  wind_low_mph: -6"
+    bad = tmp_path / "negative-wind.canon"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == (
+        f"{bad}: error:{marker + 1}:1 period 4: wind.sustained: wind speeds must be >= 0"
+    )
+
+
 def test_missing_input_file_exit_1(capsys):
     code, out, err = run(capsys, "parse", "/nonexistent/forecast.txt")
     assert code == 1

@@ -424,11 +424,11 @@ def test_load_scale_table_single_file():
 
 
 def test_icons_require_valid_period():
+    # An invalid period cannot be built, so no icon can come from one.
     from summitwx.model import InvalidDocument
 
-    bad = make_period(temp=(50, 40))
-    with pytest.raises(InvalidDocument):
-        derive_icons(bad)
+    with pytest.raises(InvalidDocument, match="period.temperature"):
+        make_period(temp=(50, 40))
 
 
 def test_overall_wind_chill_on_fully_stated_docs_takes_the_coldest_stated_chill():

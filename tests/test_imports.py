@@ -6,6 +6,7 @@ object its home module defines. Footprints are sets of loaded modules, read
 from ``sys.modules`` in a fresh interpreter; nothing here is timed.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -35,8 +36,7 @@ EAGER_EXPORTS = {
         condition_from_token render render_icon render_stimulus_set""",
     "model": """COMPASS_POINTS WINTER_PRECIP_KINDS WORST_CASE_LABEL Certainty ForecastDocument
         ForecastPeriod InvalidDocument PrecipEvent PrecipKind ValueRange Violation
-        WindPrediction require_valid require_valid_period validate validate_period
-        with_periods worst_case_view""",
+        WindPrediction require_valid validate validate_period with_periods worst_case_view""",
     "stats": """ACTIVITIES AnovaResult CodingCell CodingTable GroupSummary PairwiseResult
         RegressionResult ResponseRecord StatsReport StudyDataError aggregate_risk build_report
         emit_plot_spec emit_report format_report grips_regression load_study one_way_anova
@@ -118,6 +118,30 @@ def test_a_public_name_loads_only_its_home_layers():
     assert loaded_after("import summitwx\nsummitwx.LayoutCondition\n") == {"model"}
     assert loaded_after("import summitwx\nsummitwx.load_study\n") == {
         "model", "stats", "distributions"}
+
+
+def test_library_render_loads_neither_parser():
+    # The number formatter lives in model, so the renderer needs no parser.
+    assert loaded_after("import summitwx.layout\n") == {"layout", "hazards", "model"}
+
+
+def test_no_module_imports_a_private_name_from_a_sibling_other_than_model():
+    # Only model's private helpers (the number grammar and formatter) are
+    # shared; every other layer is reached through its public functions.
+    offenders = []
+    for path in sorted((SRC / "summitwx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level == 1:
+                sibling = node.module
+            elif node.level == 0 and node.module.startswith("summitwx."):
+                sibling = node.module[len("summitwx."):]
+            else:
+                continue
+            offenders += [f"{path.stem} imports {sibling}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and sibling != "model"]
+    assert offenders == []
 
 
 # ---------------------------------------------------------- lazy namespace

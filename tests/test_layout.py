@@ -279,12 +279,13 @@ def test_stimulus_set_empty_input():
 
 @pytest.fixture
 def period_checks(monkeypatch):
-    """Every ``validate_period`` call made while the test runs, by prefix."""
+    """Every ``validate_period`` call made while the test runs, as
+    ``(prefix, period)``. A period makes one as it is constructed."""
     calls = []
     real = model.validate_period
 
     def counting(period, prefix="period"):
-        calls.append(prefix)
+        calls.append((prefix, period))
         return real(period, prefix)
 
     monkeypatch.setattr(model, "validate_period", counting)
@@ -309,9 +310,19 @@ _DOCUMENT_ENTRY_POINTS = [
 
 @pytest.mark.parametrize("entry_point", _DOCUMENT_ENTRY_POINTS)
 def test_document_entry_points_validate_each_period_once(fixture_docs, period_checks, entry_point):
+    # Each period was checked once, when the parser built it. An entry point
+    # checks none of them again; only a period it builds checks itself.
     doc = fixture_docs["severe-day"]
-    entry_point(doc)
-    assert sorted(period_checks) == [f"periods[{i}]" for i in range(4)]
+    result = entry_point(doc)
+    built = [result] if isinstance(result, model.ForecastPeriod) else []
+    assert [period for _, period in period_checks] == built
+
+
+@pytest.mark.parametrize("entry_point", _DOCUMENT_ENTRY_POINTS)
+def test_document_entry_points_reject_a_three_period_document(fixture_docs, entry_point):
+    doc = fixture_docs["severe-day"]
+    with pytest.raises(InvalidDocument, match="expected exactly 4 periods, found 3"):
+        entry_point(with_periods(doc, doc.periods[:3]))
 
 
 @pytest.mark.parametrize(
@@ -321,25 +332,26 @@ def test_document_entry_points_validate_each_period_once(fixture_docs, period_ch
         ["classify", "{severe}"],
         ["classify", "{severe}", "--triad-thresholds", "{tmp}/thresholds.txt"],
         ["render", "{severe}", "--condition", "icons", "--format", "svg", "--out", "{tmp}/out.svg"],
+        ["stimuli", "{severe}", "--condition", "icons", "--format", "svg", "--out", "{tmp}/set"],
     ],
-    ids=["parse", "classify", "classify-triad", "render"],
+    ids=["parse", "classify", "classify-triad", "render", "stimuli"],
 )
 def test_cli_subcommands_validate_each_period_once(tmp_path, capsys, period_checks, argv):
+    # The parser builds the four periods; nothing after it checks one again.
     (tmp_path / "thresholds.txt").write_text(GOOD_THRESHOLDS, encoding="utf-8")
     severe = FIXTURE_DIR / "severe-day.txt"
     assert cli.main([arg.format(severe=severe, tmp=tmp_path) for arg in argv]) == 0
-    assert sorted(period_checks) == [f"periods[{i}]" for i in range(4)]
+    assert [prefix for prefix, _ in period_checks] == ["period"] * 4
 
 
 def test_stimulus_set_validates_each_period_once(fixture_docs, period_checks):
     docs = [fixture_docs[name] for name in FIXTURE_NAMES]
     render_stimulus_set(docs, LayoutCondition.ICONS, format="svg")
-    assert len(period_checks) == 4 * len(docs)
+    assert period_checks == []
 
 
 def test_period_entry_points_validate_once(fixture_docs, period_checks):
     period = fixture_docs["severe-day"].periods[0]
     derive_icons(period)
-    assert len(period_checks) == 1
     triad_advisory(period, TriadThresholds(wind_high_mph=50, temperature_low_f=0))
-    assert len(period_checks) == 2
+    assert period_checks == []

@@ -75,10 +75,18 @@ def test_wrong_period_count_is_a_violation():
     ],
 )
 def test_period_violations(mutate, field_fragment):
-    bad = mutate(make_period())
-    violations = validate_period(bad, prefix="periods[0]")
+    with pytest.raises(InvalidDocument) as exc:
+        mutate(make_period())
+    violations = exc.value.violations
     assert violations, "expected at least one violation"
     assert any(field_fragment.split(".")[-1] in v.field_name for v in violations)
+
+
+def test_invalid_period_lists_every_violation():
+    with pytest.raises(InvalidDocument) as exc:
+        make_period(label="two\nlines", temp=(30, 20), direction="Q")
+    assert [v.field_name for v in exc.value.violations] == [
+        "period.label", "period.temperature", "period.wind.direction"]
 
 
 @pytest.mark.parametrize(
