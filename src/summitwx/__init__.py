@@ -31,7 +31,7 @@ _EXPORTS = {
         "WORST_CASE_LABEL", "Certainty", "ForecastDocument", "ForecastPeriod",
         "InvalidDocument", "LayoutCondition", "PrecipEvent", "PrecipKind", "ValueRange",
         "Violation", "WindPrediction", "condition_from_token", "require_valid", "validate",
-        "validate_period", "with_periods", "worst_case_view",
+        "validate_period", "with_periods",
     ),
     "stats": (
         "ACTIVITIES", "AnovaResult", "CodingCell", "CodingTable", "GroupSummary",

@@ -16,11 +16,9 @@ valid document.
 
 from __future__ import annotations
 
-import math
 from datetime import datetime
 
 from .model import (
-    _NUMBER_RE,
     Certainty,
     ForecastDocument,
     ForecastPeriod,
@@ -30,6 +28,7 @@ from .model import (
     ValueRange,
     WindPrediction,
     _fmt_num,
+    _read_number,
     require_valid,
     validate,
 )
@@ -222,14 +221,11 @@ def parse_canonical(text: str) -> ParseResult:
         for key, value in draft.scalars.items():
             if key in ("label", "wind_dir"):
                 continue
-            if not _NUMBER_RE.fullmatch(value):
-                err(draft.spans[key], f"period {i + 1}: {key} is not a number: {value!r}")
+            try:
+                nums[key] = _read_number(value)
+            except ValueError as exc:
+                err(draft.spans[key], f"period {i + 1}: {key} {exc}")
                 periods_ok = False
-            elif not math.isfinite(num := float(value)):
-                err(draft.spans[key], f"period {i + 1}: {key} is not finite: {value!r}")
-                periods_ok = False
-            else:
-                nums[key] = num
         if ("chill_low_f" in draft.scalars) != ("chill_high_f" in draft.scalars):
             err(whole, f"period {i + 1}: chill_low_f and chill_high_f must appear together")
             periods_ok = False

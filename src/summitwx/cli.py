@@ -9,7 +9,6 @@ flags and input files; no environment variables, clock, or network.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
@@ -23,11 +22,11 @@ from .hazards import (
     triad_advisory,
 )
 from .model import (
-    _NUMBER_RE,
     CONDITION_TOKENS,
     FORMATS,
     WORST_CASE_LABEL,
     ForecastDocument,
+    _read_number,
     condition_from_token,
 )
 
@@ -51,22 +50,21 @@ def _read_text(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_document(path: str) -> ForecastDocument:
-    """Read a forecast file, raw or canonical, into a valid document."""
+def _load_document(path: str, source_id: str | None = None) -> ForecastDocument:
+    """Read a forecast file, raw or canonical, into a valid document. A raw
+    file is named ``source_id``, or else its file stem; a canonical file
+    keeps its own ``source_id:`` line."""
     from .canonical import SCHEMA, parse_canonical
-    from .textparse import Severity, format_diagnostic, parse_forecast
+    from .textparse import format_diagnostic, parse_forecast
 
     text = _read_text(path)
     if text.startswith("schema: " + SCHEMA):
         result = parse_canonical(text)
     else:
-        result = parse_forecast(text, source_id=Path(path).stem)
+        result = parse_forecast(text, source_id=source_id or Path(path).stem)
     for diag in result.diagnostics:
-        if diag.severity is not Severity.ERROR:
-            print(f"{path}: {format_diagnostic(diag, text)}", file=sys.stderr)
+        print(f"{path}: {format_diagnostic(diag, text)}", file=sys.stderr)
     if result.document is None:
-        for diag in result.errors:
-            print(f"{path}: {format_diagnostic(diag, text)}", file=sys.stderr)
         raise _CliError(f"{path}: {len(result.errors)} error diagnostic(s); no document")
     return result.document
 
@@ -84,15 +82,8 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 def _cmd_parse(args) -> int:
     from .canonical import emit_canonical
-    from .textparse import format_diagnostic, parse_forecast
 
-    text = _read_text(args.input)
-    result = parse_forecast(text, source_id=args.source_id or Path(args.input).stem)
-    for diag in result.diagnostics:
-        print(f"{args.input}: {format_diagnostic(diag, text)}", file=sys.stderr)
-    if result.document is None:
-        raise _CliError(f"{args.input}: {len(result.errors)} error diagnostic(s); no document")
-    _write_or_print(emit_canonical(result.document), args.out)
+    _write_or_print(emit_canonical(_load_document(args.input, args.source_id)), args.out)
     return 0
 
 
@@ -117,12 +108,10 @@ def _load_thresholds(path: str) -> TriadThresholds:
             raise _CliError(f"{path}:{lineno}: expected one of {', '.join(_THRESHOLD_KEYS)}")
         if key in values:
             raise _CliError(f"{path}:{lineno}: duplicate key {key!r}")
-        value = value.strip()
-        if not _NUMBER_RE.fullmatch(value):
-            raise _CliError(f"{path}:{lineno}: {key} is not a number: {value!r}")
-        values[key] = float(value)
-        if math.isinf(values[key]):
-            raise _CliError(f"{path}:{lineno}: {key} is not finite: {value!r}")
+        try:
+            values[key] = _read_number(value.strip())
+        except ValueError as exc:
+            raise _CliError(f"{path}:{lineno}: {key} {exc}") from None
     missing = [k for k in _THRESHOLD_KEYS if k not in values]
     if missing:
         raise _CliError(f"{path}: missing threshold key(s): {', '.join(missing)}")

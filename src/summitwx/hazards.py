@@ -28,6 +28,7 @@ from .model import (
     WINTER_PRECIP_KINDS,
     ForecastDocument,
     ForecastPeriod,
+    _read_number,
     require_valid,
 )
 
@@ -105,8 +106,16 @@ class ScaleTable:
         return self.band_for(value).level
 
 
+def _number(text: str, name: str, where: str) -> float:
+    try:
+        return _read_number(text)
+    except ValueError as exc:
+        raise ScaleTableError(f"{where}: {name} {exc}") from None
+
+
 def _parse_scale_table(text: str, origin: str) -> ScaleTable:
     fields: dict[str, str] = {}
+    field_lines: dict[str, int] = {}
     provenance: list[str] = []
     bands: list[ScaleBand] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -124,18 +133,19 @@ def _parse_scale_table(text: str, origin: str) -> ScaleTable:
             parts = [p.strip() for p in value.split("|")]
             if len(parts) != 5:
                 raise ScaleTableError(f"{origin}:{lineno}: band needs 5 fields, got {len(parts)}")
-            try:
-                band = ScaleBand(
-                    level=int(parts[0]), low=float(parts[1]), high=float(parts[2]),
-                    color=parts[3], label=parts[4],
-                )
-            except ValueError as exc:
-                raise ScaleTableError(f"{origin}:{lineno}: {exc}") from None
-            bands.append(band)
+            where = f"{origin}:{lineno}"
+            level = _number(parts[0], "level", where)
+            if not level.is_integer():
+                raise ScaleTableError(f"{where}: level is not a whole number: {parts[0]!r}")
+            bands.append(ScaleBand(
+                level=round(level), low=_number(parts[1], "low", where),
+                high=_number(parts[2], "high", where), color=parts[3], label=parts[4],
+            ))
         elif key in {"schema", "kind", "scale_name", "unit", "domain", "closed_edge"}:
             if key in fields:
                 raise ScaleTableError(f"{origin}:{lineno}: duplicate key {key!r}")
             fields[key] = value
+            field_lines[key] = lineno
         else:
             raise ScaleTableError(f"{origin}:{lineno}: unknown key {key!r}")
 
@@ -150,10 +160,11 @@ def _parse_scale_table(text: str, origin: str) -> ScaleTable:
         raise ScaleTableError(f"{origin}: unknown hazard kind {fields['kind']!r}") from None
     if fields["closed_edge"] not in {"low", "high"}:
         raise ScaleTableError(f"{origin}: closed_edge must be 'low' or 'high'")
+    where = f"{origin}:{field_lines['domain']}"
     domain_parts = [p.strip() for p in fields["domain"].split("|")]
     if len(domain_parts) != 2:
-        raise ScaleTableError(f"{origin}: domain needs 'low | high'")
-    domain_low, domain_high = float(domain_parts[0]), float(domain_parts[1])
+        raise ScaleTableError(f"{where}: domain needs 'low | high'")
+    domain_low, domain_high = (_number(part, "domain", where) for part in domain_parts)
     if not provenance:
         raise ScaleTableError(f"{origin}: provenance note is mandatory")
 

@@ -313,21 +313,7 @@ _GROUP_GAP = 12
 
 
 def _render_svg(groups: list[list[object]]) -> str:
-    height = _PAD
-    for group in groups:
-        for el in group:
-            if isinstance(el, _IconRow):
-                height += _LINE_H + (_ICON_CELL_H if el.icons else 0)
-            else:
-                height += _LINE_H * len(el.lines)
-        height += _GROUP_GAP
-    height += _PAD - _GROUP_GAP
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="760" height="{height}" '
-        f'viewBox="0 0 760 {height}">',
-        f"<style>{_SVG_STYLE}</style>",
-    ]
+    parts = ["", f"<style>{_SVG_STYLE}</style>"]  # the header waits for the height
     y = _PAD
     for group in groups:
         for el in group:
@@ -352,6 +338,9 @@ def _render_svg(groups: list[list[object]]) -> str:
                     y += _LINE_H
                 parts.append("</g>")
         y += _GROUP_GAP
+    height = y + _PAD - _GROUP_GAP
+    parts[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" width="760" height="{height}" '
+                f'viewBox="0 0 760 {height}">')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -80,6 +80,18 @@ CONDITION_TOKENS = {
 _NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
 
 
+def _read_number(text: str) -> float:
+    """The finite number ``text`` spells in the canonical grammar. Raises
+    ValueError reading ``is not a number: '<text>'`` or ``is not finite:
+    '<text>'``, for the caller to prefix with where ``text`` came from."""
+    if not _NUMBER_RE.fullmatch(text):
+        raise ValueError(f"is not a number: {text!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"is not finite: {text!r}")
+    return value
+
+
 def _fmt_num(x: float) -> str:
     if x == int(x):
         return str(int(x))
@@ -226,65 +238,6 @@ def require_valid(doc: ForecastDocument) -> ForecastDocument:
     if violations:
         raise InvalidDocument(violations)
     return doc
-
-
-def _dedup(items):
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
-def worst_case_view(doc: ForecastDocument) -> ForecastPeriod:
-    """Fold the document into one synthetic period of per-field extremes.
-
-    "Worst" is per field: coldest temperatures and wind chills, highest
-    sustained winds and gusts, the union of precipitation events and hazard
-    notes. The result is itself a valid period. Deterministic, idempotent,
-    and insensitive to period order for every numeric and set field.
-    """
-    periods = require_valid(doc).periods
-    temperature = ValueRange(
-        low=min(p.temperature.low for p in periods),
-        high=min(p.temperature.high for p in periods),
-        unit="F",
-    )
-    sustained = ValueRange(
-        low=max(p.wind.sustained.low for p in periods),
-        high=max(p.wind.sustained.high for p in periods),
-        unit="mph",
-    )
-    gusts = [p.wind.gust_high for p in periods if p.wind.gust_high is not None]
-    # A period without a stated gust still gusts at least to its sustained
-    # high; folding that floor in keeps gust >= sustained.high in the result.
-    gust_high = max(gusts + [sustained.high]) if gusts else None
-
-    chills = [p.wind_chill for p in periods if p.wind_chill is not None]
-    wind_chill = None
-    if chills:
-        wind_chill = ValueRange(
-            low=min(c.low for c in chills),
-            high=min(c.high for c in chills),
-            unit="F",
-        )
-
-    precip = sorted(
-        {ev for p in periods for ev in p.precip_events},
-        key=lambda ev: (ev.kind.value, ev.certainty.value),
-    )
-    notes = _dedup(note for p in periods for note in p.extra_hazard_notes)
-
-    return ForecastPeriod(
-        label=WORST_CASE_LABEL,
-        temperature=temperature,
-        wind=WindPrediction(sustained=sustained, direction=None, gust_high=gust_high),
-        wind_chill=wind_chill,
-        precip_events=tuple(precip),
-        extra_hazard_notes=tuple(notes),
-    )
 
 
 def with_periods(doc: ForecastDocument, periods) -> ForecastDocument:

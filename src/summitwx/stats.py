@@ -19,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -284,30 +285,30 @@ class _Participant:
     mean_risk: float
 
 
+#: The fields that every record of one participant repeats.
+_PARTICIPANT_FIELDS = ("condition", "grips_score", "mentioned_per_day_info",
+                       "mentioned_summary_only_info")
+_participant_fields = attrgetter(*_PARTICIPANT_FIELDS)
+
+
 def _collect_participants(records: Sequence[ResponseRecord]) -> list[_Participant]:
     if not records:
         raise StudyDataError("no records")
-    by_participant: dict[str, list[ResponseRecord]] = {}
+    by_participant: dict[str, tuple[tuple, list[ResponseRecord]]] = {}
     for record in records:
-        by_participant.setdefault(record.participant_id, []).append(record)
-    out = []
-    for pid, rows in by_participant.items():
-        for field in ("condition", "grips_score", "mentioned_per_day_info",
-                      "mentioned_summary_only_info"):
-            if len({getattr(r, field) for r in rows}) != 1:
-                raise StudyDataError(f"participant {pid!r}: {field} varies across records")
-        first = rows[0]
-        out.append(
-            _Participant(
-                participant_id=pid,
-                condition=first.condition,
-                grips_score=first.grips_score,
-                mentioned_per_day_info=first.mentioned_per_day_info,
-                mentioned_summary_only_info=first.mentioned_summary_only_info,
-                mean_risk=participant_mean_risk(rows),
-            )
-        )
-    return out
+        fields = _participant_fields(record)
+        entry = by_participant.get(record.participant_id)
+        if entry is None:
+            by_participant[record.participant_id] = (fields, [record])
+        elif fields == entry[0]:
+            entry[1].append(record)
+        else:
+            name = next(name for name, a, b in zip(_PARTICIPANT_FIELDS, entry[0], fields)
+                        if a != b)
+            raise StudyDataError(
+                f"participant {record.participant_id!r}: {name} varies across records")
+    return [_Participant(pid, *fields, mean_risk=participant_mean_risk(rows))
+            for pid, (fields, rows) in by_participant.items()]
 
 
 def _coding_cells(participants: list[_Participant], flag: str,

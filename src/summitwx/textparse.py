@@ -18,7 +18,7 @@ Grammar token sets (all keyword matching case-insensitive):
   ``wintry mix``, ``mixed precipitation``; certainty qualifiers ``likely``
   and ``chance`` bind within the same sentence
 * hazard keywords for free-text notes: ``flood``, ``fog``, ``visibility``,
-  ``whiteout``
+  ``whiteout``; a note wrapped across lines is joined with single spaces
 * numbers: optional sign, optional decimals; a hyphen between two numbers
   (optional whitespace) binds as a range separator, not a sign; a trailing
   ``below [zero]`` negates; temperatures default to F and winds to mph
@@ -93,7 +93,7 @@ _HEADER_RE = re.compile(
 )
 _LABEL_RE = re.compile(r"\b(wind chills?|winds?|temperatures?)[ \t]*:", re.IGNORECASE)
 _ISSUED_RE = re.compile(r"^[ \t]*issued[ \t]*:[ \t]*(.+?)[ \t]*$", re.IGNORECASE | re.MULTILINE)
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
+_RAW_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 _BELOW_RE = re.compile(r"[ \t]*(?:degrees[ \t]+)?below(?:[ \t]+zero)?\b", re.IGNORECASE)
 _RANGE_GAP_RE = re.compile(r"^[ \t]*(?:-|to|or|through)?[ \t]*$", re.IGNORECASE)
 _GUST_RE = re.compile(r"\bgust(?:s|ing)?\b", re.IGNORECASE)
@@ -123,6 +123,7 @@ _PRECIP_KINDS = {
 _LIKELY_RE = re.compile(r"\blikely\b", re.IGNORECASE)
 _CHANCE_RE = re.compile(r"\bchance\b", re.IGNORECASE)
 _HAZARD_NOTE_RE = re.compile(r"\b(flood\w*|fog\w*|visibility|whiteout)\b", re.IGNORECASE)
+_SPACE_RUN_RE = re.compile(r"\s+")
 
 
 @dataclass
@@ -145,7 +146,7 @@ def _numbers(scan: _Scan, start: int, end: int) -> list[tuple[float, tuple[int, 
     values: list[float] = []
     spans: list[tuple[int, int]] = []
     negate: list[bool] = []
-    for m in _NUMBER_RE.finditer(text, start, end):
+    for m in _RAW_NUMBER_RE.finditer(text, start, end):
         token = m.group(0)
         value = float(token)
         if token.startswith("-"):
@@ -184,6 +185,14 @@ def _sentences(text: str, offset: int) -> list[tuple[int, int]]:
     if pos < len(text):
         spans.append((offset + pos, offset + len(text)))
     return [(a, b) for a, b in spans if text[a - offset:b - offset].strip()]
+
+
+def _unwrap(note: str) -> str:
+    """``note`` with each whitespace run that breaks a line folded to one
+    space, so a sentence wrapped at a fixed width reads as one line."""
+    if "\n" not in note and "\r" not in note:
+        return note
+    return _SPACE_RUN_RE.sub(lambda m: " " if "\n" in m[0] or "\r" in m[0] else m[0], note)
 
 
 def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: int):
@@ -277,7 +286,7 @@ def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: 
         note_end = min(s_end, label_starts[k]) if k < len(label_starts) else s_end
         note_text = text[s_start:note_end].strip()
         if _HAZARD_NOTE_RE.search(note_text):
-            notes.append(note_text)
+            notes.append(_unwrap(note_text))
             scan.mark(s_start, note_end)
         elif kinds:
             scan.mark(s_start, note_end)

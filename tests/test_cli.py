@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, FIXTURE_NAMES
 from summitwx.canonical import parse_canonical
 from summitwx.cli import main
 from summitwx.layout import condition_from_token, render
@@ -107,6 +107,36 @@ def test_canonical_period_violation_is_reported_at_its_marker(tmp_path, capsys):
     assert err.splitlines()[0] == (
         f"{bad}: error:{marker + 1}:1 period 4: wind.sustained: wind speeds must be >= 0"
     )
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_parse_writes_canonical_input_back_unchanged(tmp_path, capsys, name):
+    code, canon, _ = run(capsys, "parse", str(FIXTURE_DIR / f"{name}.txt"))
+    assert code == 0
+    path = tmp_path / f"{name}.canon"
+    path.write_text(canon, encoding="utf-8")
+    assert run(capsys, "parse", str(path)) == (0, canon, "")
+
+
+def test_parse_source_id_names_raw_input_only(tmp_path, capsys):
+    # A canonical file keeps its own source_id line.
+    _, canon, _ = run(capsys, "parse", CALM)
+    path = tmp_path / "renamed.canon"
+    path.write_text(canon, encoding="utf-8")
+    assert run(capsys, "parse", str(path), "--source-id", "other") == (0, canon, "")
+
+
+def test_parse_joins_a_hazard_note_wrapped_across_lines(tmp_path, capsys):
+    # Only a whitespace run that breaks a line becomes one space.
+    text = (FIXTURE_DIR / "calm-day.txt").read_text(encoding="utf-8")
+    wrapped = tmp_path / "wrapped.txt"
+    wrapped.write_text(
+        text.replace("Today: Mostly sunny.", "Today: Dense fog  in the\n  morning."),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "parse", str(wrapped))
+    assert (code, err) == (0, "")
+    assert "  hazard_note: Dense fog  in the morning." in out.splitlines()
 
 
 def test_missing_input_file_exit_1(capsys):

@@ -320,6 +320,17 @@ def _tamper(tmp_path: Path, name: str, transform) -> Path:
             "gap or overlap",
         ),
         (lambda s: s.replace("kind: wind_chill", "kind: wind"), "declares kind"),
+        # Every number follows the canonical grammar and names its line.
+        (lambda s: s.replace("band: 2 | -60 | -36", "band: 2 | -60 | -3_6"),
+         r"wind_chill\.table:\d+: high is not a number: '-3_6'"),
+        (lambda s: s.replace("band: 1 |", "band: ١ |"),
+         r"wind_chill\.table:\d+: level is not a number"),
+        (lambda s: s.replace("band: 3 |", "band: +3 |"),
+         r"wind_chill\.table:\d+: level is not a number: '\+3'"),
+        (lambda s: s.replace("band: 2 |", "band: 2.5 |"),
+         r"wind_chill\.table:\d+: level is not a whole number: '2.5'"),
+        (lambda s: s.replace("domain: -120 | 50", "domain: -120 | abc"),
+         r"wind_chill\.table:\d+: domain is not a number: 'abc'"),
     ],
 )
 def test_tampered_table_fails_integrity(tmp_path, transform, message):

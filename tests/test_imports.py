@@ -36,7 +36,7 @@ EAGER_EXPORTS = {
         condition_from_token render render_icon render_stimulus_set""",
     "model": """COMPASS_POINTS WINTER_PRECIP_KINDS WORST_CASE_LABEL Certainty ForecastDocument
         ForecastPeriod InvalidDocument PrecipEvent PrecipKind ValueRange Violation
-        WindPrediction require_valid validate validate_period with_periods worst_case_view""",
+        WindPrediction require_valid validate validate_period with_periods""",
     "stats": """ACTIVITIES AnovaResult CodingCell CodingTable GroupSummary PairwiseResult
         RegressionResult ResponseRecord StatsReport StudyDataError aggregate_risk build_report
         emit_plot_spec emit_report format_report grips_regression load_study one_way_anova
@@ -141,6 +141,19 @@ def test_no_module_imports_a_private_name_from_a_sibling_other_than_model():
                 continue
             offenders += [f"{path.stem} imports {sibling}.{alias.name}" for alias in node.names
                           if alias.name.startswith("_") and sibling != "model"]
+    assert offenders == []
+
+
+def test_input_readers_take_numbers_only_from_the_model_grammar():
+    # Canonical values, threshold values and scale-table bands all go through
+    # model._read_number; a bare float() or int() would accept '1_0' or '+5'.
+    offenders = []
+    for stem in ("canonical", "cli", "hazards"):
+        path = SRC / "summitwx" / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("float", "int")):
+                offenders.append(f"{stem}.py:{node.lineno} calls {node.func.id}()")
     assert offenders == []
 
 

@@ -2,24 +2,17 @@ from dataclasses import replace
 from datetime import datetime
 
 import pytest
-from hypothesis import given
 
-from conftest import documents
 from helpers import make_doc, make_period
 from summitwx.model import (
-    WORST_CASE_LABEL,
     Certainty,
-    ForecastDocument,
     InvalidDocument,
     PrecipEvent,
-    PrecipKind,
     ValueRange,
     WindPrediction,
     require_valid,
     validate,
-    validate_period,
     with_periods,
-    worst_case_view,
 )
 
 
@@ -109,61 +102,6 @@ def test_require_valid_raises_with_every_violation_listed():
         require_valid(doc)
     assert len(exc.value.violations) == 2
     assert "invalid forecast data" in str(exc.value)
-
-
-def test_worst_case_per_field_extremes():
-    doc = make_doc(
-        (
-            make_period("Today", temp=(5, 18), wind=(40, 60), gust=80, chill=(-20, -5)),
-            make_period("Tonight", temp=(-10, 2), wind=(70, 100)),
-            make_period(
-                "Tomorrow",
-                temp=(0, 12),
-                wind=(30, 50),
-                precip=(PrecipEvent(PrecipKind.SNOW, Certainty.LIKELY),),
-                notes=("Whiteout possible.",),
-            ),
-            make_period("Tomorrow night", temp=(8, 25), wind=(20, 35), chill=(-35, -12)),
-        )
-    )
-    worst = worst_case_view(doc)
-    assert worst.label == WORST_CASE_LABEL
-    assert (worst.temperature.low, worst.temperature.high) == (-10, 2)
-    assert (worst.wind.sustained.low, worst.wind.sustained.high) == (70, 100)
-    # Tonight's sustained high exceeds the one stated gust; the fold keeps
-    # the result a valid period by flooring the gust at the sustained high.
-    assert worst.wind.gust_high == 100
-    assert (worst.wind_chill.low, worst.wind_chill.high) == (-35, -12)
-    assert worst.wind.direction is None
-    assert worst.precip_events == (PrecipEvent(PrecipKind.SNOW, Certainty.LIKELY),)
-    assert worst.extra_hazard_notes == ("Whiteout possible.",)
-    assert validate_period(worst) == []
-
-
-def test_worst_case_without_any_stated_chill_or_gust():
-    worst = worst_case_view(make_doc())
-    assert worst.wind_chill is None
-    assert worst.wind.gust_high is None
-
-
-@given(documents())
-def test_worst_case_is_valid_and_order_insensitive(doc):
-    worst = worst_case_view(doc)
-    assert validate_period(worst) == []
-    reversed_doc = with_periods(doc, tuple(reversed(doc.periods)))
-    other = worst_case_view(reversed_doc)
-    assert other.temperature == worst.temperature
-    assert other.wind == worst.wind
-    assert other.wind_chill == worst.wind_chill
-    assert other.precip_events == worst.precip_events
-    assert set(other.extra_hazard_notes) == set(worst.extra_hazard_notes)
-
-
-@given(documents())
-def test_worst_case_is_idempotent(doc):
-    worst = worst_case_view(doc)
-    again = worst_case_view(with_periods(doc, (worst,) * 4))
-    assert again == worst
 
 
 def test_with_periods_replaces_only_periods():
