@@ -114,8 +114,10 @@ def _number(text: str, name: str, where: str) -> float:
 
 
 def _parse_scale_table(text: str, origin: str) -> ScaleTable:
+    """A scale table read from ``text``. An error in one line names
+    ``origin:line``; an error of the whole table names ``origin``."""
     fields: dict[str, str] = {}
-    field_lines: dict[str, int] = {}
+    at: dict[str, str] = {}  # where each key sits, as origin:line
     provenance: list[str] = []
     bands: list[ScaleBand] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,7 +147,7 @@ def _parse_scale_table(text: str, origin: str) -> ScaleTable:
             if key in fields:
                 raise ScaleTableError(f"{origin}:{lineno}: duplicate key {key!r}")
             fields[key] = value
-            field_lines[key] = lineno
+            at[key] = f"{origin}:{lineno}"
         else:
             raise ScaleTableError(f"{origin}:{lineno}: unknown key {key!r}")
 
@@ -153,14 +155,14 @@ def _parse_scale_table(text: str, origin: str) -> ScaleTable:
     if missing:
         raise ScaleTableError(f"{origin}: missing keys: {', '.join(sorted(missing))}")
     if fields["schema"] != "hazard-scale/1":
-        raise ScaleTableError(f"{origin}: unsupported schema {fields['schema']!r}")
+        raise ScaleTableError(f"{at['schema']}: unsupported schema {fields['schema']!r}")
     try:
         kind = HazardKind(fields["kind"])
     except ValueError:
-        raise ScaleTableError(f"{origin}: unknown hazard kind {fields['kind']!r}") from None
+        raise ScaleTableError(f"{at['kind']}: unknown hazard kind {fields['kind']!r}") from None
     if fields["closed_edge"] not in {"low", "high"}:
-        raise ScaleTableError(f"{origin}: closed_edge must be 'low' or 'high'")
-    where = f"{origin}:{field_lines['domain']}"
+        raise ScaleTableError(f"{at['closed_edge']}: closed_edge must be 'low' or 'high'")
+    where = at["domain"]
     domain_parts = [p.strip() for p in fields["domain"].split("|")]
     if len(domain_parts) != 2:
         raise ScaleTableError(f"{where}: domain needs 'low | high'")

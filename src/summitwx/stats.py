@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from operator import attrgetter
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .distributions import f_sf, t_ppf, t_two_sided_p
-from .model import LayoutCondition, condition_from_token
+from .model import _NUMBER_RE, LayoutCondition, _read_number, condition_from_token
 
 #: Rated activities, in the fixed column order of the response file.
 ACTIVITIES = (
@@ -63,7 +64,7 @@ class ResponseRecord:
                 f"expected {len(ACTIVITIES)} ratings, found {len(self.activity_ratings)}"
             )
         for name, value in zip(ACTIVITIES, self.activity_ratings):
-            if math.isnan(value) or not RATING_MIN <= value <= RATING_MAX:
+            if not RATING_MIN <= value <= RATING_MAX:  # NaN fails too
                 raise StudyDataError(
                     f"participant {self.participant_id!r}, forecast {self.forecast_id!r}: "
                     f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
@@ -493,8 +494,8 @@ def _check_header(actual: Sequence[str] | None, expected: Sequence[str], origin:
         )
 
 
-def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
-    """Data rows of a CSV file with an exact header, each with its ``path:line``.
+def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Data rows of a CSV file with an exact header, each with its line.
 
     The line is the physical line a record starts on, so a quoted field with
     an embedded newline does not shift the lines of later records. Rows are
@@ -506,23 +507,23 @@ def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[str, list[st
         _check_header(next(reader, None), columns, str(path))
         start = reader.line_num + 1
         for row in reader:
-            origin = f"{path}:{start}"
-            start = reader.line_num + 1
             if len(row) != len(columns):
-                raise StudyDataError(f"{origin}: expected {len(columns)} fields, found {len(row)}")
-            yield origin, row
+                raise StudyDataError(
+                    f"{path}:{start}: expected {len(columns)} fields, found {len(row)}")
+            yield start, row
+            start = reader.line_num + 1
 
 
-def _parse_float(text: str, what: str, origin: str) -> float:
+#: The six ratings of a response row joined by commas, each in the model
+#: number grammar. A field holding a comma adds a seventh part, so it fails.
+_RATINGS_RE = re.compile(",".join([_NUMBER_RE.pattern] * len(ACTIVITIES)))
+
+
+def _read_field(name: str, text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise StudyDataError(f"{origin}: {what} is not a number: {text!r}") from None
-    if math.isnan(value):
-        raise StudyDataError(f"{origin}: {what} is NaN")
-    if math.isinf(value):
-        raise StudyDataError(f"{origin}: {what} is not finite")
-    return value
+        return _read_number(text)
+    except ValueError as exc:
+        raise StudyDataError(f"{name} {exc}") from None
 
 
 def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseRecord, ...]:
@@ -531,64 +532,55 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseR
     Both are comma-separated with exact headers. Participant conditions use
     the command-line tokens (baseline, summary-last, icons, per-day-icons).
     Unknown references, duplicates, malformed numbers, and out-of-range
-    ratings are hard errors.
+    ratings are hard errors, each naming ``path:line``. Numbers follow the
+    model number grammar (:func:`summitwx.model._read_number`).
     """
-    participants: dict[str, dict] = {}
-    for origin, row in _csv_rows(participants_path, _PARTICIPANT_COLUMNS):
+    participants: dict[str, tuple[LayoutCondition, float, bool, bool]] = {}
+    for line, row in _csv_rows(participants_path, _PARTICIPANT_COLUMNS):
         pid, condition_token, grips_text, flag_a, flag_b = row
-        if not pid:
-            raise StudyDataError(f"{origin}: empty participant_id")
-        if pid in participants:
-            raise StudyDataError(f"{origin}: duplicate participant {pid!r}")
         try:
-            condition = condition_from_token(condition_token)
-        except ValueError as exc:
-            raise StudyDataError(f"{origin}: {exc}") from None
-        flags = []
-        for name, text in (("mentioned_per_day_info", flag_a),
-                           ("mentioned_summary_only_info", flag_b)):
-            token = text.strip().lower()
-            if token not in _BOOL_TOKENS:
-                raise StudyDataError(f"{origin}: {name} must be true/false, found {text!r}")
-            flags.append(_BOOL_TOKENS[token])
-        participants[pid] = {
-            "condition": condition,
-            "grips_score": _parse_float(grips_text, "grips_score", origin),
-            "mentioned_per_day_info": flags[0],
-            "mentioned_summary_only_info": flags[1],
-        }
+            if not pid:
+                raise StudyDataError("empty participant_id")
+            if pid in participants:
+                raise StudyDataError(f"duplicate participant {pid!r}")
+            try:
+                condition = condition_from_token(condition_token)
+            except ValueError as exc:
+                raise StudyDataError(str(exc)) from None
+            flags = []
+            for name, text in (("mentioned_per_day_info", flag_a),
+                               ("mentioned_summary_only_info", flag_b)):
+                token = text.strip().lower()
+                if token not in _BOOL_TOKENS:
+                    raise StudyDataError(f"{name} must be true/false, found {text!r}")
+                flags.append(_BOOL_TOKENS[token])
+            participants[pid] = (condition, _read_field("grips_score", grips_text), *flags)
+        except StudyDataError as exc:
+            raise StudyDataError(f"{participants_path}:{line}: {exc}") from None
     if not participants:
         raise StudyDataError(f"{participants_path}: no records")
 
     records: list[ResponseRecord] = []
     seen: set[tuple[str, str]] = set()
-    for origin, row in _csv_rows(responses_path, _RESPONSE_COLUMNS):
+    for line, row in _csv_rows(responses_path, _RESPONSE_COLUMNS):
         pid, forecast_id = row[0], row[1]
-        if pid not in participants:
-            raise StudyDataError(f"{origin}: unknown participant {pid!r}")
-        if (pid, forecast_id) in seen:
-            raise StudyDataError(
-                f"{origin}: duplicate response for participant {pid!r}, "
-                f"forecast {forecast_id!r}"
-            )
-        seen.add((pid, forecast_id))
-        ratings = tuple(
-            _parse_float(text, name, origin) for name, text in zip(ACTIVITIES, row[2:])
-        )
-        meta = participants[pid]
+        fields = row[2:]
         try:
-            record = ResponseRecord(
-                participant_id=pid,
-                condition=meta["condition"],
-                forecast_id=forecast_id,
-                activity_ratings=ratings,
-                grips_score=meta["grips_score"],
-                mentioned_per_day_info=meta["mentioned_per_day_info"],
-                mentioned_summary_only_info=meta["mentioned_summary_only_info"],
-            )
+            if pid not in participants:
+                raise StudyDataError(f"unknown participant {pid!r}")
+            if (pid, forecast_id) in seen:
+                raise StudyDataError(
+                    f"duplicate response for participant {pid!r}, forecast {forecast_id!r}")
+            seen.add((pid, forecast_id))
+            if _RATINGS_RE.fullmatch(",".join(fields)):
+                ratings = tuple(map(float, fields))
+            else:
+                ratings = tuple(map(_read_field, ACTIVITIES, fields))
+            condition, grips, per_day, summary_only = participants[pid]
+            records.append(ResponseRecord(pid, condition, forecast_id, ratings, grips,
+                                          per_day, summary_only))
         except StudyDataError as exc:
-            raise StudyDataError(f"{origin}: {exc}") from None
-        records.append(record)
+            raise StudyDataError(f"{responses_path}:{line}: {exc}") from None
     if not records:
         raise StudyDataError(f"{responses_path}: no records")
     responded = {r.participant_id for r in records}

@@ -93,7 +93,7 @@ _HEADER_RE = re.compile(
 )
 _LABEL_RE = re.compile(r"\b(wind chills?|winds?|temperatures?)[ \t]*:", re.IGNORECASE)
 _ISSUED_RE = re.compile(r"^[ \t]*issued[ \t]*:[ \t]*(.+?)[ \t]*$", re.IGNORECASE | re.MULTILINE)
-_RAW_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
+_RAW_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 _BELOW_RE = re.compile(r"[ \t]*(?:degrees[ \t]+)?below(?:[ \t]+zero)?\b", re.IGNORECASE)
 _RANGE_GAP_RE = re.compile(r"^[ \t]*(?:-|to|or|through)?[ \t]*$", re.IGNORECASE)
 _GUST_RE = re.compile(r"\bgust(?:s|ing)?\b", re.IGNORECASE)

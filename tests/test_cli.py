@@ -139,6 +139,16 @@ def test_parse_joins_a_hazard_note_wrapped_across_lines(tmp_path, capsys):
     assert "  hazard_note: Dense fog  in the morning." in out.splitlines()
 
 
+def test_parse_reads_raw_numbers_in_ascii_digits_only(tmp_path, capsys):
+    text = (FIXTURE_DIR / "calm-day.txt").read_text(encoding="utf-8")
+    arabic = tmp_path / "arabic.txt"
+    arabic.write_text(text.replace("48-58F", "٤٨-٥٨F"), encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(arabic))
+    assert "temp_low_f: 48" not in out
+    assert code == 1
+    assert "error:5:1 period 1 ('Today'): no temperature found" in err
+
+
 def test_missing_input_file_exit_1(capsys):
     code, out, err = run(capsys, "parse", "/nonexistent/forecast.txt")
     assert code == 1

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import summitwx.distributions
+
 scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_integrate = pytest.importorskip("scipy.integrate")
@@ -103,6 +105,80 @@ def test_t_ppf_round_trips_through_cdf():
 
 def test_t_ppf_textbook_anchor():
     assert t_ppf(0.975, 2) == pytest.approx(4.302652729911275, abs=1e-8)
+
+
+def bisection_t_ppf(p, df):
+    """The plain bisection ``t_ppf`` replays: a verbatim copy, as the oracle."""
+    if df <= 0:
+        raise ValueError("degrees of freedom must be positive")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if p == 0.5:
+        return 0.0
+    if p < 0.5:
+        return -bisection_t_ppf(1.0 - p, df)
+    hi = 1.0
+    while t_cdf(hi, df) < p:
+        hi *= 2.0
+        if hi > 1e308:
+            raise ArithmeticError("quantile bracket expansion failed")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if t_cdf(mid, df) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+LOG_SPACED_DF = tuple(sorted({round(10 ** (k / 8)) for k in range(17, 41)}))  # 133 .. 1e5
+SPOT_DF = (1, 2, 3, 4, 5, 7, 10, 15, 20, 31, 50, 80, 124, 200, 500, 1000, 3000, 10000,
+           30000, 100000)
+
+
+def test_t_ppf_equals_the_bisection_at_the_95_percent_quantile():
+    for df in (*range(1, 301), *LOG_SPACED_DF, 0.5, 1.5, 2.5, 1e5 + 0.5):
+        assert t_ppf(0.975, df) == bisection_t_ppf(0.975, df), df
+        assert t_ppf(0.025, df) == bisection_t_ppf(0.025, df), df
+
+
+def test_t_ppf_equals_the_bisection_in_the_upper_tail():
+    ps = [0.9 + 0.0999 * k / 24 for k in range(25)] + [0.99999, 1.0 - 1e-9]
+    for df in SPOT_DF:
+        for p in ps:
+            assert t_ppf(p, df) == bisection_t_ppf(p, df), (p, df)
+
+
+def test_t_ppf_calls_t_cdf_at_most_20_times_for_a_paper_group(monkeypatch):
+    calls = []
+    t_cdf_plain = summitwx.distributions.t_cdf
+
+    def counting(t, df):
+        calls.append(t)
+        return t_cdf_plain(t, df)
+
+    monkeypatch.setattr(summitwx.distributions, "t_cdf", counting)
+    assert t_ppf(0.975, 31) == bisection_t_ppf(0.975, 31)
+    assert 0 < len(calls) <= 20
+
+
+def test_t_ppf_near_the_median_with_large_df_matches_scipy():
+    # Here t_cdf itself is off by about 1e-9, so only the scipy tolerance
+    # of the other quantile tests is asserted, not the bisection's bits.
+    for df in (500, 3000, 30000, 100000):
+        for p in (0.501, 0.51, 0.55):
+            ref = float(scipy_stats.t.ppf(p, df))
+            assert t_ppf(p, df) == pytest.approx(ref, abs=1e-8), (p, df)
+
+
+@pytest.mark.xfail(strict=True, reason="t_cdf rounds df / (df + t*t) to 1 for a tiny t "
+                   "and a large df, and returns 0.5; the bisection inherits that")
+def test_t_ppf_just_above_the_median_with_large_df_matches_scipy():
+    ref = float(scipy_stats.t.ppf(0.5000001, 3000))
+    assert t_ppf(0.5000001, 3000) == pytest.approx(ref, abs=1e-8)
 
 
 def test_argument_validation():

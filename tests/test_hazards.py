@@ -331,6 +331,22 @@ def _tamper(tmp_path: Path, name: str, transform) -> Path:
          r"wind_chill\.table:\d+: level is not a whole number: '2.5'"),
         (lambda s: s.replace("domain: -120 | 50", "domain: -120 | abc"),
          r"wind_chill\.table:\d+: domain is not a number: 'abc'"),
+        # A key's error names the line the key sits on.
+        (lambda s: s.replace("schema: hazard-scale/1", "schema: hazard-scale/2"),
+         r"wind_chill\.table:2: unsupported schema 'hazard-scale/2'"),
+        (lambda s: s.replace("kind: wind_chill", "kind: hail"),
+         r"wind_chill\.table:3: unknown hazard kind 'hail'"),
+        (lambda s: s.replace("closed_edge: high", "closed_edge: middle"),
+         r"wind_chill\.table:7: closed_edge must be 'low' or 'high'"),
+        (lambda s: s.replace("unit: F\n", "unit: F\nunit: C\n"),
+         r"wind_chill\.table:6: duplicate key 'unit'"),
+        # Errors of the whole file name no line.
+        (lambda s: s.replace("unit: F\n", ""), r"wind_chill\.table: missing keys: unit"),
+        (lambda s: "\n".join(line for line in s.splitlines()
+                             if not line.startswith("provenance")) + "\n",
+         r"wind_chill\.table: provenance note is mandatory"),
+        (lambda s: s.replace("band: 3 | -120 | -60", "band: 3 | -118 | -60"),
+         r"wind_chill\.table: bands do not cover the declared domain"),
     ],
 )
 def test_tampered_table_fails_integrity(tmp_path, transform, message):

@@ -157,6 +157,16 @@ def test_input_readers_take_numbers_only_from_the_model_grammar():
     assert offenders == []
 
 
+def test_study_reader_takes_numbers_only_from_the_model_grammar():
+    # grips_score goes through model._read_number, and a row's ratings are
+    # converted only after they match the model grammar as a whole.
+    tree = ast.parse((SRC / "summitwx" / "stats.py").read_text(encoding="utf-8"))
+    offenders = [f"stats.py:{node.lineno} calls {node.func.id}()" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id in ("float", "int")]
+    assert offenders == []
+
+
 # ---------------------------------------------------------- lazy namespace
 
 

@@ -427,7 +427,8 @@ def test_load_study_accepts_numeric_bool_tokens(tmp_path):
          "unknown condition 'sideways'"),
         (["p1,baseline,soon,true,false"], ["p1,f1,1,2,3,4,5,6"],
          "grips_score is not a number: 'soon'"),
-        (["p1,baseline,nan,true,false"], ["p1,f1,1,2,3,4,5,6"], "grips_score is NaN"),
+        (["p1,baseline,nan,true,false"], ["p1,f1,1,2,3,4,5,6"],
+         "grips_score is not a number: 'nan'"),
         (["p1,baseline,3.0,maybe,false"], ["p1,f1,1,2,3,4,5,6"],
          "mentioned_per_day_info must be true/false"),
         (["p1,baseline,3.0,true"], ["p1,f1,1,2,3,4,5,6"], "expected 5 fields, found 4"),
@@ -439,7 +440,7 @@ def test_load_study_accepts_numeric_bool_tokens(tmp_path):
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,six", "p2,f1,1,2,3,4,5,6"],
          "multi_night_camping is not a number: 'six'"),
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,nan", "p2,f1,1,2,3,4,5,6"],
-         "multi_night_camping is NaN"),
+         "multi_night_camping is not a number: 'nan'"),
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,101", "p2,f1,1,2,3,4,5,6"],
          "outside [0, 100]"),
         (GOOD_PARTICIPANTS, ["p1,f1,-1,2,3,4,5,6", "p2,f1,1,2,3,4,5,6"],
@@ -449,11 +450,11 @@ def test_load_study_accepts_numeric_bool_tokens(tmp_path):
         ([], ["p1,f1,1,2,3,4,5,6"], "no records"),
         (GOOD_PARTICIPANTS, [], "no records"),
         (["p1,baseline,inf,true,false"], ["p1,f1,1,2,3,4,5,6"],
-         "participants.csv:2: grips_score is not finite"),
+         "participants.csv:2: grips_score is not a number: 'inf'"),
         (["p1,baseline,1e999,true,false"], ["p1,f1,1,2,3,4,5,6"],
-         "participants.csv:2: grips_score is not finite"),
+         "participants.csv:2: grips_score is not a number: '1e999'"),
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,inf,5,6", "p2,f1,1,2,3,4,5,6"],
-         "responses.csv:2: backcountry_skiing is not finite"),
+         "responses.csv:2: backcountry_skiing is not a number: 'inf'"),
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,101", "p2,f1,1,2,3,4,5,6"],
          "responses.csv:2: participant 'p1', forecast 'f1': "
          "multi_night_camping rating 101.0 outside [0, 100]"),
@@ -473,6 +474,16 @@ def test_load_study_accepts_numeric_bool_tokens(tmp_path):
          "participants.csv:4: grips_score is not a number: 'soon'"),
         (['"p\n1",baseline,soon,true,false', "p2,icons,2.0,true,false"], GOOD_RESPONSES,
          "participants.csv:2: grips_score is not a number: 'soon'"),
+        # The number grammar admits 1e+999, which overflows.
+        (["p1,baseline,1e+999,true,false"], ["p1,f1,1,2,3,4,5,6"],
+         "participants.csv:2: grips_score is not finite: '1e+999'"),
+        (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,1e+999,5,6", "p2,f1,1,2,3,4,5,6"],
+         "responses.csv:2: participant 'p1', forecast 'f1': "
+         "backcountry_skiing rating inf outside [0, 100]"),
+        # The ratings are matched joined by commas; a quoted comma in one
+        # field makes a seventh part, and the field is not a number.
+        (GOOD_PARTICIPANTS, ['p1,f1,1,"2,3",4,5,6,7', "p2,f1,x,5,5,5,5,5"],
+         "responses.csv:2: day_hike is not a number: '2,3'"),
     ],
 )
 def test_load_study_rejects_schema_violations(tmp_path, participants, responses, fragment):
@@ -480,6 +491,27 @@ def test_load_study_rejects_schema_violations(tmp_path, participants, responses,
     with pytest.raises(StudyDataError) as err:
         load_study(*paths)
     assert fragment in str(err.value)
+
+
+# float() accepts each of these; the model number grammar accepts none.
+LOOSE_NUMBERS = (" 1_0", "+5", ".5", "10.", "1E1", "\uff11\uff10")
+
+
+@pytest.mark.parametrize("text", LOOSE_NUMBERS)
+def test_load_study_reads_grips_score_in_the_number_grammar(tmp_path, text):
+    paths = write_study(tmp_path, participants=[f"p1,baseline,{text},true,false",
+                                                GOOD_PARTICIPANTS[1]])
+    with pytest.raises(StudyDataError) as err:
+        load_study(*paths)
+    assert str(err.value) == f"{paths[1]}:2: grips_score is not a number: {text!r}"
+
+
+@pytest.mark.parametrize("text", LOOSE_NUMBERS)
+def test_load_study_reads_ratings_in_the_number_grammar(tmp_path, text):
+    paths = write_study(tmp_path, responses=GOOD_RESPONSES[:2] + [f"p2,f1,5,5,{text},5,5,5"])
+    with pytest.raises(StudyDataError) as err:
+        load_study(*paths)
+    assert str(err.value) == f"{paths[0]}:4: mountaineering is not a number: {text!r}"
 
 
 def test_load_study_rejects_wrong_headers(tmp_path):
