@@ -86,7 +86,13 @@ def t_cdf(t: float, df: float) -> float:
     if t == 0.0:
         return 0.5
     x = df / (df + t * t)
-    tail = 0.5 * betainc_regularized(df / 2.0, 0.5, x)
+    a = df / 2.0
+    if x >= (a + 1.0) / (a + 0.5 + 2.0):
+        # Where I_x(a, 1/2) would reflect through 1 - x, which keeps none of
+        # the digits of a tiny t, take the complement from t directly.
+        half = 0.5 * betainc_regularized(0.5, a, t * t / (df + t * t))
+        return 0.5 + half if t > 0 else 0.5 - half
+    tail = 0.5 * betainc_regularized(a, 0.5, x)
     return 1.0 - tail if t > 0 else tail
 
 

@@ -17,6 +17,7 @@ import html
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .hazards import (
     DEFAULT_ICON_CONFIG,
@@ -49,32 +50,52 @@ class RenderedDocument:
     manifest: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class _TextElement:
+class _TextElement(NamedTuple):
     element_id: str
     source: str
     lines: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _IconRow:
+class _IconRow(NamedTuple):
     element_id: str
     source: str
     heading: str
-    icons: tuple[HazardIcon, ...]
+    icons: tuple[tuple[str, HazardIcon], ...]  # (element id, icon) pairs
+
+
+def _icon_row(element_id: str, source: str, heading: str, icons) -> _IconRow:
+    """An icon row whose k-th icon (from 1) has the id ``<row>-icon-<k>``."""
+    return _IconRow(element_id, source, heading,
+                    tuple((f"{element_id}-icon-{k}", icon) for k, icon in enumerate(icons, 1)))
 
 
 _CHILL_SHORT = {1: "30 MIN", 2: "10 MIN", 3: "5 MIN"}
 
+#: Per kind: the plain-text word and the short label. ``{level}`` is the
+#: icon's level, ``{chill}`` the frostbite time of a wind-chill level, and
+#: ``{label}`` the short label without spaces.
+_ICON_WORDS = {
+    HazardKind.WIND: ("WIND {label}", "F{level}"),
+    HazardKind.WIND_CHILL: ("WIND CHILL {label}", "{chill}"),
+    HazardKind.FREEZING_TEMP: ("FREEZING", "FREEZE"),
+    HazardKind.WINTER_PRECIP: ("WINTER PRECIP", "WINTER"),
+}
+
+
+@lru_cache(maxsize=128)
+def _icon_words(kind: HazardKind, level: int) -> tuple[str, str]:
+    """The plain-text word and the short label of ``kind`` at ``level``."""
+    plain, short = _ICON_WORDS[kind]
+    short = short.format(level=level, chill=_CHILL_SHORT.get(level, f"L{level}"))
+    return plain.format(label=short.replace(" ", "")), short
+
 
 def _short_label(icon: HazardIcon) -> str:
-    if icon.kind is HazardKind.WIND:
-        return f"F{icon.level}"
-    if icon.kind is HazardKind.WIND_CHILL:
-        return _CHILL_SHORT.get(icon.level, f"L{icon.level}")
-    if icon.kind is HazardKind.FREEZING_TEMP:
-        return "FREEZE"
-    return "WINTER"
+    return _icon_words(icon.kind, icon.level)[1]
+
+
+def _badge(icon: HazardIcon) -> str:
+    return f"G{_fmt_num(icon.gust_annotation)}"
 
 
 def _accessible_label(icon: HazardIcon) -> str:
@@ -85,16 +106,9 @@ def _accessible_label(icon: HazardIcon) -> str:
 
 
 def _plain_icon(icon: HazardIcon) -> str:
-    if icon.kind is HazardKind.WIND:
-        inner = f"WIND F{icon.level}"
-        if icon.gust_annotation is not None:
-            inner += f" G{_fmt_num(icon.gust_annotation)}"
-    elif icon.kind is HazardKind.WIND_CHILL:
-        inner = f"WIND CHILL {_CHILL_SHORT.get(icon.level, f'L{icon.level}').replace(' ', '')}"
-    elif icon.kind is HazardKind.FREEZING_TEMP:
-        inner = "FREEZING"
-    else:
-        inner = "WINTER PRECIP"
+    inner = _icon_words(icon.kind, icon.level)[0]
+    if icon.gust_annotation is not None:
+        inner += f" {_badge(icon)}"
     return f"[{inner}]"
 
 
@@ -125,22 +139,20 @@ def _icon_svg(icon: HazardIcon, element_id: str | None = None) -> str:
     inner = _glyph_inner(icon.glyph_id)
     label = _esc(_accessible_label(icon))
     id_attr = f' id="{element_id}"' if element_id else ""
-    parts = [
-        f'<g{id_attr} class="icon" role="img" aria-label="{label}">',
-        f"<title>{label}</title>",
-        f'<rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>',
-        f'<g transform="translate(8 8)" style="color:{_glyph_color(icon.color)}">{inner}</g>',
-    ]
+    color = _glyph_color(icon.color)
+    badge = ""
     if icon.gust_annotation is not None:
-        parts.append(
-            f'<text class="icon-badge" x="37" y="37" text-anchor="end" '
-            f'fill="{_glyph_color(icon.color)}">G{_fmt_num(icon.gust_annotation)}</text>'
-        )
-    parts.append(
+        badge = (f'<text class="icon-badge" x="37" y="37" text-anchor="end" '
+                 f'fill="{color}">{_badge(icon)}</text>')
+    return (
+        f'<g{id_attr} class="icon" role="img" aria-label="{label}">'
+        f"<title>{label}</title>"
+        f'<rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>'
+        f'<g transform="translate(8 8)" style="color:{color}">{inner}</g>'
+        f"{badge}"
         f'<text class="icon-label" x="20" y="51" text-anchor="middle">{_esc(_short_label(icon))}</text>'
+        "</g>"
     )
-    parts.append("</g>")
-    return "".join(parts)
 
 
 def _icon_html(icon: HazardIcon, element_id: str | None = None) -> str:
@@ -149,7 +161,7 @@ def _icon_html(icon: HazardIcon, element_id: str | None = None) -> str:
     id_attr = f' id="{element_id}"' if element_id else ""
     badge = ""
     if icon.gust_annotation is not None:
-        badge = f'<span class="icon-badge">G{_fmt_num(icon.gust_annotation)}</span>'
+        badge = f'<span class="icon-badge">{_badge(icon)}</span>'
     return (
         f'<span{id_attr} class="icon" role="img" aria-label="{label}" '
         f'style="background:{icon.color};color:{_glyph_color(icon.color)}">'
@@ -160,71 +172,51 @@ def _icon_html(icon: HazardIcon, element_id: str | None = None) -> str:
     )
 
 
-def render_icon(icon: HazardIcon, format: str = "plain") -> str:
-    """Standalone graphic fragment for one icon."""
+def _writer(writers: dict, format: str):
+    """The writer of ``format`` in ``writers``, keyed by every name in FORMATS."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {'|'.join(FORMATS)}")
+    return writers[format]
+
+
+_ICON_WRITERS = {"plain": _plain_icon, "svg": _icon_svg, "html": _icon_html}
+
+
+def render_icon(icon: HazardIcon, format: str = "plain") -> str:
+    """Standalone graphic fragment for one icon."""
+    write = _writer(_ICON_WRITERS, format)
     _glyph_inner(icon.glyph_id)
-    if format == "plain":
-        return _plain_icon(icon)
-    if format == "svg":
-        return _icon_svg(icon)
-    return _icon_html(icon)
+    return write(icon)
 
 
 def _period_elements(index: int, period: ForecastPeriod) -> list[_TextElement]:
-    n = index + 1
-    prefix = f"periods[{index}]"
-    out = [
-        _TextElement(f"period-{n}-label", f"{prefix}.label", (f"{period.label}:",)),
-        _TextElement(
-            f"period-{n}-temperature",
-            f"{prefix}.temperature",
-            (f"  Temperatures: {_fmt_num(period.temperature.low)} to {_fmt_num(period.temperature.high)} F",),
-        ),
-    ]
-    wind = period.wind
+    t, wind, chill = period.temperature, period.wind, period.wind_chill
     direction = f"{wind.direction} " if wind.direction else ""
-    wind_line = (
-        f"  Winds: {direction}{_fmt_num(wind.sustained.low)} to {_fmt_num(wind.sustained.high)} mph"
-    )
+    wind_line = (f"  Winds: {direction}{_fmt_num(wind.sustained.low)} to "
+                 f"{_fmt_num(wind.sustained.high)} mph")
     if wind.gust_high is not None:
         wind_line += f", gusts to {_fmt_num(wind.gust_high)} mph"
-    out.append(_TextElement(f"period-{n}-wind", f"{prefix}.wind", (wind_line,)))
-    if period.wind_chill is not None:
-        out.append(
-            _TextElement(
-                f"period-{n}-wind-chill",
-                f"{prefix}.wind_chill",
-                (f"  Wind chills: {_fmt_num(period.wind_chill.low)} to {_fmt_num(period.wind_chill.high)} F",),
-            )
-        )
+    rows = [  # (id suffix, source field, line)
+        ("label", "label", f"{period.label}:"),
+        ("temperature", "temperature",
+         f"  Temperatures: {_fmt_num(t.low)} to {_fmt_num(t.high)} F"),
+        ("wind", "wind", wind_line),
+    ]
+    if chill is not None:
+        rows.append(("wind-chill", "wind_chill",
+                     f"  Wind chills: {_fmt_num(chill.low)} to {_fmt_num(chill.high)} F"))
     for k, event in enumerate(period.precip_events):
-        kind_text = event.kind.value.replace("_", " ")
-        out.append(
-            _TextElement(
-                f"period-{n}-precip-{k + 1}",
-                f"{prefix}.precip_events[{k}]",
-                (f"  Precipitation: {kind_text} ({event.certainty.value})",),
-            )
-        )
+        rows.append((f"precip-{k + 1}", f"precip_events[{k}]", f"  Precipitation: "
+                     f"{event.kind.value.replace('_', ' ')} ({event.certainty.value})"))
     for k, note in enumerate(period.extra_hazard_notes):
-        out.append(
-            _TextElement(
-                f"period-{n}-note-{k + 1}",
-                f"{prefix}.extra_hazard_notes[{k}]",
-                (f"  Note: {note}",),
-            )
-        )
-    return out
+        rows.append((f"note-{k + 1}", f"extra_hazard_notes[{k}]", f"  Note: {note}"))
+    n = index + 1
+    return [_TextElement(f"period-{n}-{suffix}", f"periods[{index}].{field}", (line,))
+            for suffix, field, line in rows]
 
 
-def _build_groups(
-    doc: ForecastDocument,
-    condition: LayoutCondition,
-    tables,
-    config: IconRuleConfig,
-) -> list[list[object]]:
+def _build_groups(doc: ForecastDocument, condition: LayoutCondition, tables,
+                  config: IconRuleConfig) -> list[list[object]]:
     masthead: list[object] = [
         _TextElement("title", "constant", ("HIGHER SUMMITS FORECAST",)),
         _TextElement("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",)),
@@ -240,32 +232,17 @@ def _build_groups(
     for i, period in enumerate(doc.periods):
         elements = _period_elements(i, period)
         if condition is LayoutCondition.PER_DAY_ICONS:
-            row = _IconRow(
-                f"icons-period-{i + 1}",
-                f"derived:periods[{i}]",
-                "HAZARDS:",
-                derive_icons(period, tables, config),
-            )
-            elements.insert(1, row)
+            elements.insert(1, _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]",
+                                         "HAZARDS:", derive_icons(period, tables, config)))
         period_groups.append(elements)
 
     groups = [masthead]
     if condition is LayoutCondition.ICONS:
-        groups.append([
-            _IconRow(
-                "icons-overall",
-                "derived:worst_case",
-                "HAZARDS (48 HOURS):",
-                derive_document_icons(doc, "overall", tables, config)[0],
-            )
-        ])
+        groups.append([_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
+                                 derive_document_icons(doc, "overall", tables, config)[0])])
     if condition in (LayoutCondition.BASELINE, LayoutCondition.ICONS):
-        groups.append(summary_group)
-        groups.extend(period_groups)
-    else:
-        groups.extend(period_groups)
-        groups.append(summary_group)
-    return groups
+        return groups + [summary_group] + period_groups
+    return groups + period_groups + [summary_group]
 
 
 def _manifest(groups: list[list[object]]) -> tuple[tuple[str, str], ...]:
@@ -274,12 +251,8 @@ def _manifest(groups: list[list[object]]) -> tuple[tuple[str, str], ...]:
         for el in group:
             entries.append((el.element_id, el.source))
             if isinstance(el, _IconRow):
-                for k in range(len(el.icons)):
-                    entries.append((f"{el.element_id}-icon-{k + 1}", el.source))
+                entries.extend((icon_id, el.source) for icon_id, _ in el.icons)
     return tuple(entries)
-
-
-_PLAIN_SEPARATOR = "\n\n"
 
 
 def _render_plain(groups: list[list[object]]) -> str:
@@ -288,11 +261,11 @@ def _render_plain(groups: list[list[object]]) -> str:
         lines: list[str] = []
         for el in group:
             if isinstance(el, _IconRow):
-                lines.append(el.heading + "".join(f" {_plain_icon(i)}" for i in el.icons))
+                lines.append(el.heading + "".join(f" {_plain_icon(i)}" for _, i in el.icons))
             else:
                 lines.extend(el.lines)
         blocks.append("\n".join(lines))
-    return _PLAIN_SEPARATOR.join(blocks) + "\n"
+    return "\n\n".join(blocks) + "\n"
 
 
 _SVG_STYLE = (
@@ -317,26 +290,24 @@ def _render_svg(groups: list[list[object]]) -> str:
     y = _PAD
     for group in groups:
         for el in group:
+            parts.append(f'<g id="{el.element_id}">')
             if isinstance(el, _IconRow):
-                parts.append(f'<g id="{el.element_id}">')
                 parts.append(f'<text class="row-heading" x="{_PAD}" y="{y + 16}">{_esc(el.heading)}</text>')
                 y += _LINE_H
                 x = _PAD
-                for k, icon in enumerate(el.icons):
+                for icon_id, icon in el.icons:
                     parts.append(f'<g transform="translate({x} {y})">')
-                    parts.append(_icon_svg(icon, element_id=f"{el.element_id}-icon-{k + 1}"))
+                    parts.append(_icon_svg(icon, icon_id))
                     parts.append("</g>")
                     x += _ICON_PITCH
                 if el.icons:
                     y += _ICON_CELL_H
-                parts.append("</g>")
             else:
                 css = ' class="title"' if el.element_id == "title" else ""
-                parts.append(f'<g id="{el.element_id}">')
                 for line in el.lines:
                     parts.append(f'<text{css} x="{_PAD}" y="{y + 16}">{_esc(line)}</text>')
                     y += _LINE_H
-                parts.append("</g>")
+            parts.append("</g>")
         y += _GROUP_GAP
     height = y + _PAD - _GROUP_GAP
     parts[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" width="760" height="{height}" '
@@ -376,8 +347,8 @@ def _render_html(groups: list[list[object]]) -> str:
             if isinstance(el, _IconRow):
                 parts.append(f'<div class="icon-row" id="{el.element_id}">')
                 parts.append(f'<span class="row-heading">{_esc(el.heading)}</span>')
-                for k, icon in enumerate(el.icons):
-                    parts.append(_icon_html(icon, element_id=f"{el.element_id}-icon-{k + 1}"))
+                for icon_id, icon in el.icons:
+                    parts.append(_icon_html(icon, icon_id))
                 parts.append("</div>")
             else:
                 body = "<br>".join(_esc(line) for line in el.lines)
@@ -385,6 +356,9 @@ def _render_html(groups: list[list[object]]) -> str:
         parts.append("</section>")
     parts.extend(["</main>", "</body>", "</html>"])
     return "\n".join(parts) + "\n"
+
+
+_DOCUMENT_WRITERS = {"plain": _render_plain, "svg": _render_svg, "html": _render_html}
 
 
 def render(
@@ -395,19 +369,12 @@ def render(
     config: IconRuleConfig = DEFAULT_ICON_CONFIG,
 ) -> RenderedDocument:
     """Render one document under one condition. Pure and byte-deterministic."""
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {'|'.join(FORMATS)}")
+    write = _writer(_DOCUMENT_WRITERS, format)
     if not isinstance(condition, LayoutCondition):
         raise ValueError(f"unknown condition {condition!r}")
     groups = _build_groups(require_valid(doc), condition, tables or load_tables(), config)
-    if format == "plain":
-        text = _render_plain(groups)
-    elif format == "svg":
-        text = _render_svg(groups)
-    else:
-        text = _render_html(groups)
     return RenderedDocument(
-        format=format, payload=text.encode("utf-8"), manifest=_manifest(groups)
+        format=format, payload=write(groups).encode("utf-8"), manifest=_manifest(groups)
     )
 
 

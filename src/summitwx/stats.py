@@ -134,6 +134,7 @@ class PairwiseResult:
     df: int
     p_raw: float
     p_adjusted: float
+    multiplier: int  # the Bonferroni multiplier: p_adjusted = min(1, p_raw * multiplier)
 
 
 def pairwise_t_tests(
@@ -178,7 +179,7 @@ def pairwise_t_tests(
         else:
             t = diff / math.sqrt(pooled * (1.0 / n_a + 1.0 / n_b))
             p = t_two_sided_p(t, df)
-        out.append(PairwiseResult(name_a, name_b, t, df, p, min(1.0, p * m)))
+        out.append(PairwiseResult(name_a, name_b, t, df, p, min(1.0, p * m), m))
     return tuple(out)
 
 
@@ -408,7 +409,7 @@ def format_report(report: StatsReport) -> str:
         f"p = {_fmt_p(a.p_value)}"
     )
     lines.append("")
-    lines.append(f"Pairwise comparisons (Bonferroni multiplier {len(report.pairwise)}):")
+    lines.append(f"Pairwise comparisons (Bonferroni multiplier {report.pairwise[0].multiplier}):")
     for pw in report.pairwise:
         lines.append(
             f"  {pw.group_a} vs {pw.group_b}: t({pw.df}) = {_fmt_stat(pw.t_statistic)}, "

@@ -3,8 +3,8 @@
 The grammar targets the two-day / two-night layout: a narrative summary,
 then exactly four period blocks opened by a header line. Everything is
 extracted with closed, documented keyword sets; nothing is inferred and no
-magnitude is ever invented. Anything unrecognized is reported through
-diagnostics and counted against coverage instead of being guessed at.
+magnitude is ever invented. Unrecognized text is never guessed at: it gets
+no diagnostic of its own and shows only as a lower ``coverage``.
 
 Grammar token sets (all keyword matching case-insensitive):
 
@@ -33,6 +33,7 @@ from datetime import datetime
 from enum import Enum
 
 from .model import (
+    COMPASS_POINTS,
     Certainty,
     ForecastDocument,
     ForecastPeriod,
@@ -64,8 +65,11 @@ class Diagnostic:
 class ParseResult:
     """Outcome of a parse: a document iff no error diagnostics.
 
-    ``coverage`` is the fraction of the input's non-whitespace characters
-    consumed by recognized constructs.
+    ``coverage`` is the share of the input that was recognized. From
+    :func:`parse_forecast` it is the fraction of the non-whitespace
+    characters consumed by recognized constructs; from
+    ``parse_canonical`` it is the fraction of the meaningful lines (not
+    blank, not a ``#`` comment) that were recognized.
     """
 
     document: ForecastDocument | None
@@ -97,9 +101,8 @@ _RAW_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 _BELOW_RE = re.compile(r"[ \t]*(?:degrees[ \t]+)?below(?:[ \t]+zero)?\b", re.IGNORECASE)
 _RANGE_GAP_RE = re.compile(r"^[ \t]*(?:-|to|or|through)?[ \t]*$", re.IGNORECASE)
 _GUST_RE = re.compile(r"\bgust(?:s|ing)?\b", re.IGNORECASE)
-_COMPASS_RE = re.compile(
-    r"\b(NNE|ENE|ESE|SSE|SSW|WSW|WNW|NNW|NE|SE|SW|NW|N|E|S|W)\b(?!/)",
-    re.IGNORECASE,
+_COMPASS_RE = re.compile(  # the 16 points, longest first
+    rf"\b({'|'.join(sorted(COMPASS_POINTS, key=len, reverse=True))})\b(?!/)", re.IGNORECASE
 )
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 

@@ -215,6 +215,24 @@ def test_unknown_top_level_key():
     assert any("unknown key 'footer'" in d.message for d in result.errors)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda s: s.replace("  temp_low_f: 20\n", "  temp_low_f: 20\n  visibility_mi: 3\n", 1),
+         "error:9:1 unknown key 'visibility_mi'"),
+        (lambda s: s.replace("source_id: unit-test\n", "source_id: unit-test\nsource_id: again\n"),
+         "error:4:1 duplicate key 'source_id'"),
+        (lambda s: "".join(line for line in s.splitlines(True) if not line.startswith("summary:")),
+         "error:1:1 summary_text: summary must be non-empty"),
+    ],
+)
+def test_parse_errors_name_their_line(mutate, message):
+    text = mutate(emit_canonical(make_doc()))
+    result = parse_canonical(text)
+    assert result.document is None
+    assert [format_diagnostic(d, text) for d in result.diagnostics] == [message]
+
+
 def test_coverage_counts_unrecognized_lines():
     text = emit_canonical(make_doc()) + "footer: done\n"
     result = parse_canonical(text)

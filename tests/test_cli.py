@@ -384,6 +384,19 @@ def test_stats_prints_report_and_writes_emissions(tmp_path, capsys):
     assert plot_path.read_text(encoding="utf-8").startswith("schema: hsf-plot/1\n")
 
 
+def test_stats_correction_names_the_multiplier_it_applied(tmp_path, capsys):
+    r_path, p_path = write_csvs(tmp_path)
+    argv = ("stats", "--responses", str(r_path), "--participants", str(p_path))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "Pairwise comparisons (Bonferroni multiplier 1):\n" in out
+    assert "raw p = 0.1056, adjusted p = 0.1056\n" in out
+    code, out, _ = run(capsys, *argv, "--correction", "3")
+    assert code == 0
+    assert "Pairwise comparisons (Bonferroni multiplier 3):\n" in out
+    assert "raw p = 0.1056, adjusted p = 0.3167\n" in out
+
+
 def test_stats_empty_data_exit_1(tmp_path, capsys):
     r_path, p_path = write_csvs(
         tmp_path, participants=PARTICIPANTS_CSV.splitlines()[0] + "\n",

@@ -63,6 +63,16 @@ def test_t_cdf_matches_scipy():
             ), (t, df)
 
 
+def test_t_cdf_keeps_its_digits_near_the_median():
+    # df / (df + t*t) rounds to 1 for these; the complement keeps the digits.
+    for df in (3, 500, 3000, 100000):
+        for t in (1e-9, 1e-6, 1e-3, 0.1, 1.0):
+            for signed in (t, -t):
+                assert t_cdf(signed, df) == pytest.approx(
+                    float(scipy_stats.t.cdf(signed, df)), abs=1e-11
+                ), (signed, df)
+
+
 def test_t_sf_and_symmetry():
     for df in (3, 30):
         for t in (-2.0, 0.0, 1.7):
@@ -166,16 +176,14 @@ def test_t_ppf_calls_t_cdf_at_most_20_times_for_a_paper_group(monkeypatch):
 
 
 def test_t_ppf_near_the_median_with_large_df_matches_scipy():
-    # Here t_cdf itself is off by about 1e-9, so only the scipy tolerance
-    # of the other quantile tests is asserted, not the bisection's bits.
+    # Only the scipy tolerance of the other quantile tests is asserted here,
+    # not the bisection's bits.
     for df in (500, 3000, 30000, 100000):
         for p in (0.501, 0.51, 0.55):
             ref = float(scipy_stats.t.ppf(p, df))
             assert t_ppf(p, df) == pytest.approx(ref, abs=1e-8), (p, df)
 
 
-@pytest.mark.xfail(strict=True, reason="t_cdf rounds df / (df + t*t) to 1 for a tiny t "
-                   "and a large df, and returns 0.5; the bisection inherits that")
 def test_t_ppf_just_above_the_median_with_large_df_matches_scipy():
     ref = float(scipy_stats.t.ppf(0.5000001, 3000))
     assert t_ppf(0.5000001, 3000) == pytest.approx(ref, abs=1e-8)

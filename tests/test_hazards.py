@@ -347,6 +347,14 @@ def _tamper(tmp_path: Path, name: str, transform) -> Path:
          r"wind_chill\.table: provenance note is mandatory"),
         (lambda s: s.replace("band: 3 | -120 | -60", "band: 3 | -118 | -60"),
          r"wind_chill\.table: bands do not cover the declared domain"),
+        # Malformed lines name their line too.
+        (lambda s: s.replace("unit: F\n", "unit F\n"),
+         r"wind_chill\.table:5: expected 'key: value', got 'unit F'"),
+        (lambda s: s.replace("band: 2 | -60 | -36 | #6FA8DC | Frostbite in 10 minutes",
+                             "band: 2 | -60 | -36 | #6FA8DC"),
+         r"wind_chill\.table:20: band needs 5 fields, got 4"),
+        (lambda s: s.replace("domain: -120 | 50", "domain: 5"),
+         r"wind_chill\.table:6: domain needs 'low \| high'"),
     ],
 )
 def test_tampered_table_fails_integrity(tmp_path, transform, message):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -182,6 +183,16 @@ def test_manifest_ids_are_unique_and_sources_are_field_paths(fixture_docs):
             assert sources["issued"] == "issued_at"
             assert sources["period-1-wind"] == "periods[0].wind"
             assert sources["period-4-label"] == "periods[3].label"
+
+
+@pytest.mark.parametrize("fmt", ("svg", "html"))
+def test_markup_ids_are_the_manifest_ids(fixture_docs, fmt):
+    for name, doc in fixture_docs.items():
+        for condition in LayoutCondition:
+            rendered = render(doc, condition, format=fmt)
+            ids = re.findall(r'(?<![\w-])id="([^"]*)"', rendered.payload.decode())
+            manifest_ids = [element_id for element_id, _ in rendered.manifest]
+            assert Counter(ids) == Counter(manifest_ids), (name, condition)
 
 
 def test_svg_payload_structure(fixture_docs):

@@ -660,6 +660,16 @@ def test_build_report_passes_correction_count_through():
     assert pair.p_adjusted == min(1.0, pair.p_raw * 6)
 
 
+def test_build_report_reports_the_multiplier_it_applied():
+    report = build_report(study_records(), correction_count=12)
+    (pair,) = report.pairwise
+    assert pair.multiplier == 12
+    assert pair.p_adjusted == min(1.0, pair.p_raw * 12)
+    assert "Pairwise comparisons (Bonferroni multiplier 12):\n" in format_report(report)
+    (default,) = build_report(study_records()).pairwise
+    assert default.multiplier == 1
+
+
 def test_build_report_rejects_inconsistent_participants():
     records = study_records()
     records.append(record(pid="a1", condition=LayoutCondition.ICONS, forecast="f9"))
@@ -688,6 +698,31 @@ def test_format_report_shows_the_headline_numbers():
     assert "Risk propensity regression: slope = " in text
     assert "4/6 = 66.67%" in text
     assert text.endswith("\n")
+
+
+def two_group_records(baseline_levels, icons_levels) -> list[ResponseRecord]:
+    """Three participants per group, each rating every activity at one level."""
+    return [
+        record(pid=f"{condition.value}-{k}", condition=condition, forecast=forecast,
+               ratings=(level,) * 6, grips=2.0 + k)
+        for condition, levels in ((LayoutCondition.BASELINE, baseline_levels),
+                                  (LayoutCondition.ICONS, icons_levels))
+        for k, level in enumerate(levels)
+        for forecast in ("f1", "f2")
+    ]
+
+
+def test_format_report_prints_an_infinite_statistic():
+    # No spread within either group: F and t are infinite and p is 0.
+    text = format_report(build_report(two_group_records((20.0,) * 3, (50.0,) * 3)))
+    assert "One-way ANOVA: F(1, 4) = inf, p = 0.00e+00\n" in text
+    assert "  baseline vs icons: t(4) = -inf, raw p = 0.00e+00, adjusted p = 0.00e+00\n" in text
+
+
+def test_format_report_prints_a_tiny_p_in_scientific_form():
+    text = format_report(build_report(two_group_records((20.0, 21.0, 22.0), (80.0, 81.0, 82.0))))
+    assert "One-way ANOVA: F(1, 4) = 5400.000, p = 2.06e-07\n" in text
+    assert "  baseline vs icons: t(4) = -73.485, raw p = 2.06e-07, adjusted p = 2.06e-07\n" in text
 
 
 def test_emit_report_round_trips_floats():
