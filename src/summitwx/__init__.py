@@ -35,10 +35,9 @@ _EXPORTS = {
     ),
     "stats": (
         "ACTIVITIES", "AnovaResult", "CodingCell", "CodingTable", "GroupSummary",
-        "PairwiseResult", "RegressionResult", "ResponseRecord", "StatsReport",
-        "StudyDataError", "aggregate_risk", "build_report", "emit_plot_spec", "emit_report",
-        "format_report", "grips_regression", "load_study", "one_way_anova",
-        "pairwise_t_tests", "participant_mean_risk", "percentage", "t_ci95",
+        "PairwiseResult", "Participant", "RegressionResult", "StatsReport", "StudyDataError",
+        "build_report", "emit_plot_spec", "emit_report", "format_report", "grips_regression",
+        "load_study", "one_way_anova", "pairwise_t_tests", "percentage", "t_ci95",
     ),
     "textparse": ("Diagnostic", "ParseResult", "Severity", "format_diagnostic", "parse_forecast"),
 }

@@ -187,8 +187,8 @@ def _cmd_stimuli(args) -> int:
 def _cmd_stats(args) -> int:
     from .stats import build_report, emit_plot_spec, emit_report, format_report, load_study
 
-    records = load_study(Path(args.responses), Path(args.participants))
-    report = build_report(records, correction_count=args.correction)
+    participants = load_study(Path(args.responses), Path(args.participants))
+    report = build_report(participants, correction_count=args.correction)
     sys.stdout.write(format_report(report))
     if args.out:
         Path(args.out).write_text(emit_report(report), encoding="utf-8")

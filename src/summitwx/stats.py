@@ -3,9 +3,13 @@
 Input is one response row per (participant, forecast) with six activity
 ratings on a 0-100 scale, joined against a participant table carrying the
 layout condition, a risk-propensity (GRIPS) score, and two free-text coding
-flags. Analysis follows the between-subjects shape: responses aggregate to
-one mean risk value per participant before any inference, so ANOVA degrees
-of freedom are (groups - 1, participants - groups).
+flags. :func:`load_study` reads both files once and returns one
+:class:`Participant` per responding participant, in order of first
+response, whose ``mean_risk`` is the mean over forecasts of the six
+ratings' sum. Analysis follows the between-subjects shape: inference runs
+on those per-participant means, so ANOVA degrees of freedom are
+(groups - 1, participants - groups). A hand-built :class:`Participant` is
+checked on construction.
 
 All statistics are computed from explicit sums of squares here, with tail
 probabilities from :mod:`.distributions`; nothing defers to an external
@@ -20,7 +24,6 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -39,6 +42,7 @@ ACTIVITIES = (
 
 RATING_MIN = 0.0
 RATING_MAX = 100.0
+_RISK_MAX = RATING_MAX * len(ACTIVITIES)
 
 
 class StudyDataError(ValueError):
@@ -46,44 +50,29 @@ class StudyDataError(ValueError):
 
 
 @dataclass(frozen=True)
-class ResponseRecord:
-    """One participant's ratings for one forecast, with participant metadata."""
+class Participant:
+    """One participant: metadata and mean aggregate risk (0 to 600).
+
+    ``mean_risk`` is the mean over the participant's forecasts of the sum of
+    the six activity ratings.
+    """
 
     participant_id: str
     condition: LayoutCondition
-    forecast_id: str
-    activity_ratings: tuple[float, ...]
     grips_score: float
     mentioned_per_day_info: bool
     mentioned_summary_only_info: bool
+    mean_risk: float
 
     def __post_init__(self) -> None:
-        if len(self.activity_ratings) != len(ACTIVITIES):
+        if not math.isfinite(self.grips_score):
             raise StudyDataError(
-                f"participant {self.participant_id!r}, forecast {self.forecast_id!r}: "
-                f"expected {len(ACTIVITIES)} ratings, found {len(self.activity_ratings)}"
-            )
-        for name, value in zip(ACTIVITIES, self.activity_ratings):
-            if not RATING_MIN <= value <= RATING_MAX:  # NaN fails too
-                raise StudyDataError(
-                    f"participant {self.participant_id!r}, forecast {self.forecast_id!r}: "
-                    f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
-                )
-
-
-def aggregate_risk(record: ResponseRecord) -> float:
-    """Sum of the six activity ratings: 0 (all safe) to 600 (all maximal)."""
-    return sum(record.activity_ratings)
-
-
-def participant_mean_risk(records: Sequence[ResponseRecord]) -> float:
-    """Mean aggregate risk over one participant's forecasts."""
-    if not records:
-        raise StudyDataError("no records for participant")
-    ids = {r.participant_id for r in records}
-    if len(ids) != 1:
-        raise StudyDataError(f"records span multiple participants: {sorted(ids)}")
-    return sum(aggregate_risk(r) for r in records) / len(records)
+                f"participant {self.participant_id!r}: grips_score {self.grips_score} "
+                "is not finite")
+        if not RATING_MIN <= self.mean_risk <= _RISK_MAX:  # NaN fails too
+            raise StudyDataError(
+                f"participant {self.participant_id!r}: mean_risk {self.mean_risk} "
+                f"outside [{RATING_MIN:g}, {_RISK_MAX:g}]")
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -277,43 +266,7 @@ class StatsReport:
     coding: CodingTable
 
 
-@dataclass(frozen=True)
-class _Participant:
-    participant_id: str
-    condition: LayoutCondition
-    grips_score: float
-    mentioned_per_day_info: bool
-    mentioned_summary_only_info: bool
-    mean_risk: float
-
-
-#: The fields that every record of one participant repeats.
-_PARTICIPANT_FIELDS = ("condition", "grips_score", "mentioned_per_day_info",
-                       "mentioned_summary_only_info")
-_participant_fields = attrgetter(*_PARTICIPANT_FIELDS)
-
-
-def _collect_participants(records: Sequence[ResponseRecord]) -> list[_Participant]:
-    if not records:
-        raise StudyDataError("no records")
-    by_participant: dict[str, tuple[tuple, list[ResponseRecord]]] = {}
-    for record in records:
-        fields = _participant_fields(record)
-        entry = by_participant.get(record.participant_id)
-        if entry is None:
-            by_participant[record.participant_id] = (fields, [record])
-        elif fields == entry[0]:
-            entry[1].append(record)
-        else:
-            name = next(name for name, a, b in zip(_PARTICIPANT_FIELDS, entry[0], fields)
-                        if a != b)
-            raise StudyDataError(
-                f"participant {record.participant_id!r}: {name} varies across records")
-    return [_Participant(pid, *fields, mean_risk=participant_mean_risk(rows))
-            for pid, (fields, rows) in by_participant.items()]
-
-
-def _coding_cells(participants: list[_Participant], flag: str,
+def _coding_cells(participants: Sequence[Participant], flag: str,
                   conditions: list[LayoutCondition]) -> tuple[CodingCell, ...]:
     scopes = [("overall", participants)] + [
         (c.value, [p for p in participants if p.condition is c]) for c in conditions
@@ -326,11 +279,10 @@ def _coding_cells(participants: list[_Participant], flag: str,
 
 
 def build_report(
-    records: Sequence[ResponseRecord],
+    participants: Sequence[Participant],
     correction_count: int | None = None,
 ) -> StatsReport:
-    """Run the full analysis over joined response records."""
-    participants = _collect_participants(records)
+    """Run the full analysis over one value per participant."""
     values_by_condition: dict[LayoutCondition, list[float]] = {}
     for p in participants:
         values_by_condition.setdefault(p.condition, []).append(p.mean_risk)
@@ -501,9 +453,10 @@ def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[int, list[st
     The line is the physical line a record starts on, so a quoted field with
     an embedded newline does not shift the lines of later records. Rows are
     read one at a time and field counts checked row by row, so the first bad
-    line is the one reported.
+    line is the one reported. A leading UTF-8 byte-order mark, as spreadsheet
+    exports write, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), columns, str(path))
         start = reader.line_num + 1
@@ -527,7 +480,7 @@ def _read_field(name: str, text: str) -> float:
         raise StudyDataError(f"{name} {exc}") from None
 
 
-def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseRecord, ...]:
+def load_study(responses_path: Path, participants_path: Path) -> tuple[Participant, ...]:
     """Load and join the response and participant files.
 
     Both are comma-separated with exact headers. Participant conditions use
@@ -535,6 +488,9 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseR
     Unknown references, duplicates, malformed numbers, and out-of-range
     ratings are hard errors, each naming ``path:line``. Numbers follow the
     model number grammar (:func:`summitwx.model._read_number`).
+
+    Returns one :class:`Participant` per participant, in the order of their
+    first row in ``responses.csv``; that order fixes the regression sums.
     """
     participants: dict[str, tuple[LayoutCondition, float, bool, bool]] = {}
     for line, row in _csv_rows(participants_path, _PARTICIPANT_COLUMNS):
@@ -561,7 +517,7 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseR
     if not participants:
         raise StudyDataError(f"{participants_path}: no records")
 
-    records: list[ResponseRecord] = []
+    row_sums: dict[str, list[float]] = {}
     seen: set[tuple[str, str]] = set()
     for line, row in _csv_rows(responses_path, _RESPONSE_COLUMNS):
         pid, forecast_id = row[0], row[1]
@@ -577,17 +533,21 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[ResponseR
                 ratings = tuple(map(float, fields))
             else:
                 ratings = tuple(map(_read_field, ACTIVITIES, fields))
-            condition, grips, per_day, summary_only = participants[pid]
-            records.append(ResponseRecord(pid, condition, forecast_id, ratings, grips,
-                                          per_day, summary_only))
+            for name, value in zip(ACTIVITIES, ratings):
+                if not RATING_MIN <= value <= RATING_MAX:
+                    raise StudyDataError(
+                        f"participant {pid!r}, forecast {forecast_id!r}: "
+                        f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
+                    )
+            row_sums.setdefault(pid, []).append(sum(ratings))
         except StudyDataError as exc:
             raise StudyDataError(f"{responses_path}:{line}: {exc}") from None
-    if not records:
+    if not row_sums:
         raise StudyDataError(f"{responses_path}: no records")
-    responded = {r.participant_id for r in records}
-    silent = sorted(set(participants) - responded)
+    silent = sorted(set(participants) - row_sums.keys())
     if silent:
         raise StudyDataError(
             f"{participants_path}: participants with no responses: {', '.join(silent)}"
         )
-    return tuple(records)
+    return tuple(Participant(pid, *participants[pid], mean_risk=sum(sums) / len(sums))
+                 for pid, sums in row_sums.items())

@@ -95,11 +95,11 @@ _HEADER_RE = re.compile(
     rf"|(?:{_WEEKDAYS})(?: night)?)[ \t]*:",
     re.IGNORECASE | re.MULTILINE,
 )
-_LABEL_RE = re.compile(r"\b(wind chills?|winds?|temperatures?)[ \t]*:", re.IGNORECASE)
+_LABEL_RE = re.compile(r"\b(wind\s+chills?|winds?|temperatures?)\s*:", re.IGNORECASE)
 _ISSUED_RE = re.compile(r"^[ \t]*issued[ \t]*:[ \t]*(.+?)[ \t]*$", re.IGNORECASE | re.MULTILINE)
 _RAW_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
-_BELOW_RE = re.compile(r"[ \t]*(?:degrees[ \t]+)?below(?:[ \t]+zero)?\b", re.IGNORECASE)
-_RANGE_GAP_RE = re.compile(r"^[ \t]*(?:-|to|or|through)?[ \t]*$", re.IGNORECASE)
+_BELOW_RE = re.compile(r"\s*(?:degrees\s+)?below(?:\s+zero)?\b", re.IGNORECASE)
+_RANGE_GAP_RE = re.compile(r"^\s*(?:-|to|or|through)?\s*$", re.IGNORECASE)
 _GUST_RE = re.compile(r"\bgust(?:s|ing)?\b", re.IGNORECASE)
 _COMPASS_RE = re.compile(  # the 16 points, longest first
     rf"\b({'|'.join(sorted(COMPASS_POINTS, key=len, reverse=True))})\b(?!/)", re.IGNORECASE
@@ -107,7 +107,7 @@ _COMPASS_RE = re.compile(  # the 16 points, longest first
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
 _PRECIP_RE = re.compile(
-    r"\b(freezing rain|wintry mix|mixed precipitation|snow showers|rain showers"
+    r"\b(freezing\s+rain|wintry\s+mix|mixed\s+precipitation|snow\s+showers|rain\s+showers"
     r"|snowfall|flurries|snow|sleet|rain)\b",
     re.IGNORECASE,
 )
@@ -155,7 +155,7 @@ def _numbers(scan: _Scan, start: int, end: int) -> list[tuple[float, tuple[int, 
         if token.startswith("-"):
             # Hyphen between two complete numbers separates a range.
             k = m.start() - 1
-            while k >= start and text[k] in " \t":
+            while k >= start and text[k].isspace():
                 k -= 1
             if k >= start and text[k].isdigit():
                 value = float(token[1:])
@@ -221,7 +221,7 @@ def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: 
             labels[i + 1].start() if i + 1 < len(labels) else end,
             sentence_end,
         )
-        word = lm.group(1).lower()
+        word = " ".join(lm.group(1).lower().split())
         kind = "chill" if word.startswith("wind chill") else "wind" if word.startswith("wind") else "temp"
         segments.append((kind, seg_start, seg_end))
         scan.mark(lm.start(), seg_end)

@@ -24,8 +24,10 @@ SRC = Path(summitwx.__file__).resolve().parents[1]
 SUBMODULES = ("canonical", "cli", "distributions", "hazards", "layout", "model", "stats",
               "textparse")
 
-#: The package's public names and the modules they were imported from when
-#: the package imported every layer eagerly. The lazy namespace keeps each.
+#: The package's public names and their home modules: the names the package
+#: bound when it imported every layer eagerly, with ``Participant`` in place
+#: of the per-response record and its two helpers. The lazy namespace keeps
+#: each.
 EAGER_EXPORTS = {
     "canonical": "SCHEMA emit_canonical parse_canonical",
     "hazards": """DEFAULT_ICON_CONFIG KIND_ORDER HazardIcon HazardKind IconRuleConfig ScaleBand
@@ -38,9 +40,9 @@ EAGER_EXPORTS = {
         ForecastPeriod InvalidDocument PrecipEvent PrecipKind ValueRange Violation
         WindPrediction require_valid validate validate_period with_periods""",
     "stats": """ACTIVITIES AnovaResult CodingCell CodingTable GroupSummary PairwiseResult
-        RegressionResult ResponseRecord StatsReport StudyDataError aggregate_risk build_report
-        emit_plot_spec emit_report format_report grips_regression load_study one_way_anova
-        pairwise_t_tests participant_mean_risk percentage t_ci95""",
+        Participant RegressionResult StatsReport StudyDataError build_report emit_plot_spec
+        emit_report format_report grips_regression load_study one_way_anova pairwise_t_tests
+        percentage t_ci95""",
     "textparse": "Diagnostic ParseResult Severity format_diagnostic parse_forecast",
 }
 EXPORT_HOMES = [(name, module) for module, names in EAGER_EXPORTS.items()

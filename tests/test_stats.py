@@ -6,8 +6,11 @@ on randomized inputs. The loader tests exercise the documented failure
 contract line by line.
 """
 
+import csv
+import hashlib
 import math
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,13 +19,12 @@ import pytest
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
-from summitwx.layout import LayoutCondition
+from summitwx.layout import LayoutCondition, condition_from_token
 from summitwx.stats import (
     ACTIVITIES,
     AnovaResult,
-    ResponseRecord,
+    Participant,
     StudyDataError,
-    aggregate_risk,
     build_report,
     emit_plot_spec,
     emit_report,
@@ -31,7 +33,6 @@ from summitwx.stats import (
     load_study,
     one_way_anova,
     pairwise_t_tests,
-    participant_mean_risk,
     percentage,
     t_ci95,
 )
@@ -42,20 +43,18 @@ TOL = 1e-9
 def record(
     pid: str = "p1",
     condition: LayoutCondition = LayoutCondition.BASELINE,
-    forecast: str = "f1",
-    ratings=(10.0, 20.0, 30.0, 40.0, 50.0, 60.0),
+    mean_risk: float = 210.0,
     grips: float = 3.0,
     per_day: bool = True,
     summary_only: bool = False,
-) -> ResponseRecord:
-    return ResponseRecord(
+) -> Participant:
+    return Participant(
         participant_id=pid,
         condition=condition,
-        forecast_id=forecast,
-        activity_ratings=tuple(float(r) for r in ratings),
         grips_score=grips,
         mentioned_per_day_info=per_day,
         mentioned_summary_only_info=summary_only,
+        mean_risk=mean_risk,
     )
 
 
@@ -70,46 +69,49 @@ def random_groups(seed: int, k: int, max_n: int = 30) -> list[list[float]]:
 # ---------------------------------------------------------------- aggregation
 
 
-def test_aggregate_risk_sums_all_activity_ratings():
-    rec = record(ratings=(0.0, 12.5, 100.0, 37.5, 50.0, 0.0))
-    assert aggregate_risk(rec) == pytest.approx(200.0, abs=0)
+def load_one_participant(tmp_path, *rows):
+    """Load a one-participant study whose response rows hold ``rows``."""
+    responses = [f"p1,f{k},{','.join(map(str, r))}" for k, r in enumerate(rows, start=1)]
+    return load_study(*write_study(tmp_path, participants=GOOD_PARTICIPANTS[:1],
+                                   responses=responses))
 
 
-def test_aggregate_risk_bounds():
-    assert aggregate_risk(record(ratings=(0.0,) * 6)) == 0.0
-    assert aggregate_risk(record(ratings=(100.0,) * 6)) == 600.0
+def test_aggregate_risk_sums_all_activity_ratings(tmp_path):
+    (p1,) = load_one_participant(tmp_path, (0, 12.5, 100, 37.5, 50, 0))
+    assert p1.mean_risk == 200.0
+
+
+def test_aggregate_risk_bounds(tmp_path):
+    (low,) = load_one_participant(tmp_path, (0,) * 6, (0,) * 6)
+    assert low.mean_risk == 0.0
+    (high,) = load_one_participant(tmp_path, (100,) * 6, (100,) * 6)
+    assert high.mean_risk == 600.0
+
+
+def test_participant_mean_risk_averages_over_forecasts(tmp_path):
+    rows = [(10.1, 20.2, 30.3, 40.4, 50.5, 60.6),
+            (0.7, 99.9, 33.3, 66.6, 12.3, 45.6),
+            (1.1, 2.2, 3.3, 4.4, 5.5, 6.6)]
+    (p1,) = load_one_participant(tmp_path, *rows)
+    # Bit for bit: each row's builtin sum, then their builtin sum over 3.
+    assert p1.mean_risk == sum(sum(r) for r in rows) / 3
+    assert p1.mean_risk == pytest.approx((212.1 + 258.4 + 23.1) / 3, abs=1e-9)
 
 
 @pytest.mark.parametrize(
-    "ratings, fragment",
+    "fields, message",
     [
-        ((10.0,) * 5, "expected 6 ratings, found 5"),
-        ((10.0,) * 7, "expected 6 ratings, found 7"),
-        ((-0.5, 10.0, 10.0, 10.0, 10.0, 10.0), "outside [0, 100]"),
-        ((10.0, 10.0, 100.5, 10.0, 10.0, 10.0), "outside [0, 100]"),
-        ((10.0, 10.0, 10.0, math.nan, 10.0, 10.0), "outside [0, 100]"),
+        ({"mean_risk": math.nan}, "participant 'p1': mean_risk nan outside [0, 600]"),
+        ({"mean_risk": 600.5}, "participant 'p1': mean_risk 600.5 outside [0, 600]"),
+        ({"mean_risk": -1.0}, "participant 'p1': mean_risk -1.0 outside [0, 600]"),
+        ({"grips": math.inf}, "participant 'p1': grips_score inf is not finite"),
     ],
+    ids=["nan-risk", "risk-above-600", "negative-risk", "infinite-grips"],
 )
-def test_aggregate_risk_rejects_bad_ratings(ratings, fragment):
+def test_participant_rejects_impossible_values(fields, message):
     with pytest.raises(StudyDataError) as err:
-        aggregate_risk(record(ratings=ratings))
-    assert fragment in str(err.value)
-
-
-def test_participant_mean_risk_averages_over_forecasts():
-    recs = [
-        record(forecast="f1", ratings=(10.0,) * 6),  # 60
-        record(forecast="f2", ratings=(20.0,) * 6),  # 120
-        record(forecast="f3", ratings=(60.0,) * 6),  # 360
-    ]
-    assert participant_mean_risk(recs) == pytest.approx(180.0, abs=0)
-
-
-def test_participant_mean_risk_rejects_empty_and_mixed_input():
-    with pytest.raises(StudyDataError, match="no records"):
-        participant_mean_risk([])
-    with pytest.raises(StudyDataError, match="multiple participants"):
-        participant_mean_risk([record(pid="a"), record(pid="b")])
+        record(**fields)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------- ANOVA
@@ -394,19 +396,17 @@ def write_study(tmp_path, participants=GOOD_PARTICIPANTS, responses=GOOD_RESPONS
 
 
 def test_load_study_joins_participant_metadata(tmp_path):
-    records = load_study(*write_study(tmp_path))
-    assert len(records) == 4
-    first = records[0]
-    assert first.participant_id == "p1"
-    assert first.condition is LayoutCondition.BASELINE
-    assert first.forecast_id == "f1"
-    assert first.activity_ratings == (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
-    assert first.grips_score == 3.5
-    assert first.mentioned_per_day_info is True
-    assert first.mentioned_summary_only_info is False
-    p2 = [r for r in records if r.participant_id == "p2"]
-    assert all(r.condition is LayoutCondition.ICONS for r in p2)
-    assert all(r.mentioned_summary_only_info for r in p2)
+    p1, p2 = load_study(*write_study(tmp_path))
+    assert p1 == Participant("p1", LayoutCondition.BASELINE, 3.5, True, False,
+                             mean_risk=(210.0 + 240.0) / 2)
+    assert p2 == Participant("p2", LayoutCondition.ICONS, 2.1, False, True,
+                             mean_risk=(30.0 + 540.0) / 2)
+
+
+def test_load_study_orders_participants_by_first_response(tmp_path):
+    responses = [GOOD_RESPONSES[2], GOOD_RESPONSES[0], GOOD_RESPONSES[3], GOOD_RESPONSES[1]]
+    loaded = load_study(*write_study(tmp_path, responses=responses))
+    assert [p.participant_id for p in loaded] == ["p2", "p1"]
 
 
 def test_load_study_accepts_numeric_bool_tokens(tmp_path):
@@ -514,6 +514,14 @@ def test_load_study_reads_ratings_in_the_number_grammar(tmp_path, text):
     assert str(err.value) == f"{paths[0]}:4: mountaineering is not a number: {text!r}"
 
 
+def test_load_study_skips_a_byte_order_mark(tmp_path):
+    paths = write_study(tmp_path)
+    expected = load_study(*paths)
+    for path in paths:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_study(*paths) == expected
+
+
 def test_load_study_rejects_wrong_headers(tmp_path):
     paths = write_study(tmp_path, participant_header="id,condition,grips,a,b")
     with pytest.raises(StudyDataError, match="header mismatch"):
@@ -544,33 +552,26 @@ def test_load_study_error_messages_carry_file_and_line(tmp_path):
     assert "participants.csv:3" in str(err.value)
 
 
-def test_ratings_are_checked_once_per_record(tmp_path, monkeypatch):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "simulate_study.py"
-    subprocess.run(
-        [sys.executable, str(script), "--out-dir", str(tmp_path), "--seed", "49"],
-        check=True,
-        capture_output=True,
-    )
+def test_participants_are_checked_once(paper_study, monkeypatch):
     calls = []
-    check = ResponseRecord.__post_init__
+    check = Participant.__post_init__
 
     def counting(self):
         calls.append(self.participant_id)
         check(self)
 
-    monkeypatch.setattr(ResponseRecord, "__post_init__", counting)
-    records = load_study(tmp_path / "responses.csv", tmp_path / "participants.csv")
-    build_report(records)
-    assert len(records) == 640
-    assert len(calls) == 640
+    monkeypatch.setattr(Participant, "__post_init__", counting)
+    participants = load_study(*paper_study)
+    build_report(participants)
+    assert len(participants) == 128
+    assert calls == [p.participant_id for p in participants]
 
 
 # ------------------------------------------------------------------- report
 
 
-def study_records() -> list[ResponseRecord]:
+def study_records() -> list[Participant]:
     """Two conditions, three participants each, two forecasts per person."""
-    out = []
     spec = [
         ("a1", LayoutCondition.BASELINE, 2.0, True, False, (20.0, 30.0)),
         ("a2", LayoutCondition.BASELINE, 3.0, True, True, (30.0, 40.0)),
@@ -579,20 +580,12 @@ def study_records() -> list[ResponseRecord]:
         ("b2", LayoutCondition.ICONS, 3.5, True, False, (60.0, 70.0)),
         ("b3", LayoutCondition.ICONS, 4.5, False, True, (70.0, 90.0)),
     ]
-    for pid, condition, grips, per_day, summary_only, levels in spec:
-        for forecast, level in zip(("f1", "f2"), levels):
-            out.append(
-                record(
-                    pid=pid,
-                    condition=condition,
-                    forecast=forecast,
-                    ratings=(level,) * 6,
-                    grips=grips,
-                    per_day=per_day,
-                    summary_only=summary_only,
-                )
-            )
-    return out
+    # Each forecast rates all six activities at one level.
+    return [
+        record(pid=pid, condition=condition, mean_risk=6 * sum(levels) / len(levels),
+               grips=grips, per_day=per_day, summary_only=summary_only)
+        for pid, condition, grips, per_day, summary_only, levels in spec
+    ]
 
 
 def test_build_report_aggregates_then_infers():
@@ -670,15 +663,8 @@ def test_build_report_reports_the_multiplier_it_applied():
     assert default.multiplier == 1
 
 
-def test_build_report_rejects_inconsistent_participants():
-    records = study_records()
-    records.append(record(pid="a1", condition=LayoutCondition.ICONS, forecast="f9"))
-    with pytest.raises(StudyDataError, match="condition varies across records"):
-        build_report(records)
-
-
 def test_build_report_rejects_thin_designs():
-    with pytest.raises(StudyDataError, match="no records"):
+    with pytest.raises(StudyDataError, match="at least 2 conditions, found 0"):
         build_report([])
     single_condition = [r for r in study_records() if r.condition is LayoutCondition.BASELINE]
     with pytest.raises(StudyDataError, match="at least 2 conditions"):
@@ -700,15 +686,14 @@ def test_format_report_shows_the_headline_numbers():
     assert text.endswith("\n")
 
 
-def two_group_records(baseline_levels, icons_levels) -> list[ResponseRecord]:
+def two_group_records(baseline_levels, icons_levels) -> list[Participant]:
     """Three participants per group, each rating every activity at one level."""
     return [
-        record(pid=f"{condition.value}-{k}", condition=condition, forecast=forecast,
-               ratings=(level,) * 6, grips=2.0 + k)
+        record(pid=f"{condition.value}-{k}", condition=condition, mean_risk=6 * level,
+               grips=2.0 + k)
         for condition, levels in ((LayoutCondition.BASELINE, baseline_levels),
                                   (LayoutCondition.ICONS, icons_levels))
         for k, level in enumerate(levels)
-        for forecast in ("f1", "f2")
     ]
 
 
@@ -761,33 +746,96 @@ def test_emit_plot_spec_is_tab_separated():
 # --------------------------------------------------------- simulated dataset
 
 
-def test_simulated_study_end_to_end(tmp_path):
+@pytest.fixture(scope="module")
+def paper_study(tmp_path_factory) -> tuple[Path, Path]:
+    """The seed-49 simulated study: 128 participants, 640 responses."""
+    out = tmp_path_factory.mktemp("paper-study")
     script = Path(__file__).resolve().parents[1] / "scripts" / "simulate_study.py"
     subprocess.run(
-        [sys.executable, str(script), "--out-dir", str(tmp_path), "--seed", "49"],
+        [sys.executable, str(script), "--out-dir", str(out), "--seed", "49"],
         check=True,
         capture_output=True,
     )
-    records = load_study(tmp_path / "responses.csv", tmp_path / "participants.csv")
-    assert len(records) == 128 * 5
+    return out / "responses.csv", out / "participants.csv"
 
-    report = build_report(records)
+
+def shuffled_copy(paths: tuple[Path, Path], out: Path) -> tuple[Path, Path]:
+    """The same study with its response rows in a seeded random order."""
+    responses, participants = paths
+    header, *rows = responses.read_text(encoding="utf-8").splitlines()
+    random.Random(5).shuffle(rows)
+    out.mkdir()
+    (out / "responses.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    shutil.copy(participants, out / "participants.csv")
+    return out / "responses.csv", out / "participants.csv"
+
+
+# SHA-256 of format_report, emit_report and emit_plot_spec. A change to the
+# grouping or to the order of any addition shows here as a new digest. They
+# were recorded where the builtin sum() of floats is plain left-to-right
+# addition (CPython 3.10 and 3.11); from 3.12 it is compensated, so the last
+# bits of the statistics, and the digests, can differ there.
+PINNED_DIGESTS = {
+    (False, None): (
+        "18c5581fb8689409c21a8adafdf23a8f2577d4362d4ae65b262d7a8aff260cf9",
+        "e988b425b5cfe01a5ecbd30e4ac4cf7c2d3c577f4ba7f10ac51e37a1038c09a1",
+        "3fe851fbc254f3a7ade935f5a8691638906b323f2321a35aa5ff264a54da302c",
+    ),
+    (False, 12): (
+        "30f787aafe12cc84913f5634538a3cc85f7ab9d716ce65d7e51505f61c958d2f",
+        "94314847ef9508b75fc2c7100aa8b4921b6230bce6db26f19b15de4d0dc7bfc2",
+        "3fe851fbc254f3a7ade935f5a8691638906b323f2321a35aa5ff264a54da302c",
+    ),
+    (True, None): (
+        "18c5581fb8689409c21a8adafdf23a8f2577d4362d4ae65b262d7a8aff260cf9",
+        "a8eec83e2f7921f14db6e1da4a268b346062e50dd8672cbbf7b3d4ec1cbc55bc",
+        "273851278549a69e6b28fccf95f5acbf922ee19a5962dcd7540500338a4bb6f6",
+    ),
+    (True, 12): (
+        "30f787aafe12cc84913f5634538a3cc85f7ab9d716ce65d7e51505f61c958d2f",
+        "ac59d68b1f88f18012c45149ba65d98a2c4b69145f7a687b1a50f63ff7a9fd9e",
+        "273851278549a69e6b28fccf95f5acbf922ee19a5962dcd7540500338a4bb6f6",
+    ),
+}
+
+
+@pytest.mark.skipif(sum([1.0, 1e100, 1.0, -1e100]) != 0.0,
+                    reason="digests recorded with an uncompensated float sum()")
+@pytest.mark.parametrize("shuffled, correction", list(PINNED_DIGESTS))
+def test_study_report_bytes_are_pinned(paper_study, tmp_path, shuffled, correction):
+    paths = shuffled_copy(paper_study, tmp_path / "shuffled") if shuffled else paper_study
+    report = build_report(load_study(*paths), correction_count=correction)
+    digests = tuple(hashlib.sha256(emit(report).encode("utf-8")).hexdigest()
+                    for emit in (format_report, emit_report, emit_plot_spec))
+    assert digests == PINNED_DIGESTS[shuffled, correction]
+
+
+def test_simulated_study_end_to_end(paper_study):
+    participants = load_study(*paper_study)
+    assert len(participants) == 128
+
+    report = build_report(participants)
     assert [g.n for g in report.groups] == [32, 32, 32, 32]
     assert report.anova.df_between == 3
     assert report.anova.df_within == 124
     assert len(report.pairwise) == 6
 
-    # Reconstruct the per-participant means independently and hand the
+    # Reconstruct the per-participant means from the CSVs and hand the
     # groups to scipy: the report must match the external computation.
-    by_participant: dict[str, list[ResponseRecord]] = {}
-    for rec in records:
-        by_participant.setdefault(rec.participant_id, []).append(rec)
+    responses_path, participants_path = paper_study
+    with open(participants_path, newline="", encoding="utf-8") as fh:
+        meta = {row["participant_id"]: row for row in csv.DictReader(fh)}
+    totals: dict[str, list[float]] = {}
+    with open(responses_path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            totals.setdefault(row["participant_id"], []).append(
+                sum(float(row[name]) for name in ACTIVITIES))
     groups: dict[LayoutCondition, list[float]] = {}
     pairs = []
-    for rows in by_participant.values():
-        mean_risk = participant_mean_risk(rows)
-        groups.setdefault(rows[0].condition, []).append(mean_risk)
-        pairs.append((rows[0].grips_score, mean_risk))
+    for pid, sums in totals.items():
+        mean_risk = sum(sums) / len(sums)
+        groups.setdefault(condition_from_token(meta[pid]["condition"]), []).append(mean_risk)
+        pairs.append((float(meta[pid]["grips_score"]), mean_risk))
     ordered = [groups[g.condition] for g in report.groups]
     ref = scipy_stats.f_oneway(*ordered)
     assert report.anova.f_statistic == pytest.approx(float(ref.statistic), rel=TOL)

@@ -1,4 +1,5 @@
 import sys
+import textwrap
 from datetime import datetime
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from summitwx import textparse
 from summitwx.model import Certainty, PrecipEvent, PrecipKind
 from summitwx.textparse import EPOCH, Severity, _coverage, _Scan, format_diagnostic, parse_forecast
+
+from conftest import FIXTURE_NAMES
 
 MINI_HEADER = "Issued: 2026-01-01T00:00:00\nQuiet pattern overall.\n\n"
 
@@ -174,6 +177,51 @@ def test_stated_wind_chill_extraction():
     ).document
     chill = doc.periods[0].wind_chill
     assert (chill.low, chill.high) == (-40, -25)
+
+
+# A line break inside a multi-word token reads as the space it replaces.
+@pytest.mark.parametrize(
+    "today, field, expected",
+    [
+        ("Temperatures: 10-15\nbelow. Winds: NW 10-20 mph.", "temperature", (-15, -10)),
+        ("Temperatures: 0-10F. Winds: NW 40-60 mph. Wind\nchills: 35-50 below zero.",
+         "wind_chill", (-50, -35)),
+        ("Temperatures: 0-10F.\nWinds: NW 40-60 mph. Wind chills: 35-50\nbelow\nzero.",
+         "wind_chill", (-50, -35)),
+    ],
+)
+def test_a_line_break_inside_a_phrase_keeps_its_meaning(today, field, expected):
+    value = getattr(parse_ok(mini(today)).document.periods[0], field)
+    assert (value.low, value.high) == expected
+
+
+def test_a_line_break_inside_freezing_rain_keeps_the_kind():
+    doc = parse_ok(mini("Light freezing\nrain likely. Temperatures: 20-30F. Winds: NW 10-20 mph."))
+    assert doc.document.periods[0].precip_events == (
+        PrecipEvent(PrecipKind.FREEZING_RAIN, Certainty.LIKELY),
+    )
+
+
+def rewrap(text: str, width: int) -> str:
+    """``text`` with every line but ``Issued:`` refilled to ``width`` columns."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("Issued:") or not line.strip():
+            lines.append(line)
+        else:
+            lines.extend(textwrap.wrap(line, width, break_long_words=False,
+                                       break_on_hyphens=False))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("width", range(16, 101))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_bulletin_means_the_same_at_any_wrap_width(fixture_texts, name, width):
+    source = parse_ok(fixture_texts[name]).document
+    wrapped = parse_ok(rewrap(fixture_texts[name], width)).document
+    assert wrapped.issued_at == source.issued_at
+    assert wrapped.periods == source.periods
+    assert wrapped.summary_text.split() == source.summary_text.split()
 
 
 def test_expected_period_count_error():
