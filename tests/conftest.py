@@ -106,3 +106,70 @@ def documents(draw) -> ForecastDocument:
         periods=tuple(draw(periods()) for _ in range(4)),
         source_id=draw(st.just("") | _line_text),
     )
+
+
+# Documents the raw bulletin grammar can spell (see helpers.write_bulletin).
+_HEADER_LABELS = (
+    "Today", "Tonight", "This afternoon", "Overnight", "Tomorrow", "Tomorrow night",
+    "Monday", "Tuesday night", "Wednesday", "Thursday night", "Friday", "Saturday night",
+    "Sunday",
+)
+_PLAIN_WORDS = (
+    "ridge", "front", "clouds", "summits", "clearing", "arctic", "air", "flow",
+    "rime", "undercast", "valley", "dense", "patchy", "near", "the", "ravines",
+)
+_HAZARD_WORDS = ("fog", "flooding", "visibility", "whiteout", "Fog", "flood")
+
+
+def _tenths(lo: int, hi: int):
+    return st.integers(lo * 10, hi * 10).map(lambda n: n / 10)
+
+
+@st.composite
+def _spellable_range(draw, lo: int, hi: int, unit: str) -> ValueRange:
+    low, high = sorted((draw(_tenths(lo, hi)), draw(_tenths(lo, hi))))
+    return ValueRange(low=low, high=high, unit=unit)
+
+
+@st.composite
+def _hazard_notes(draw) -> str:
+    words = draw(st.lists(st.sampled_from(_PLAIN_WORDS), min_size=1, max_size=6))
+    words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(_HAZARD_WORDS)))
+    return " ".join(words).capitalize() + "."
+
+
+@st.composite
+def spellable_periods(draw, label: str) -> ForecastPeriod:
+    sustained = draw(_spellable_range(0, 140, "mph"))
+    gust = draw(st.none() | _tenths(0, 60).map(lambda d: sustained.high + d))
+    events = draw(st.lists(
+        st.builds(PrecipEvent, kind=st.sampled_from(PrecipKind), certainty=st.sampled_from(Certainty)),
+        max_size=4, unique=True,
+    ))
+    return ForecastPeriod(
+        label=label,
+        temperature=draw(_spellable_range(-80, 90, "F")),
+        wind=WindPrediction(
+            sustained=sustained,
+            direction=draw(st.none() | st.sampled_from(sorted(COMPASS_POINTS))),
+            gust_high=gust,
+        ),
+        wind_chill=draw(st.none() | _spellable_range(-110, 50, "F")),
+        precip_events=tuple(events),
+        extra_hazard_notes=tuple(draw(st.lists(_hazard_notes(), max_size=2))),
+    )
+
+
+@st.composite
+def spellable_documents(draw) -> ForecastDocument:
+    lines = draw(st.lists(
+        st.lists(st.sampled_from(_PLAIN_WORDS), min_size=1, max_size=12).map(" ".join),
+        min_size=1, max_size=3,
+    ))
+    labels = draw(st.lists(st.sampled_from(_HEADER_LABELS), min_size=4, max_size=4))
+    return ForecastDocument(
+        issued_at=draw(st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2100, 1, 1))),
+        summary_text="\n".join(line.capitalize() + "." for line in lines),
+        periods=tuple(draw(spellable_periods(label)) for label in labels),
+        source_id=draw(st.sampled_from(("", "hsf-sample"))),
+    )

@@ -221,3 +221,63 @@ def visible_text(payload: bytes, format: str) -> str:
 def squash(text: str) -> str:
     """Whitespace-normalized form used for sentence containment."""
     return " ".join(text.split())
+
+
+# Raw-bulletin spellings, in the shapes perfbench's generator writes.
+_PRECIP_PHRASES = {
+    PrecipKind.SNOW: "snow",
+    PrecipKind.SLEET: "sleet",
+    PrecipKind.FREEZING_RAIN: "freezing rain",
+    PrecipKind.RAIN: "rain",
+    PrecipKind.MIXED: "wintry mix",
+}
+_CERTAINTY_SENTENCES = {
+    Certainty.LIKELY: "{} likely.",
+    Certainty.CHANCE: "A chance of {}.",
+    Certainty.MENTIONED: "{} at times.",
+}
+
+
+def _raw_number(x: float) -> str:
+    return str(int(x)) if x == int(x) else repr(x)
+
+
+def _raw_range(values: ValueRange, below: str) -> str:
+    low, high = values.low, values.high
+    if low == high:
+        return f"around {_raw_number(low)}F" if low >= 0 else f"around {_raw_number(-low)}{below}"
+    if low >= 0:
+        return f"{_raw_number(low)}-{_raw_number(high)}F"
+    if high < 0:
+        return f"{_raw_number(-high)}-{_raw_number(-low)}{below}"
+    return f"{_raw_number(-low)}{below} to {_raw_number(high)}F"
+
+
+def _raw_period(period: ForecastPeriod) -> str:
+    sentences = [f"Temperatures: {_raw_range(period.temperature, ' below')}."]
+    wind = period.wind
+    lead = f"{wind.direction} " if wind.direction else ""
+    low, high = wind.sustained.low, wind.sustained.high
+    speed = _raw_number(high) if low == high else f"{_raw_number(low)}-{_raw_number(high)}"
+    gust = "" if wind.gust_high is None else f" with gusts to {_raw_number(wind.gust_high)} mph"
+    sentences.append(f"Winds: {lead}{speed} mph{gust}.")
+    if period.wind_chill is not None:
+        sentences.append(f"Wind chills: {_raw_range(period.wind_chill, ' below zero')}.")
+    for event in period.precip_events:
+        sentence = _CERTAINTY_SENTENCES[event.certainty].format(_PRECIP_PHRASES[event.kind])
+        sentences.append(sentence[0].upper() + sentence[1:])
+    sentences.extend(period.extra_hazard_notes)
+    return f"{period.label}: " + " ".join(sentences)
+
+
+def write_bulletin(doc: ForecastDocument) -> str:
+    """Raw bulletin text that states ``doc``: an ``Issued:`` line, the
+    summary, then one line per period block.
+
+    The inverse of ``parse_forecast`` for documents the raw grammar can
+    spell: period labels are header words, values are written with
+    ``repr``, precipitation events are distinct, and each hazard note is
+    one sentence that holds a hazard keyword and no other grammar token.
+    """
+    text = f"Issued: {doc.issued_at.isoformat()}\n{doc.summary_text}\n\n"
+    return text + "\n".join(_raw_period(p) for p in doc.periods) + "\n"

@@ -10,7 +10,8 @@ from summitwx import textparse
 from summitwx.model import Certainty, PrecipEvent, PrecipKind
 from summitwx.textparse import EPOCH, Severity, _coverage, _Scan, format_diagnostic, parse_forecast
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, spellable_documents
+from helpers import write_bulletin
 
 MINI_HEADER = "Issued: 2026-01-01T00:00:00\nQuiet pattern overall.\n\n"
 
@@ -219,6 +220,28 @@ def rewrap(text: str, width: int) -> str:
 def test_a_bulletin_means_the_same_at_any_wrap_width(fixture_texts, name, width):
     source = parse_ok(fixture_texts[name]).document
     wrapped = parse_ok(rewrap(fixture_texts[name], width)).document
+    assert wrapped.issued_at == source.issued_at
+    assert wrapped.periods == source.periods
+    assert wrapped.summary_text.split() == source.summary_text.split()
+
+
+@settings(max_examples=100, deadline=None)
+@given(spellable_documents())
+def test_a_written_bulletin_parses_back_to_its_document(doc):
+    text = write_bulletin(doc)
+    result = parse_forecast(text, source_id=doc.source_id)
+    assert result.errors == (), [format_diagnostic(d, text) for d in result.errors]
+    assert result.document == doc
+
+
+# Metamorphic relation: refilling a bulletin to another width changes no
+# period, the issue time, or the words of the summary.
+@settings(max_examples=100, deadline=None)
+@given(spellable_documents(), st.integers(16, 100))
+def test_rewrapping_a_written_bulletin_keeps_its_meaning(doc, width):
+    text = write_bulletin(doc)
+    source = parse_ok(text).document
+    wrapped = parse_ok(rewrap(text, width)).document
     assert wrapped.issued_at == source.issued_at
     assert wrapped.periods == source.periods
     assert wrapped.summary_text.split() == source.summary_text.split()
