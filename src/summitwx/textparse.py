@@ -6,7 +6,15 @@ extracted with closed, documented keyword sets; nothing is inferred and no
 magnitude is ever invented. Unrecognized text is never guessed at: it gets
 no diagnostic of its own and shows only as a lower ``coverage``.
 
-Grammar token sets (all keyword matching case-insensitive):
+Each period block is read in one left-to-right pass over its tokens:
+sentence breaks, field labels, numbers, gust words, precipitation and
+certainty keywords, and hazard keywords.
+
+Grammar token sets. Keywords are ASCII letters in any case: the text is
+folded once, ``A-Z`` to ``a-z``, and matched case-sensitively, so a
+look-alike such as ``ſ`` (long s) or ``K`` (Kelvin sign) is not a keyword
+letter. Digits are ASCII ``0-9``, and a carriage return anywhere is an
+error at the first one.
 
 * period headers, at line start, ending with a colon: ``Today``,
   ``Tonight``, ``This afternoon``, ``Overnight``, ``Tomorrow``, weekday
@@ -17,8 +25,9 @@ Grammar token sets (all keyword matching case-insensitive):
   ``flurries``, ``sleet``, ``freezing rain``, ``rain``, ``rain showers``,
   ``wintry mix``, ``mixed precipitation``; certainty qualifiers ``likely``
   and ``chance`` bind within the same sentence
-* hazard keywords for free-text notes: ``flood``, ``fog``, ``visibility``,
-  ``whiteout``; a note wrapped across lines is joined with single spaces
+* hazard keywords for free-text notes: words starting ``flood`` or
+  ``fog``, ``visibility``, ``whiteout``; a note wrapped across lines is
+  joined with single spaces
 * numbers: optional sign, optional decimals; a hyphen between two numbers
   (optional whitespace) binds as a range separator, not a sign; a trailing
   ``below [zero]`` negates; temperatures default to F and winds to mph
@@ -27,7 +36,6 @@ Grammar token sets (all keyword matching case-insensitive):
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
@@ -90,43 +98,57 @@ def format_diagnostic(diag: Diagnostic, text: str) -> str:
 
 
 _WEEKDAYS = "monday|tuesday|wednesday|thursday|friday|saturday|sunday"
+# Every pattern below is matched against the folded text (see _fold), so its
+# keywords are spelled in lower case and match ASCII letters in any case.
 _HEADER_RE = re.compile(
     rf"^[ \t]*(today|tonight|this afternoon|overnight|tomorrow(?: night)?"
     rf"|(?:{_WEEKDAYS})(?: night)?)[ \t]*:",
-    re.IGNORECASE | re.MULTILINE,
+    re.MULTILINE,
 )
-_LABEL_RE = re.compile(r"\b(wind\s+chills?|winds?|temperatures?)\s*:", re.IGNORECASE)
-_ISSUED_RE = re.compile(r"^[ \t]*issued[ \t]*:[ \t]*(.+?)[ \t]*$", re.IGNORECASE | re.MULTILINE)
-_RAW_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
-_BELOW_RE = re.compile(r"\s*(?:degrees\s+)?below(?:\s+zero)?\b", re.IGNORECASE)
-_RANGE_GAP_RE = re.compile(r"^\s*(?:-|to|or|through)?\s*$", re.IGNORECASE)
-_GUST_RE = re.compile(r"\bgust(?:s|ing)?\b", re.IGNORECASE)
+_ISSUED_RE = re.compile(r"^[ \t]*issued[ \t]*:[ \t]*(.+?)[ \t]*$", re.MULTILINE)
+_BELOW_RE = re.compile(r"\s*(?:degrees\s+)?below(?:\s+zero)?\b")
+_RANGE_GAP_RE = re.compile(r"\s*(?:(?:-|to|or|through)\s*)?")
 _COMPASS_RE = re.compile(  # the 16 points, longest first
-    rf"\b({'|'.join(sorted(COMPASS_POINTS, key=len, reverse=True))})\b(?!/)", re.IGNORECASE
+    rf"\b({'|'.join(sorted(map(str.lower, COMPASS_POINTS), key=len, reverse=True))})\b(?!/)"
 )
-_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
-
-_PRECIP_RE = re.compile(
-    r"\b(freezing\s+rain|wintry\s+mix|mixed\s+precipitation|snow\s+showers|rain\s+showers"
-    r"|snowfall|flurries|snow|sleet|rain)\b",
-    re.IGNORECASE,
+# The tokens of a period block. No two can overlap, so one left-to-right
+# pass finds every token the grammar knows. A sentence stops at whitespace
+# after ``.``, ``!`` or ``?``, and at the end of the block. Each pattern is followed by an
+# empty group named for its token, so that an alternative still begins with
+# its first character and is rejected on it. A precipitation token is named
+# for its PrecipKind, each phrase before any phrase it starts with. A hazard
+# keyword is matched as a word prefix, so digits glued to it still read as a
+# number.
+_WORD_TOKENS = (
+    ("temp", r"temperatures?\s*:"),
+    ("chill", r"wind\s+chills?\s*:"),
+    ("wind", r"winds?\s*:"),
+    ("gust", r"gust(?:s|ing)?\b"),
+    ("likely", r"likely\b"),
+    ("chance", r"chance\b"),
+    ("hazard", r"(?:flood|fog|visibility\b|whiteout\b)"),
+    ("FREEZING_RAIN", r"freezing\s+rain\b"),
+    ("MIXED", r"(?:wintry\s+mix|mixed\s+precipitation)\b"),
+    ("SNOW", r"(?:snow\s+showers|snowfall|flurries|snow)\b"),
+    ("SLEET", r"sleet\b"),
+    ("RAIN", r"(?:rain\s+showers|rain)\b"),
 )
-_PRECIP_KINDS = {
-    "freezing rain": PrecipKind.FREEZING_RAIN,
-    "wintry mix": PrecipKind.MIXED,
-    "mixed precipitation": PrecipKind.MIXED,
-    "snow showers": PrecipKind.SNOW,
-    "snowfall": PrecipKind.SNOW,
-    "flurries": PrecipKind.SNOW,
-    "snow": PrecipKind.SNOW,
-    "sleet": PrecipKind.SLEET,
-    "rain showers": PrecipKind.RAIN,
-    "rain": PrecipKind.RAIN,
-}
-_LIKELY_RE = re.compile(r"\blikely\b", re.IGNORECASE)
-_CHANCE_RE = re.compile(r"\bchance\b", re.IGNORECASE)
-_HAZARD_NOTE_RE = re.compile(r"\b(flood\w*|fog\w*|visibility|whiteout)\b", re.IGNORECASE)
+_TOKEN_RE = re.compile(
+    r"-?[0-9]+(?:\.[0-9]+)?(?P<number>)|(?:(?<=[.!?])\s+|\Z)(?P<stop>)|\b(?:"
+    + "|".join(f"{pattern}(?P<{name}>)" for name, pattern in _WORD_TOKENS) + ")"
+)
+_LABELS = frozenset(("temp", "chill", "wind"))
+_FOLD = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b"abcdefghijklmnopqrstuvwxyz")
 _SPACE_RUN_RE = re.compile(r"\s+")
+
+
+def _fold(text: str) -> str:
+    """``text`` with ASCII ``A-Z`` mapped to ``a-z`` and every other
+    character kept, so the fold has the same length and every span indexes
+    both strings. UTF-8 keeps ASCII bytes for ASCII characters only, and
+    ``str.translate`` would take a per-character path on non-ASCII text."""
+    raw = text.encode("utf-8", "surrogatepass").translate(_FOLD)
+    return raw.decode("utf-8", "surrogatepass")
 
 
 @dataclass
@@ -143,25 +165,23 @@ class _Scan:
             self.recognized.append((start, end))
 
 
-def _numbers(scan: _Scan, start: int, end: int) -> list[tuple[float, tuple[int, int]]]:
-    """Numbers in ``text[start:end]`` with range-hyphen and below-zero rules."""
-    text = scan.text
+def _numbers(folded: str, numbers: list[re.Match], start: int, end: int) -> list[float]:
+    """Values of the number tokens ``numbers``, all inside
+    ``folded[start:end]``, with the range-hyphen and below-zero rules."""
     values: list[float] = []
-    spans: list[tuple[int, int]] = []
     negate: list[bool] = []
-    for m in _RAW_NUMBER_RE.finditer(text, start, end):
-        token = m.group(0)
+    for m in numbers:
+        token = m[0]
         value = float(token)
         if token.startswith("-"):
             # Hyphen between two complete numbers separates a range.
             k = m.start() - 1
-            while k >= start and text[k].isspace():
+            while k >= start and folded[k].isspace():
                 k -= 1
-            if k >= start and text[k].isdigit():
+            if k >= start and folded[k].isdigit():
                 value = float(token[1:])
         values.append(value)
-        spans.append((m.start(), m.end()))
-        negate.append(bool(_BELOW_RE.match(text, m.end(), end)))
+        negate.append(bool(_BELOW_RE.match(folded, m.end(), end)))
     # "35-50 below zero" puts the whole range below zero, so a trailing
     # negation spreads left across pure range separators.
     for i in range(len(values)):
@@ -169,130 +189,113 @@ def _numbers(scan: _Scan, start: int, end: int) -> list[tuple[float, tuple[int, 
             continue
         values[i] = -abs(values[i])
         j = i - 1
-        while j >= 0 and not negate[j] and _RANGE_GAP_RE.match(text[spans[j][1]:spans[j + 1][0]]):
+        while (j >= 0 and not negate[j]
+               and _RANGE_GAP_RE.fullmatch(folded, numbers[j].end(), numbers[j + 1].start())):
             values[j] = -abs(values[j])
             j -= 1
-    return list(zip(values, spans))
+    return values
 
 
 def _envelope(values: list[float], unit: str) -> ValueRange:
     return ValueRange(low=min(values), high=max(values), unit=unit)
 
 
-def _sentences(text: str, offset: int) -> list[tuple[int, int]]:
-    spans = []
-    pos = 0
-    for m in _SENTENCE_SPLIT_RE.finditer(text):
-        spans.append((offset + pos, offset + m.start()))
-        pos = m.end()
-    if pos < len(text):
-        spans.append((offset + pos, offset + len(text)))
-    return [(a, b) for a, b in spans if text[a - offset:b - offset].strip()]
-
-
 def _unwrap(note: str) -> str:
     """``note`` with each whitespace run that breaks a line folded to one
     space, so a sentence wrapped at a fixed width reads as one line."""
-    if "\n" not in note and "\r" not in note:
+    if "\n" not in note:
         return note
-    return _SPACE_RUN_RE.sub(lambda m: " " if "\n" in m[0] or "\r" in m[0] else m[0], note)
+    return _SPACE_RUN_RE.sub(lambda m: " " if "\n" in m[0] else m[0], note)
 
 
-def _parse_period(scan: _Scan, header: re.Match, block: tuple[int, int], index: int):
+def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, int], index: int):
     text = scan.text
     start, end = block
-    label = header.group(1)
+    label = text[header.start(1):header.end(1)]
 
-    segments: list[tuple[str, int, int]] = []  # (field kind, seg start, seg end)
-    block_sentences = _sentences(text[start:end], start)
-    sentence_starts = [a for a, _ in block_sentences]
-    labels = list(_LABEL_RE.finditer(text, start, end))
-    for i, lm in enumerate(labels):
-        seg_start = lm.end()
-        # A labeled statement never outlives its own sentence; anything after
-        # the sentence is narrative, not part of the value. Sentences are
-        # sorted and disjoint, so only the last one starting at or before the
-        # label can contain it.
-        j = bisect_right(sentence_starts, lm.start()) - 1
-        sentence_end = end
-        if j >= 0 and lm.start() < block_sentences[j][1]:
-            sentence_end = block_sentences[j][1]
-        seg_end = min(
-            labels[i + 1].start() if i + 1 < len(labels) else end,
-            sentence_end,
-        )
-        word = " ".join(lm.group(1).lower().split())
-        kind = "chill" if word.startswith("wind chill") else "wind" if word.startswith("wind") else "temp"
-        segments.append((kind, seg_start, seg_end))
-        scan.mark(lm.start(), seg_end)
-    # Labeled intervals are sorted and disjoint: each ends at or before the
-    # next label's start.
-    label_starts = [lm.start() for lm in labels]
-    label_ends = [seg_end for _, _, seg_end in segments]
+    # One pass over the block's tokens. A labelled statement runs from its
+    # label to the next label or the end of its sentence, whichever comes
+    # first; anything after the sentence is narrative, not part of the
+    # value. Precipitation counts anywhere in a sentence, with the certainty
+    # the sentence states; hazard notes and coverage come from the
+    # sentence's narrative part, the text before its first label.
+    statements: list[tuple[re.Match, int, list[re.Match], re.Match | None, int]] = []
+    statement: re.Match | None = None  # the open statement's label token
+    numbers: list[re.Match] = []
+    gust: re.Match | None = None  # its first gust word, and how many numbers precede it
+    gust_at = 0
+    precip_events: list[tuple[PrecipKind, Certainty]] = []
+    notes: list[str] = []
+    s_start, narrative_end, kinds = start, None, []
+    likely = chance = hazard = False
+    for m in _TOKEN_RE.finditer(folded, start, end):
+        token = m.lastgroup
+        if token == "number":
+            if statement is not None:
+                numbers.append(m)
+        elif token == "stop" or token in _LABELS:
+            if statement is not None:
+                statements.append((statement, m.start(), numbers, gust, gust_at))
+                statement = None
+            if token != "stop":
+                statement, numbers, gust = m, [], None
+                if narrative_end is None:
+                    narrative_end = m.start()
+                continue
+            if kinds or hazard:
+                certainty = (Certainty.LIKELY if likely else Certainty.CHANCE if chance
+                             else Certainty.MENTIONED)
+                for kind in kinds:
+                    if (kind, certainty) not in precip_events:
+                        precip_events.append((kind, certainty))
+                note_end = m.start() if narrative_end is None else narrative_end
+                if hazard:
+                    notes.append(_unwrap(text[s_start:note_end].strip()))
+                scan.mark(s_start, note_end)
+            s_start, narrative_end, kinds = m.end(), None, []
+            likely = chance = hazard = False
+        elif token == "gust":
+            if gust is None and statement is not None and statement.lastgroup == "wind":
+                gust, gust_at = m, len(numbers)
+        elif token == "likely":
+            likely = True
+        elif token == "chance":
+            chance = True
+        elif token == "hazard":
+            hazard = hazard or narrative_end is None
+        elif PrecipKind[token] not in kinds:
+            kinds.append(PrecipKind[token])
 
     temp_values: list[float] = []
     chill_values: list[float] = []
     sustained_values: list[float] = []
     gust_values: list[float] = []
     direction: str | None = None
-
-    for kind, seg_start, seg_end in segments:
-        if kind == "temp":
-            temp_values.extend(v for v, _ in _numbers(scan, seg_start, seg_end))
-        elif kind == "chill":
-            chill_values.extend(v for v, _ in _numbers(scan, seg_start, seg_end))
+    for lm, seg_end, numbers, gust, gust_at in statements:
+        scan.mark(lm.start(), seg_end)
+        if lm.lastgroup == "temp":
+            temp_values.extend(_numbers(folded, numbers, lm.end(), seg_end))
+        elif lm.lastgroup == "chill":
+            chill_values.extend(_numbers(folded, numbers, lm.end(), seg_end))
         else:
-            gust_match = _GUST_RE.search(text, seg_start, seg_end)
-            split = gust_match.start() if gust_match else seg_end
-            pre_numbers = _numbers(scan, seg_start, split)
-            sustained_values.extend(v for v, _ in pre_numbers)
+            # Numbers before the first gust word are sustained speeds, after it gusts.
+            split = gust.start() if gust else seg_end
+            pre = numbers[:gust_at] if gust else numbers
+            sustained_values.extend(_numbers(folded, pre, lm.end(), split))
             if direction is None:
-                zone_end = pre_numbers[0][1][0] if pre_numbers else split
-                dm = _COMPASS_RE.search(text, seg_start, zone_end)
+                dm = _COMPASS_RE.search(folded, lm.end(), pre[0].start() if pre else split)
                 if dm:
-                    direction = dm.group(1).upper()
-            if gust_match:
-                post = [v for v, _ in _numbers(scan, gust_match.end(), seg_end)]
+                    direction = dm[1].upper()
+            if gust:
+                post = _numbers(folded, numbers[gust_at:], gust.end(), seg_end)
                 if post:
                     gust_values.extend(post)
                 else:
                     scan.diag(
-                        Severity.WARNING,
-                        (gust_match.start(), gust_match.end()),
+                        Severity.WARNING, gust.span(),
                         f"period {index + 1} ({label!r}): gusts mentioned without a "
                         "numeric value; gust magnitude left unset",
                     )
-
-    # Block-wide sentence scan: precipitation everywhere, hazard notes and
-    # coverage accounting over the narrative (unlabeled) sentences only.
-    precip_events: list[tuple[PrecipKind, Certainty]] = []
-    notes: list[str] = []
-    for s_start, s_end in block_sentences:
-        sentence = text[s_start:s_end]
-        kinds = []
-        for pm in _PRECIP_RE.finditer(sentence):
-            kind = _PRECIP_KINDS[" ".join(pm.group(1).lower().split())]
-            if kind not in kinds:
-                kinds.append(kind)
-        certainty = (
-            Certainty.LIKELY if _LIKELY_RE.search(sentence)
-            else Certainty.CHANCE if _CHANCE_RE.search(sentence)
-            else Certainty.MENTIONED
-        )
-        for kind in kinds:
-            if (kind, certainty) not in precip_events:
-                precip_events.append((kind, certainty))
-
-        k = bisect_right(label_starts, s_start)
-        if k > 0 and s_start < label_ends[k - 1]:
-            continue
-        note_end = min(s_end, label_starts[k]) if k < len(label_starts) else s_end
-        note_text = text[s_start:note_end].strip()
-        if _HAZARD_NOTE_RE.search(note_text):
-            notes.append(_unwrap(note_text))
-            scan.mark(s_start, note_end)
-        elif kinds:
-            scan.mark(s_start, note_end)
 
     temperature = _envelope(temp_values, "F") if temp_values else None
     if temperature is None:
@@ -356,9 +359,14 @@ def parse_forecast(text: str, source_id: str = "") -> ParseResult:
     """Parse raw forecast text. Pure: same input, same result."""
     if not text:
         return ParseResult(None, (Diagnostic(Severity.ERROR, (0, 0), "empty input"),), 0.0)
+    cr = text.find("\r")
+    if cr >= 0:
+        message = "carriage return in input; expected bare newlines"
+        return ParseResult(None, (Diagnostic(Severity.ERROR, (cr, cr + 1), message),), 0.0)
     scan = _Scan(text=text)
+    folded = _fold(text)
 
-    headers = list(_HEADER_RE.finditer(text))
+    headers = list(_HEADER_RE.finditer(folded))
     if len(headers) != 4:
         scan.diag(
             Severity.ERROR, (0, min(len(text), 1)),
@@ -368,16 +376,16 @@ def parse_forecast(text: str, source_id: str = "") -> ParseResult:
 
     preamble_end = headers[0].start()
     issued_at = EPOCH
-    issued_match = _ISSUED_RE.search(text, 0, preamble_end)
+    issued_match = _ISSUED_RE.search(folded, 0, preamble_end)
     summary_text = text[:preamble_end]
     if issued_match:
+        stamp = text[issued_match.start(1):issued_match.end(1)]
         try:
-            issued_at = datetime.fromisoformat(issued_match.group(1))
+            issued_at = datetime.fromisoformat(stamp)
         except ValueError:
             scan.diag(
                 Severity.WARNING, issued_match.span(1),
-                f"unreadable issue timestamp {issued_match.group(1)!r}; "
-                "defaulting to the epoch",
+                f"unreadable issue timestamp {stamp!r}; defaulting to the epoch",
             )
         summary_text = (
             text[:issued_match.start()] + text[issued_match.end():preamble_end]
@@ -400,7 +408,7 @@ def parse_forecast(text: str, source_id: str = "") -> ParseResult:
         block_start = header.end()
         block_end = headers[i + 1].start() if i + 1 < len(headers) else len(text)
         scan.mark(header.start(), header.end())
-        period = _parse_period(scan, header, (block_start, block_end), i)
+        period = _parse_period(scan, folded, header, (block_start, block_end), i)
         if period is not None:
             periods.append(period)
 

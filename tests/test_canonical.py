@@ -247,7 +247,7 @@ _NUMBER = st.one_of(
 _HEADER = st.sampled_from([
     "Today:", "Tonight:", "This afternoon:", "Overnight:", "Tomorrow:",
     "Tomorrow night:", "Monday:", "Friday night:", "Issued: 2026-01-10T04:30:00",
-    "Issued: soon",
+    "Issued: soon", "\u017funday:",
 ])
 _STATEMENT = st.one_of(
     st.builds(
@@ -263,6 +263,9 @@ _STATEMENT = st.one_of(
         "Snow likely.", "Chance of freezing rain.", "Sleet.", "Rain showers.",
         "Wintry mix.", "Flurries.", "Fog and low visibility.", "Flooding possible.",
         "Whiteout conditions.",
+        # Letters that match ASCII ones only under Unicode case folding:
+        # U+017F long s, U+212A Kelvin sign, U+0131 dotless i.
+        "Chance of \u017fnow.", "\u017fleet likely.", "Snow li\u212aely.", "W\u0131nds: NW 10 mph.",
     ]),
 )
 _CANONICAL_LINE = st.one_of(

@@ -149,6 +149,23 @@ def test_parse_reads_raw_numbers_in_ascii_digits_only(tmp_path, capsys):
     assert "error:5:1 period 1 ('Today'): no temperature found" in err
 
 
+@pytest.mark.parametrize("word", ["\u017fnow", "\u017fleet"])
+def test_parse_reads_a_look_alike_precipitation_word_as_narrative(tmp_path, capsys, word):
+    # Under Unicode case folding U+017F matches "s", but it is not an ASCII letter.
+    text = (FIXTURE_DIR / "calm-day.txt").read_text(encoding="utf-8")
+    path = tmp_path / "long-s.txt"
+    path.write_text(text.replace("Today: Mostly sunny.", f"Today: Chance of {word}."), encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(path))
+    assert (code, err) == (0, "")
+    assert run(capsys, "parse", CALM)[1].replace("calm-day", "long-s") == out
+
+
+def test_parse_reads_crlf_files_as_bare_newlines(tmp_path, capsys):
+    crlf = tmp_path / "calm-day.txt"
+    crlf.write_bytes((FIXTURE_DIR / "calm-day.txt").read_bytes().replace(b"\n", b"\r\n"))
+    assert run(capsys, "parse", str(crlf)) == run(capsys, "parse", CALM)
+
+
 def test_missing_input_file_exit_1(capsys):
     code, out, err = run(capsys, "parse", "/nonexistent/forecast.txt")
     assert code == 1

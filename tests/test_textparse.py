@@ -1,5 +1,6 @@
 import sys
 import textwrap
+import time
 from datetime import datetime
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from summitwx import textparse
 from summitwx.model import Certainty, PrecipEvent, PrecipKind
-from summitwx.textparse import EPOCH, Severity, _coverage, _Scan, format_diagnostic, parse_forecast
+from summitwx.textparse import (
+    EPOCH, Severity, _coverage, _fold, _Scan, format_diagnostic, parse_forecast,
+)
 
 from conftest import FIXTURE_NAMES, spellable_documents
 from helpers import write_bulletin
@@ -245,6 +248,88 @@ def test_rewrapping_a_written_bulletin_keeps_its_meaning(doc, width):
     assert wrapped.issued_at == source.issued_at
     assert wrapped.periods == source.periods
     assert wrapped.summary_text.split() == source.summary_text.split()
+
+
+def test_keywords_are_ascii_letters_in_any_case():
+    doc = parse_ok(mini("SNOW LIKELY. tEmPeRaTuReS: 20-30F. WINDS: nw 10-20 mph, GUSTS to 40 mph.")).document
+    today = doc.periods[0]
+    assert today.precip_events == (PrecipEvent(PrecipKind.SNOW, Certainty.LIKELY),)
+    assert (today.temperature.low, today.temperature.high) == (20, 30)
+    assert (today.wind.direction, today.wind.gust_high) == ("NW", 40)
+
+
+# A letter that only looks like an ASCII one under Unicode case folding
+# (U+017F long s, U+212A Kelvin sign, U+0131 dotless i) is not a keyword
+# letter: the phrase is narrative, as any other unknown word is.
+@pytest.mark.parametrize("sentence", ["Chance of \u017fnow.", "Chance of \u017fleet."])
+def test_a_look_alike_precipitation_word_is_narrative(sentence):
+    result = parse_ok(mini(f"{sentence} Temperatures: 20-30F. Winds: NW 10-20 mph."))
+    assert result.document.periods[0].precip_events == ()
+    assert result.diagnostics == parse_forecast(mini("Temperatures: 20-30F. Winds: NW 10-20 mph.")).diagnostics
+
+
+@pytest.mark.parametrize(
+    "today, field, expected",
+    [
+        ("Snow li\u212aely. Temperatures: 20-30F. Winds: NW 10-20 mph.", "precip_events",
+         (PrecipEvent(PrecipKind.SNOW, Certainty.MENTIONED),)),
+        ("Temperatures: 20-30F. Winds: NW 10-20 mph, gu\u017fts to 90 mph.", "wind", (10, 90, None)),
+        ("Temperatures: 0-10F. Winds: NW 10-20 mph. Wind chill\u017f: 40 below.", "wind_chill", None),
+        # Read as a temperature label once, since it does not start "wind".
+        ("Temperatures: 20-30F. W\u0131nds: 50-60 mph. Winds: NW 10-20 mph.", "temperature", (20, 30)),
+    ],
+)
+def test_a_look_alike_letter_is_not_a_keyword_letter(today, field, expected):
+    value = getattr(parse_ok(mini(today)).document.periods[0], field)
+    if field == "wind":
+        value = (value.sustained.low, value.sustained.high, value.gust_high)
+    elif field == "temperature":
+        value = (value.low, value.high)
+    assert value == expected
+
+
+@pytest.mark.parametrize("today, missing", [
+    ("Temperature\u017f: 20-30F. Winds: NW 10-20 mph.", "no temperature found"),
+    ("Temperatures: 20-30F. W\u0131nds: NW 10-20 mph.", "no wind prediction found"),
+])
+def test_a_look_alike_label_is_not_a_label(today, missing):
+    result = parse_forecast(mini(today))
+    assert result.document is None
+    assert [d.message for d in result.errors] == [f"period 1 ('Today'): {missing}"]
+
+
+def test_a_look_alike_header_is_not_a_header():
+    text = mini("Temperatures: 20-30F. Winds: NW 10-20 mph.").replace("Tonight:", "\u017funday:")
+    assert [d.message for d in parse_forecast(text).errors] == ["expected 4 periods, found 3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from("\ud83d\ude00\ud800AZ\u017f\u212a"))))
+def test_the_fold_maps_ascii_capitals_only_and_keeps_every_index(text):
+    assert _fold(text) == "".join(c.lower() if "A" <= c <= "Z" else c for c in text)
+
+
+def test_a_carriage_return_is_an_error_at_its_line_and_column():
+    text = mini("Temperatures: 20-30F. Winds: NW 10-20 mph.")
+    crlf = text.replace("\n", "\r\n")
+    lone = text.replace("Winds:", "Winds:\r", 1)
+    for bad, where in ((crlf, "1:28"), (lone, "4:36")):
+        result = parse_forecast(bad)
+        assert result.document is None
+        assert [format_diagnostic(d, bad) for d in result.diagnostics] == [
+            f"error:{where} carriage return in input; expected bare newlines"
+        ]
+
+
+def test_a_long_whitespace_run_between_numbers_reads_in_linear_time():
+    # A range gap may be any whitespace run; one that is not a pure gap must
+    # be rejected without trying every split of the run.
+    short = parse_ok(mini("Temperatures: 10 x 20 below. Winds: NW 10-20 mph.")).document
+    started = time.perf_counter()
+    long = parse_ok(mini(f"Temperatures: 10{' ' * 20_000}x 20 below. Winds: NW 10-20 mph.")).document
+    assert time.perf_counter() - started < 0.5
+    assert long.periods[0] == short.periods[0]
+    assert (short.periods[0].temperature.low, short.periods[0].temperature.high) == (-20, 10)
 
 
 def test_expected_period_count_error():
