@@ -113,12 +113,12 @@ _COMPASS_RE = re.compile(  # the 16 points, longest first
 )
 # The tokens of a period block. No two can overlap, so one left-to-right
 # pass finds every token the grammar knows. A sentence stops at whitespace
-# after ``.``, ``!`` or ``?``, and at the end of the block. Each pattern is followed by an
-# empty group named for its token, so that an alternative still begins with
-# its first character and is rejected on it. A precipitation token is named
-# for its PrecipKind, each phrase before any phrase it starts with. A hazard
-# keyword is matched as a word prefix, so digits glued to it still read as a
-# number.
+# after ``.``, ``!`` or ``?`` and at the end of the block. Each pattern is
+# followed by an empty group named for its token, so that an alternative
+# still begins with its first character and is rejected on it. A
+# precipitation token is named for its PrecipKind, each phrase before any
+# phrase it starts with. A hazard keyword is matched as a word prefix, so
+# digits glued to it still read as a number.
 _WORD_TOKENS = (
     ("temp", r"temperatures?\s*:"),
     ("chill", r"wind\s+chills?\s*:"),
