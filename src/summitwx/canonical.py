@@ -102,6 +102,7 @@ def parse_canonical(text: str) -> ParseResult:
     """Parse canonical text. Document present iff no error diagnostics."""
     diags: list[Diagnostic] = []
     top: dict[str, str] = {}
+    top_spans: dict[str, tuple[int, int]] = {}
     summary_lines: list[str] = []
     drafts: list[_PeriodDraft] = []
     meaningful = 0
@@ -177,6 +178,7 @@ def parse_canonical(text: str) -> ParseResult:
                     err(span, f"duplicate key {key!r}")
                     continue
                 top[key] = value
+                top_spans[key] = span
             elif key == "summary":
                 if value == "|":
                     summary_lines.append("")
@@ -266,7 +268,7 @@ def parse_canonical(text: str) -> ParseResult:
     )
     violations = validate(doc)
     for v in violations:
-        err(whole, f"{v.field_name}: {v.rule}")
+        err(top_spans.get(v.field_name, whole), f"{v.field_name}: {v.rule}")
     if violations:
         return ParseResult(None, tuple(diags), coverage)
     return ParseResult(doc, tuple(diags), coverage)

@@ -63,6 +63,11 @@ class _IconRow(NamedTuple):
     icons: tuple[tuple[str, HazardIcon], ...]  # (element id, icon) pairs
 
 
+#: A layout: groups of elements (``_TextElement`` and ``_IconRow``), each
+#: group a paragraph or block. Tuples, since one layout serves several renders.
+_Groups = tuple[tuple[object, ...], ...]
+
+
 def _icon_row(element_id: str, source: str, heading: str, icons) -> _IconRow:
     """An icon row whose k-th icon (from 1) has the id ``<row>-icon-<k>``."""
     return _IconRow(element_id, source, heading,
@@ -189,7 +194,7 @@ def render_icon(icon: HazardIcon, format: str = "plain") -> str:
     return write(icon)
 
 
-def _period_elements(index: int, period: ForecastPeriod) -> list[_TextElement]:
+def _period_elements(index: int, period: ForecastPeriod) -> tuple[_TextElement, ...]:
     t, wind, chill = period.temperature, period.wind, period.wind_chill
     direction = f"{wind.direction} " if wind.direction else ""
     wind_line = (f"  Winds: {direction}{_fmt_num(wind.sustained.low)} to "
@@ -211,41 +216,74 @@ def _period_elements(index: int, period: ForecastPeriod) -> list[_TextElement]:
     for k, note in enumerate(period.extra_hazard_notes):
         rows.append((f"note-{k + 1}", f"extra_hazard_notes[{k}]", f"  Note: {note}"))
     n = index + 1
-    return [_TextElement(f"period-{n}-{suffix}", f"periods[{index}].{field}", (line,))
-            for suffix, field, line in rows]
+    # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``: a
+    # tenth of the time it takes to build a period's elements.
+    return tuple([tuple.__new__(_TextElement,
+                                (f"period-{n}-{suffix}", f"periods[{index}].{field}", (line,)))
+                  for suffix, field, line in rows])
+
+
+def _text_groups(doc: ForecastDocument) -> tuple[tuple, tuple, _Groups]:
+    """The masthead, the summary and the period blocks: the text that every
+    condition shows, arranged differently."""
+    masthead = (
+        _TextElement("title", "constant", ("HIGHER SUMMITS FORECAST",)),
+        _TextElement("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",)),
+    )
+    if doc.source_id:
+        masthead += (_TextElement("source", "source_id", (f"Source: {doc.source_id}",)),)
+    summary = (_TextElement("summary", "summary_text", tuple(doc.summary_text.split("\n"))),)
+    return masthead, summary, tuple(_period_elements(i, p) for i, p in enumerate(doc.periods))
 
 
 def _build_groups(doc: ForecastDocument, condition: LayoutCondition, tables,
-                  config: IconRuleConfig) -> list[list[object]]:
-    masthead: list[object] = [
-        _TextElement("title", "constant", ("HIGHER SUMMITS FORECAST",)),
-        _TextElement("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",)),
-    ]
-    if doc.source_id:
-        masthead.append(_TextElement("source", "source_id", (f"Source: {doc.source_id}",)))
-
-    summary_group: list[object] = [
-        _TextElement("summary", "summary_text", tuple(doc.summary_text.split("\n")))
-    ]
-
-    period_groups: list[list[object]] = []
-    for i, period in enumerate(doc.periods):
-        elements = _period_elements(i, period)
-        if condition is LayoutCondition.PER_DAY_ICONS:
-            elements.insert(1, _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]",
-                                         "HAZARDS:", derive_icons(period, tables, config)))
-        period_groups.append(elements)
-
-    groups = [masthead]
+                  config: IconRuleConfig, text: tuple[tuple, tuple, _Groups]) -> _Groups:
+    masthead, summary, periods = text
+    if condition is LayoutCondition.PER_DAY_ICONS:
+        periods = tuple(
+            (elements[0],
+             _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]", "HAZARDS:",
+                       derive_icons(period, tables, config)),
+             *elements[1:])
+            for i, (elements, period) in enumerate(zip(periods, doc.periods))
+        )
     if condition is LayoutCondition.ICONS:
-        groups.append([_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
-                                 derive_document_icons(doc, "overall", tables, config)[0])])
-    if condition in (LayoutCondition.BASELINE, LayoutCondition.ICONS):
-        return groups + [summary_group] + period_groups
-    return groups + period_groups + [summary_group]
+        overall = (_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
+                             derive_document_icons(doc, "overall", tables, config)[0]),)
+        return (masthead, overall, summary, *periods)
+    if condition is LayoutCondition.BASELINE:
+        return (masthead, summary, *periods)
+    return (masthead, *periods, summary)
 
 
-def _manifest(groups: list[list[object]]) -> tuple[tuple[str, str], ...]:
+#: The layout of the document object rendered last: ``(doc, tables, config,
+#: pieces)``. ``pieces`` fills as conditions ask for it: ``"text"`` holds
+#: what :func:`_text_groups` returns, shared by the four conditions, and each
+#: condition its ``(groups, manifest)``, shared by the three formats. A hit
+#: needs the very same objects, not equal ones: equal documents may print
+#: differently (``issued_at`` 12:00+00:00 equals 07:00-05:00). One slot, so
+#: at most one document is held; a miss replaces it in one assignment.
+_last: tuple = (None, None, None, {})
+
+
+def _layout(doc: ForecastDocument, condition: LayoutCondition, tables,
+            config: IconRuleConfig) -> tuple[_Groups, tuple[tuple[str, str], ...]]:
+    global _last
+    last_doc, last_tables, last_config, pieces = _last
+    if last_doc is not doc or last_tables is not tables or last_config is not config:
+        pieces = {}
+        _last = (doc, tables, config, pieces)
+    laid_out = pieces.get(condition)
+    if laid_out is None:
+        text = pieces.get("text")
+        if text is None:
+            text = pieces["text"] = _text_groups(doc)
+        groups = _build_groups(doc, condition, tables, config, text)
+        laid_out = pieces[condition] = (groups, _manifest(groups))
+    return laid_out
+
+
+def _manifest(groups: _Groups) -> tuple[tuple[str, str], ...]:
     entries: list[tuple[str, str]] = []
     for group in groups:
         for el in group:
@@ -255,7 +293,7 @@ def _manifest(groups: list[list[object]]) -> tuple[tuple[str, str], ...]:
     return tuple(entries)
 
 
-def _render_plain(groups: list[list[object]]) -> str:
+def _render_plain(groups: _Groups) -> str:
     blocks = []
     for group in groups:
         lines: list[str] = []
@@ -285,7 +323,7 @@ _ICON_PITCH = 48
 _GROUP_GAP = 12
 
 
-def _render_svg(groups: list[list[object]]) -> str:
+def _render_svg(groups: _Groups) -> str:
     parts = ["", f"<style>{_SVG_STYLE}</style>"]  # the header waits for the height
     y = _PAD
     for group in groups:
@@ -332,7 +370,7 @@ _HTML_STYLE = (
 )
 
 
-def _render_html(groups: list[list[object]]) -> str:
+def _render_html(groups: _Groups) -> str:
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en">',
@@ -368,13 +406,17 @@ def render(
     tables=None,
     config: IconRuleConfig = DEFAULT_ICON_CONFIG,
 ) -> RenderedDocument:
-    """Render one document under one condition. Pure and byte-deterministic."""
+    """Render one document under one condition. Pure and byte-deterministic.
+
+    The layout of the document object rendered last is reused, so rendering
+    one document in several conditions and formats in a row builds it once.
+    """
     write = _writer(_DOCUMENT_WRITERS, format)
     if not isinstance(condition, LayoutCondition):
         raise ValueError(f"unknown condition {condition!r}")
-    groups = _build_groups(require_valid(doc), condition, tables or load_tables(), config)
+    groups, manifest = _layout(require_valid(doc), condition, tables or load_tables(), config)
     return RenderedDocument(
-        format=format, payload=write(groups).encode("utf-8"), manifest=_manifest(groups)
+        format=format, payload=write(groups).encode("utf-8"), manifest=manifest
     )
 
 

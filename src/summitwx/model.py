@@ -230,6 +230,8 @@ def validate(doc: ForecastDocument) -> list[Violation]:
     if "\r" in doc.summary_text:
         out.append(Violation("summary_text", "must use bare newlines, not carriage returns"))
     _check_single_line("source_id", doc.source_id, out)
+    if "\t" in doc.source_id:  # the stimulus index is tab-separated
+        out.append(Violation("source_id", "must not contain tabs"))
     return out
 
 

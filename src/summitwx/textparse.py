@@ -178,7 +178,7 @@ def _numbers(folded: str, numbers: list[re.Match], start: int, end: int) -> list
             k = m.start() - 1
             while k >= start and folded[k].isspace():
                 k -= 1
-            if k >= start and folded[k].isdigit():
+            if k >= start and "0" <= folded[k] <= "9":
                 value = float(token[1:])
         values.append(value)
         negate.append(bool(_BELOW_RE.match(folded, m.end(), end)))

@@ -104,7 +104,7 @@ def documents(draw) -> ForecastDocument:
         issued_at=issued,
         summary_text=summary,
         periods=tuple(draw(periods()) for _ in range(4)),
-        source_id=draw(st.just("") | _line_text),
+        source_id=draw(st.just("") | _line_text.filter(lambda s: "\t" not in s)),
     )
 
 

@@ -222,6 +222,8 @@ def test_unknown_top_level_key():
          "error:9:1 unknown key 'visibility_mi'"),
         (lambda s: s.replace("source_id: unit-test\n", "source_id: unit-test\nsource_id: again\n"),
          "error:4:1 duplicate key 'source_id'"),
+        (lambda s: s.replace("source_id: unit-test\n", "source_id: unit\ttest\n"),
+         "error:3:1 source_id: must not contain tabs"),
         (lambda s: "".join(line for line in s.splitlines(True) if not line.startswith("summary:")),
          "error:1:1 summary_text: summary must be non-empty"),
     ],

@@ -1,20 +1,27 @@
 import hashlib
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, GOLDEN_DIR
 from helpers import make_doc, squash, visible_text
 from test_cli import GOOD_THRESHOLDS
+from test_hazards import _tamper
 from summitwx import cli, model
 from summitwx.canonical import emit_canonical
 from summitwx.hazards import (
+    IconRuleConfig,
     TriadThresholds,
     derive_document_icons,
     derive_icons,
+    load_tables,
     triad_advisory,
 )
 from summitwx.layout import (
@@ -49,15 +56,83 @@ def test_condition_tokens_round_trip():
         condition_from_token("weekly")
 
 
+@pytest.fixture(scope="module")
+def goldens():
+    return {
+        (name, token, fmt): (GOLDEN_DIR / f"{name}__{token}.{EXTENSIONS[fmt]}").read_bytes()
+        for name in FIXTURE_NAMES for token in CONDITION_TOKENS for fmt in FORMATS
+    }
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 @pytest.mark.parametrize("token", sorted(CONDITION_TOKENS))
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_golden_renders_are_byte_stable(fixture_docs, name, token, fmt):
+def test_golden_renders_are_byte_stable(fixture_docs, goldens, name, token, fmt):
     doc = fixture_docs[name]
-    golden = (GOLDEN_DIR / f"{name}__{token}.{EXTENSIONS[fmt]}").read_bytes()
+    golden = goldens[name, token, fmt]
     rendered = render(doc, condition_from_token(token), format=fmt)
     assert rendered.payload == golden
     assert render(doc, condition_from_token(token), format=fmt).payload == golden
+
+
+# ``render`` reuses the layout of the document object it rendered last; no
+# render may depend on what was rendered before it.
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FIXTURE_NAMES), st.booleans(),
+                          st.sampled_from(sorted(CONDITION_TOKENS)), st.sampled_from(FORMATS)),
+                min_size=1, max_size=16))
+def test_renders_match_the_goldens_whatever_was_rendered_before(
+        fixture_docs, fixture_texts, goldens, sequence):
+    for name, reparse, token, fmt in sequence:
+        # A reparse is a document equal to the fixture's but not the same object.
+        doc = (parse_forecast(fixture_texts[name], source_id=name).document if reparse
+               else fixture_docs[name])
+        rendered = render(doc, condition_from_token(token), format=fmt)
+        assert rendered.payload == goldens[name, token, fmt]
+
+
+def test_equal_documents_each_print_their_own_issued_line(fixture_docs):
+    utc = replace(fixture_docs["calm-day"],
+                  issued_at=datetime(2026, 1, 1, 12, tzinfo=timezone.utc))
+    eastern = replace(utc, issued_at=datetime(2026, 1, 1, 7, tzinfo=timezone(timedelta(hours=-5))))
+    assert utc == eastern and hash(utc) == hash(eastern)
+    for condition in LayoutCondition:
+        for fmt in FORMATS:
+            for doc, line in ((utc, "Issued: 2026-01-01T12:00:00+00:00"),
+                              (eastern, "Issued: 2026-01-01T07:00:00-05:00")):
+                assert line in render(doc, condition, format=fmt).payload.decode()
+
+
+def test_tables_and_config_render_alike_after_a_default_render(fixture_docs, tmp_path):
+    # Force 12 moved out of reach, so severe-day's winds read force 11.
+    tables = load_tables(_tamper(
+        tmp_path, "beaufort.table",
+        lambda s: s.replace("band: 11 | 64 | 73", "band: 11 | 64 | 150")
+        .replace("band: 12 | 73 | 200", "band: 12 | 150 | 200"),
+    ))
+    cases = [("severe-day", {"tables": tables}),
+             ("calm-day", {"config": IconRuleConfig(wind_display_floor=0)})]
+    for name, custom in cases:
+        doc, other = fixture_docs[name], fixture_docs["flood-day"]
+        for condition in (LayoutCondition.ICONS, LayoutCondition.PER_DAY_ICONS):
+            for fmt in FORMATS:
+                render(other, condition, format=fmt)
+                first = render(doc, condition, format=fmt, **custom)
+                default = render(doc, condition, format=fmt)
+                assert render(doc, condition, format=fmt, **custom) == first
+                assert first.payload != default.payload, (name, condition, fmt)
+
+
+def test_at_most_one_document_is_held(fixture_texts):
+    a, b = (parse_forecast(fixture_texts[name], source_id=name).document
+            for name in ("calm-day", "severe-day"))
+    for condition in LayoutCondition:
+        render(a, condition)
+    held = weakref.ref(a)
+    del a
+    assert held() is not None
+    render(b, LayoutCondition.BASELINE)
+    assert held() is None
 
 
 def test_baseline_and_summary_last_are_element_set_equal(fixture_docs):
@@ -280,6 +355,15 @@ def test_stimulus_set_index_and_digests(fixture_docs):
     again = render_stimulus_set(docs, LayoutCondition.ICONS, format="html")
     assert again[1] == index
     assert [r.payload for r in again[0]] == [r.payload for r in renders]
+
+
+def test_stimulus_index_lines_have_five_fields(fixture_docs):
+    doc = fixture_docs["calm-day"]
+    docs = [replace(doc, source_id=name) for name in ("", "calm day", "calm-day")]
+    _, index = render_stimulus_set(docs, LayoutCondition.BASELINE)
+    assert [len(line.split("\t")) for line in index.splitlines()] == [5, 5, 5]
+    with pytest.raises(InvalidDocument, match="source_id: must not contain tabs"):
+        render_stimulus_set([replace(doc, source_id="calm\tday")], LayoutCondition.BASELINE)
 
 
 def test_stimulus_set_empty_input():

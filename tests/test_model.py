@@ -89,6 +89,7 @@ def test_invalid_period_lists_every_violation():
         lambda d: replace(d, summary_text="   \n  "),
         lambda d: replace(d, summary_text="line\r\nline"),
         lambda d: replace(d, source_id="a\nb"),
+        lambda d: replace(d, source_id="a\tb"),
     ],
 )
 def test_document_violations(mutate):

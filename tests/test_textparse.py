@@ -141,6 +141,11 @@ def test_mixed_precip_gust_warning(fixture_texts):
         ("Temperatures: 40 - 60.", (40, 60)),
         ("Temperatures: around 45F.", (45, 45)),
         ("Temperatures: in the 20s, near 25F.", (20, 25)),
+        ("Temperatures: 4-5F.", (4, 5)),
+        # Only an ASCII digit before the hyphen makes it a range separator.
+        ("Temperatures: x-5F.", (-5, -5)),
+        ("Temperatures: ٤-5F.", (-5, -5)),
+        ("Temperatures: ²-5F.", (-5, -5)),
     ],
 )
 def test_temperature_phrasings(phrase, expected):
@@ -308,6 +313,12 @@ def test_a_carriage_return_is_an_error_at_its_line_and_column():
         assert [format_diagnostic(d, bad) for d in result.diagnostics] == [
             f"error:{where} carriage return in input; expected bare newlines"
         ]
+
+
+def test_a_tab_in_the_source_id_is_an_error(fixture_texts):
+    result = parse_forecast(fixture_texts["calm-day"], source_id="calm\tday")
+    assert result.document is None
+    assert [d.message for d in result.errors] == ["source_id: must not contain tabs"]
 
 
 def test_a_long_whitespace_run_between_numbers_reads_in_linear_time():
