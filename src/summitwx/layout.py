@@ -256,31 +256,49 @@ def _build_groups(doc: ForecastDocument, condition: LayoutCondition, tables,
     return (masthead, *periods, summary)
 
 
-#: The layout of the document object rendered last: ``(doc, tables, config,
-#: pieces)``. ``pieces`` fills as conditions ask for it: ``"text"`` holds
-#: what :func:`_text_groups` returns, shared by the four conditions, and each
-#: condition its ``(groups, manifest)``, shared by the three formats. A hit
-#: needs the very same objects, not equal ones: equal documents may print
-#: differently (``issued_at`` 12:00+00:00 equals 07:00-05:00). One slot, so
-#: at most one document is held; a miss replaces it in one assignment.
-_last: tuple = (None, None, None, {})
+#: The layouts of the documents the last call rendered: ``(tables, config,
+#: {id(doc): (doc, pieces)})``. ``render`` is a call with one document,
+#: ``render_stimulus_set`` a call with its whole set. ``pieces`` fills as
+#: conditions ask for it: ``"text"`` holds what :func:`_text_groups` returns,
+#: shared by the four conditions, and each condition its ``(groups,
+#: manifest)``, shared by the three formats. A hit needs the very same
+#: objects, not equal ones: equal documents may print differently
+#: (``issued_at`` 12:00+00:00 equals 07:00-05:00). Each call keeps the pieces
+#: of its documents that the last call held and drops every other document in
+#: one assignment, so at most one call's documents are held.
+_last: tuple = (None, None, {})
 
 
-def _layout(doc: ForecastDocument, condition: LayoutCondition, tables,
-            config: IconRuleConfig) -> tuple[_Groups, tuple[tuple[str, str], ...]]:
+def _render_all(docs: tuple, condition: LayoutCondition, format: str, tables,
+                config: IconRuleConfig) -> tuple[RenderedDocument, ...]:
+    """Render each of ``docs`` under one condition and format, in order."""
     global _last
-    last_doc, last_tables, last_config, pieces = _last
-    if last_doc is not doc or last_tables is not tables or last_config is not config:
-        pieces = {}
-        _last = (doc, tables, config, pieces)
-    laid_out = pieces.get(condition)
-    if laid_out is None:
-        text = pieces.get("text")
-        if text is None:
-            text = pieces["text"] = _text_groups(doc)
-        groups = _build_groups(doc, condition, tables, config, text)
-        laid_out = pieces[condition] = (groups, _manifest(groups))
-    return laid_out
+    write = _writer(_DOCUMENT_WRITERS, format)
+    if not isinstance(condition, LayoutCondition):
+        raise ValueError(f"unknown condition {condition!r}")
+    for doc in docs:
+        require_valid(doc)
+    tables = tables or load_tables()
+    last_tables, last_config, held = _last
+    if last_tables is not tables or last_config is not config:
+        held = {}
+    # A held document stays alive, so no other object can have its id.
+    layouts = {}
+    for doc in docs:
+        layouts[id(doc)] = held.get(id(doc)) or (doc, {})
+    _last = (tables, config, layouts)
+    renders = []
+    for doc in docs:
+        pieces = layouts[id(doc)][1]
+        laid_out = pieces.get(condition)
+        if laid_out is None:
+            text = pieces.get("text")
+            if text is None:
+                text = pieces["text"] = _text_groups(doc)
+            groups = _build_groups(doc, condition, tables, config, text)
+            laid_out = pieces[condition] = (groups, _manifest(groups))
+        renders.append(RenderedDocument(format, write(laid_out[0]).encode("utf-8"), laid_out[1]))
+    return tuple(renders)
 
 
 def _manifest(groups: _Groups) -> tuple[tuple[str, str], ...]:
@@ -408,16 +426,11 @@ def render(
 ) -> RenderedDocument:
     """Render one document under one condition. Pure and byte-deterministic.
 
-    The layout of the document object rendered last is reused, so rendering
-    one document in several conditions and formats in a row builds it once.
+    The layouts of the documents the last call rendered are reused, so
+    rendering one document in several conditions and formats in a row builds
+    it once.
     """
-    write = _writer(_DOCUMENT_WRITERS, format)
-    if not isinstance(condition, LayoutCondition):
-        raise ValueError(f"unknown condition {condition!r}")
-    groups, manifest = _layout(require_valid(doc), condition, tables or load_tables(), config)
-    return RenderedDocument(
-        format=format, payload=write(groups).encode("utf-8"), manifest=manifest
-    )
+    return _render_all((doc,), condition, format, tables, config)[0]
 
 
 def render_stimulus_set(
@@ -431,13 +444,14 @@ def render_stimulus_set(
 
     Returns the renders plus an index manifest (one line per stimulus:
     ordinal, source id, condition, format, payload digest) for study
-    administration.
+    administration. The set's layouts are kept until the next call, so
+    rendering one set under each condition and format builds each document
+    once.
     """
     import hashlib  # here, so that a render or a classify alone never loads it
 
-    renders = tuple(
-        render(doc, condition, format=format, tables=tables, config=config) for doc in docs
-    )
+    docs = tuple(docs)
+    renders = _render_all(docs, condition, format, tables, config)
     lines = []
     for i, (doc, rendered) in enumerate(zip(docs, renders)):
         digest = hashlib.sha256(rendered.payload).hexdigest()

@@ -454,18 +454,23 @@ def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[int, list[st
     an embedded newline does not shift the lines of later records. Rows are
     read one at a time and field counts checked row by row, so the first bad
     line is the one reported. A leading UTF-8 byte-order mark, as spreadsheet
-    exports write, is skipped.
+    exports write, is skipped. A record the csv module cannot read (a field
+    over its size limit, say) is an error at the line it starts on.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, None), columns, str(path))
-        start = reader.line_num + 1
-        for row in reader:
-            if len(row) != len(columns):
-                raise StudyDataError(
-                    f"{path}:{start}: expected {len(columns)} fields, found {len(row)}")
-            yield start, row
+        start = 1
+        try:
+            _check_header(next(reader, None), columns, str(path))
             start = reader.line_num + 1
+            for row in reader:
+                if len(row) != len(columns):
+                    raise StudyDataError(
+                        f"{path}:{start}: expected {len(columns)} fields, found {len(row)}")
+                yield start, row
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise StudyDataError(f"{path}:{start}: {exc}") from None
 
 
 #: The six ratings of a response row joined by commas, each in the model

@@ -445,6 +445,18 @@ def test_stats_unknown_participant_exit_1(tmp_path, capsys):
     assert "unknown participant 'p9'" in err
 
 
+def test_stats_oversized_field_names_its_line_exit_1(tmp_path, capsys):
+    # The csv module refuses a field over 131 072 characters; that is the
+    # input's fault, reported at the line the record starts on.
+    lines = PARTICIPANTS_CSV.splitlines(keepends=True)
+    lines.insert(2, "x" * 200_000 + ",baseline,10,true,false\n")
+    r_path, p_path = write_csvs(tmp_path, participants="".join(lines))
+    code, _, err = run(capsys, "stats", "--responses", str(r_path),
+                       "--participants", str(p_path))
+    assert code == 1
+    assert err == f"error: {p_path}:3: field larger than field limit (131072)\n"
+
+
 # ------------------------------------------------------------------- tables
 
 

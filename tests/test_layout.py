@@ -14,7 +14,7 @@ from conftest import FIXTURE_DIR, FIXTURE_NAMES, GOLDEN_DIR
 from helpers import make_doc, squash, visible_text
 from test_cli import GOOD_THRESHOLDS
 from test_hazards import _tamper
-from summitwx import cli, model
+from summitwx import cli, layout, model
 from summitwx.canonical import emit_canonical
 from summitwx.hazards import (
     IconRuleConfig,
@@ -75,20 +75,25 @@ def test_golden_renders_are_byte_stable(fixture_docs, goldens, name, token, fmt)
     assert render(doc, condition_from_token(token), format=fmt).payload == golden
 
 
-# ``render`` reuses the layout of the document object it rendered last; no
-# render may depend on what was rendered before it.
+# A render reuses the layouts of the documents the last call rendered; no
+# render may depend on what was rendered before it. A step renders its
+# documents one ``render`` at a time or in one ``render_stimulus_set`` call.
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(FIXTURE_NAMES), st.booleans(),
+@given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(FIXTURE_NAMES), st.booleans()),
+                                   min_size=1, max_size=5),
+                          st.booleans(),
                           st.sampled_from(sorted(CONDITION_TOKENS)), st.sampled_from(FORMATS)),
-                min_size=1, max_size=16))
+                min_size=1, max_size=12))
 def test_renders_match_the_goldens_whatever_was_rendered_before(
         fixture_docs, fixture_texts, goldens, sequence):
-    for name, reparse, token, fmt in sequence:
+    for members, as_set, token, fmt in sequence:
         # A reparse is a document equal to the fixture's but not the same object.
-        doc = (parse_forecast(fixture_texts[name], source_id=name).document if reparse
-               else fixture_docs[name])
-        rendered = render(doc, condition_from_token(token), format=fmt)
-        assert rendered.payload == goldens[name, token, fmt]
+        docs = [parse_forecast(fixture_texts[name], source_id=name).document if reparse
+                else fixture_docs[name] for name, reparse in members]
+        condition = condition_from_token(token)
+        renders = (render_stimulus_set(docs, condition, format=fmt)[0] if as_set
+                   else [render(doc, condition, format=fmt) for doc in docs])
+        assert [r.payload for r in renders] == [goldens[name, token, fmt] for name, _ in members]
 
 
 def test_equal_documents_each_print_their_own_issued_line(fixture_docs):
@@ -103,16 +108,20 @@ def test_equal_documents_each_print_their_own_issued_line(fixture_docs):
                 assert line in render(doc, condition, format=fmt).payload.decode()
 
 
-def test_tables_and_config_render_alike_after_a_default_render(fixture_docs, tmp_path):
+def _custom_cases(tmp_path):
+    """``(fixture, render keywords)`` pairs whose icons differ from the defaults'."""
     # Force 12 moved out of reach, so severe-day's winds read force 11.
     tables = load_tables(_tamper(
         tmp_path, "beaufort.table",
         lambda s: s.replace("band: 11 | 64 | 73", "band: 11 | 64 | 150")
         .replace("band: 12 | 73 | 200", "band: 12 | 150 | 200"),
     ))
-    cases = [("severe-day", {"tables": tables}),
-             ("calm-day", {"config": IconRuleConfig(wind_display_floor=0)})]
-    for name, custom in cases:
+    return [("severe-day", {"tables": tables}),
+            ("calm-day", {"config": IconRuleConfig(wind_display_floor=0)})]
+
+
+def test_tables_and_config_render_alike_after_a_default_render(fixture_docs, tmp_path):
+    for name, custom in _custom_cases(tmp_path):
         doc, other = fixture_docs[name], fixture_docs["flood-day"]
         for condition in (LayoutCondition.ICONS, LayoutCondition.PER_DAY_ICONS):
             for fmt in FORMATS:
@@ -121,6 +130,18 @@ def test_tables_and_config_render_alike_after_a_default_render(fixture_docs, tmp
                 default = render(doc, condition, format=fmt)
                 assert render(doc, condition, format=fmt, **custom) == first
                 assert first.payload != default.payload, (name, condition, fmt)
+
+
+def test_custom_tables_and_config_after_a_set_call_miss_the_memo(fixture_docs, tmp_path):
+    docs = [fixture_docs[name] for name in FIXTURE_NAMES]
+    for name, custom in _custom_cases(tmp_path):
+        k = FIXTURE_NAMES.index(name)
+        for condition in (LayoutCondition.ICONS, LayoutCondition.PER_DAY_ICONS):
+            for fmt in FORMATS:
+                default, _ = render_stimulus_set(docs, condition, format=fmt)
+                custom_renders, _ = render_stimulus_set(docs, condition, format=fmt, **custom)
+                assert custom_renders[k].payload != default[k].payload, (name, condition, fmt)
+                assert render_stimulus_set(docs, condition, format=fmt)[0] == default
 
 
 def test_at_most_one_document_is_held(fixture_texts):
@@ -133,6 +154,34 @@ def test_at_most_one_document_is_held(fixture_texts):
     assert held() is not None
     render(b, LayoutCondition.BASELINE)
     assert held() is None
+
+
+def test_a_set_call_holds_its_documents_until_the_next_call(fixture_texts):
+    docs = [parse_forecast(fixture_texts[name], source_id=name).document
+            for name in FIXTURE_NAMES]
+    render_stimulus_set(docs, LayoutCondition.ICONS)
+    held = [weakref.ref(doc) for doc in docs]
+    del docs
+    assert all(ref() is not None for ref in held)
+    b = parse_forecast(fixture_texts["calm-day"], source_id="calm-day").document
+    render(b, LayoutCondition.BASELINE)
+    assert [ref() for ref in held] == [None] * len(held)
+
+
+def test_twelve_set_calls_lay_each_document_out_once_per_condition(fixture_texts, monkeypatch):
+    # Fresh documents, so that no earlier test's layouts are reused.
+    docs = [parse_forecast(fixture_texts[name], source_id=name).document
+            for name in FIXTURE_NAMES]
+    calls = Counter()
+    for fn in ("_text_groups", "_build_groups"):
+        def counting(*args, _real=getattr(layout, fn), _name=fn):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(layout, fn, counting)
+    for condition in LayoutCondition:
+        for fmt in FORMATS:
+            render_stimulus_set(docs, condition, format=fmt)
+    assert calls == {"_text_groups": 5, "_build_groups": 20}
 
 
 def test_baseline_and_summary_last_are_element_set_equal(fixture_docs):
@@ -370,6 +419,19 @@ def test_stimulus_set_empty_input():
     renders, index = render_stimulus_set([], LayoutCondition.BASELINE)
     assert renders == ()
     assert index == ""
+    # An empty set still has its format and condition checked, as ``render`` does.
+    with pytest.raises(ValueError, match="plain"):
+        render_stimulus_set([], LayoutCondition.BASELINE, format="pdf")
+    with pytest.raises(ValueError, match="condition"):
+        render_stimulus_set([], "icons")
+
+
+def test_stimulus_set_reads_an_iterator_once(fixture_docs):
+    doc = fixture_docs["calm-day"]
+    renders, index = render_stimulus_set((d for d in [doc, doc]), LayoutCondition.ICONS)
+    assert (renders, index) == render_stimulus_set([doc, doc], LayoutCondition.ICONS)
+    assert [line.split("\t")[:2] for line in index.splitlines()] == [
+        ["01", "calm-day"], ["02", "calm-day"]]
 
 
 @pytest.fixture
