@@ -26,6 +26,7 @@ from .model import (
     FORMATS,
     WORST_CASE_LABEL,
     ForecastDocument,
+    _not_utf8,
     _read_number,
     condition_from_token,
 )
@@ -48,6 +49,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise _CliError(_not_utf8(Path(path), path)) from None
 
 
 def _load_document(path: str, source_id: str | None = None) -> ForecastDocument:

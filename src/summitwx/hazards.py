@@ -28,6 +28,7 @@ from .model import (
     WINTER_PRECIP_KINDS,
     ForecastDocument,
     ForecastPeriod,
+    _not_utf8,
     _read_number,
     require_valid,
 )
@@ -113,9 +114,13 @@ def _number(text: str, name: str, where: str) -> float:
         raise ScaleTableError(f"{where}: {name} {exc}") from None
 
 
-def _parse_scale_table(text: str, origin: str) -> ScaleTable:
-    """A scale table read from ``text``. An error in one line names
-    ``origin:line``; an error of the whole table names ``origin``."""
+def _read_scale_table(source, origin: str) -> ScaleTable:
+    """The scale table in the file or package resource ``source``. A line's
+    error names ``origin:line``, an error of the whole table ``origin``."""
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ScaleTableError(_not_utf8(source, origin)) from None
     fields: dict[str, str] = {}
     at: dict[str, str] = {}  # where each key sits, as origin:line
     provenance: list[str] = []
@@ -211,7 +216,7 @@ def _check_integrity(table: ScaleTable, origin: str) -> None:
 
 
 def load_scale_table(path: Path) -> ScaleTable:
-    return _parse_scale_table(path.read_text(encoding="utf-8"), origin=str(path))
+    return _read_scale_table(path, str(path))
 
 
 def load_tables(directory: Path | None = None) -> Mapping[HazardKind, ScaleTable]:
@@ -238,7 +243,7 @@ def _read_tables(root, origin_root: PurePath) -> Mapping[HazardKind, ScaleTable]
     tables = {}
     for kind, filename in _TABLE_FILES.items():
         origin = str(origin_root / filename)
-        table = _parse_scale_table((root / filename).read_text(encoding="utf-8"), origin)
+        table = _read_scale_table(root / filename, origin)
         if table.kind is not kind:
             raise ScaleTableError(f"{origin}: declares kind {table.kind.value!r}")
         tables[kind] = table

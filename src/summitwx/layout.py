@@ -37,7 +37,6 @@ from .model import (  # noqa: F401  (the condition names are re-exported)
     LayoutCondition,
     _fmt_num,
     condition_from_token,
-    require_valid,
 )
 
 STYLESHEET_VERSION = "hsf-layout/1"
@@ -223,9 +222,11 @@ def _period_elements(index: int, period: ForecastPeriod) -> tuple[_TextElement, 
                   for suffix, field, line in rows])
 
 
-def _text_groups(doc: ForecastDocument) -> tuple[tuple, tuple, _Groups]:
-    """The masthead, the summary and the period blocks: the text that every
-    condition shows, arranged differently."""
+def _layouts(doc: ForecastDocument, tables, config: IconRuleConfig) -> dict:
+    """Each condition's ``(groups, manifest)``: one masthead, summary and set of
+    period blocks, arranged four ways, two with icon rows added."""
+    overall = (_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
+                         derive_document_icons(doc, "overall", tables, config)[0]),)  # validates
     masthead = (
         _TextElement("title", "constant", ("HIGHER SUMMITS FORECAST",)),
         _TextElement("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",)),
@@ -233,39 +234,30 @@ def _text_groups(doc: ForecastDocument) -> tuple[tuple, tuple, _Groups]:
     if doc.source_id:
         masthead += (_TextElement("source", "source_id", (f"Source: {doc.source_id}",)),)
     summary = (_TextElement("summary", "summary_text", tuple(doc.summary_text.split("\n"))),)
-    return masthead, summary, tuple(_period_elements(i, p) for i, p in enumerate(doc.periods))
+    periods = tuple(_period_elements(i, p) for i, p in enumerate(doc.periods))
+    per_day = tuple(
+        (elements[0],
+         _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]", "HAZARDS:",
+                   derive_icons(period, tables, config)),
+         *elements[1:])
+        for i, (elements, period) in enumerate(zip(periods, doc.periods))
+    )
+    return {condition: (groups, _manifest(groups)) for condition, groups in (
+        (LayoutCondition.BASELINE, (masthead, summary, *periods)),
+        (LayoutCondition.SUMMARY_LAST, (masthead, *periods, summary)),
+        (LayoutCondition.ICONS, (masthead, overall, summary, *periods)),
+        (LayoutCondition.PER_DAY_ICONS, (masthead, *per_day, summary)),
+    )}
 
 
-def _build_groups(doc: ForecastDocument, condition: LayoutCondition, tables,
-                  config: IconRuleConfig, text: tuple[tuple, tuple, _Groups]) -> _Groups:
-    masthead, summary, periods = text
-    if condition is LayoutCondition.PER_DAY_ICONS:
-        periods = tuple(
-            (elements[0],
-             _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]", "HAZARDS:",
-                       derive_icons(period, tables, config)),
-             *elements[1:])
-            for i, (elements, period) in enumerate(zip(periods, doc.periods))
-        )
-    if condition is LayoutCondition.ICONS:
-        overall = (_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
-                             derive_document_icons(doc, "overall", tables, config)[0]),)
-        return (masthead, overall, summary, *periods)
-    if condition is LayoutCondition.BASELINE:
-        return (masthead, summary, *periods)
-    return (masthead, *periods, summary)
-
-
-#: The layouts of the documents the last call rendered: ``(tables, config,
-#: {id(doc): (doc, pieces)})``. ``render`` is a call with one document,
-#: ``render_stimulus_set`` a call with its whole set. ``pieces`` fills as
-#: conditions ask for it: ``"text"`` holds what :func:`_text_groups` returns,
-#: shared by the four conditions, and each condition its ``(groups,
-#: manifest)``, shared by the three formats. A hit needs the very same
-#: objects, not equal ones: equal documents may print differently
-#: (``issued_at`` 12:00+00:00 equals 07:00-05:00). Each call keeps the pieces
-#: of its documents that the last call held and drops every other document in
-#: one assignment, so at most one call's documents are held.
+#: The layouts of the documents the last call rendered (``render`` a call with
+#: one document, ``render_stimulus_set`` one with its whole set): ``(tables,
+#: config, {id(doc): (doc, _layouts(doc, tables, config))})``. A document is
+#: validated only as it is laid out, so every held layout is of a valid one. A
+#: hit needs the very same objects: equal documents may print differently
+#: (``issued_at`` 12:00+00:00 equals 07:00-05:00). A call replaces the memo in
+#: one assignment once all its documents are laid out, so it holds one call's
+#: documents at most and a call that fails leaves it as it was.
 _last: tuple = (None, None, {})
 
 
@@ -276,8 +268,6 @@ def _render_all(docs: tuple, condition: LayoutCondition, format: str, tables,
     write = _writer(_DOCUMENT_WRITERS, format)
     if not isinstance(condition, LayoutCondition):
         raise ValueError(f"unknown condition {condition!r}")
-    for doc in docs:
-        require_valid(doc)
     tables = tables or load_tables()
     last_tables, last_config, held = _last
     if last_tables is not tables or last_config is not config:
@@ -285,20 +275,11 @@ def _render_all(docs: tuple, condition: LayoutCondition, format: str, tables,
     # A held document stays alive, so no other object can have its id.
     layouts = {}
     for doc in docs:
-        layouts[id(doc)] = held.get(id(doc)) or (doc, {})
+        key = id(doc)
+        layouts[key] = layouts.get(key) or held.get(key) or (doc, _layouts(doc, tables, config))
     _last = (tables, config, layouts)
-    renders = []
-    for doc in docs:
-        pieces = layouts[id(doc)][1]
-        laid_out = pieces.get(condition)
-        if laid_out is None:
-            text = pieces.get("text")
-            if text is None:
-                text = pieces["text"] = _text_groups(doc)
-            groups = _build_groups(doc, condition, tables, config, text)
-            laid_out = pieces[condition] = (groups, _manifest(groups))
-        renders.append(RenderedDocument(format, write(laid_out[0]).encode("utf-8"), laid_out[1]))
-    return tuple(renders)
+    return tuple([RenderedDocument(format, write(groups).encode("utf-8"), manifest)
+                  for groups, manifest in [layouts[id(doc)][1][condition] for doc in docs]])
 
 
 def _manifest(groups: _Groups) -> tuple[tuple[str, str], ...]:
@@ -426,9 +407,9 @@ def render(
 ) -> RenderedDocument:
     """Render one document under one condition. Pure and byte-deterministic.
 
-    The layouts of the documents the last call rendered are reused, so
-    rendering one document in several conditions and formats in a row builds
-    it once.
+    A document is laid out in all four conditions at once, and the last
+    call's layouts are reused, so rendering one document in several
+    conditions and formats in a row builds it once.
     """
     return _render_all((doc,), condition, format, tables, config)[0]
 

@@ -92,6 +92,17 @@ def _read_number(text: str) -> float:
     return value
 
 
+def _not_utf8(source, origin: str) -> str:
+    """``<origin>:<line>: ...`` naming the first byte of the file ``source`` that is not UTF-8."""
+    data = source.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1  # no UTF-8 sequence spans a newline
+        return f"{origin}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return f"{origin}: not UTF-8"  # the file changed after the failed read
+
+
 def _fmt_num(x: float) -> str:
     if x == int(x):
         return str(int(x))

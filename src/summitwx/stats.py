@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .distributions import f_sf, t_ppf, t_two_sided_p
-from .model import _NUMBER_RE, LayoutCondition, _read_number, condition_from_token
+from .model import _NUMBER_RE, LayoutCondition, _not_utf8, _read_number, condition_from_token
 
 #: Rated activities, in the fixed column order of the response file.
 ACTIVITIES = (
@@ -229,8 +229,7 @@ def percentage(count: int, total: int) -> str:
     """Percentage at two decimals, ties rounding up (124/128 -> '96.88')."""
     if total <= 0:
         raise StudyDataError(f"percentage of empty total: {count}/{total}")
-    value = Decimal(count) * Decimal(100) / Decimal(total)
-    return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return _fixed(Decimal(count) * Decimal(100) / Decimal(total), 2)
 
 
 @dataclass(frozen=True)
@@ -328,14 +327,12 @@ def build_report(
     )
 
 
-def _fmt2(x: float) -> str:
-    return str(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-
-
-def _fmt_stat(x: float) -> str:
+def _fixed(x: float | Decimal, places: int) -> str:
+    """``x``, as ``str`` spells it, at ``places`` decimals with ties rounding
+    away from zero; an infinity prints as ``inf``."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return str(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+    return str(Decimal(str(x)).quantize(Decimal(10) ** -places, rounding=ROUND_HALF_UP))
 
 
 def _fmt_p(p: float) -> str:
@@ -351,27 +348,27 @@ def format_report(report: StatsReport) -> str:
     lines.append("Per-participant mean aggregate risk (0-600 scale):")
     for g in report.groups:
         lines.append(
-            f"  {g.condition.value:<14} n={g.n:<4} M={_fmt2(g.mean):<8} SD={_fmt2(g.sd):<8} "
-            f"95% CI [{_fmt2(g.ci_low)}, {_fmt2(g.ci_high)}]"
+            f"  {g.condition.value:<14} n={g.n:<4} M={_fixed(g.mean, 2):<8} "
+            f"SD={_fixed(g.sd, 2):<8} 95% CI [{_fixed(g.ci_low, 2)}, {_fixed(g.ci_high, 2)}]"
         )
     a = report.anova
     lines.append("")
     lines.append(
-        f"One-way ANOVA: F({a.df_between}, {a.df_within}) = {_fmt_stat(a.f_statistic)}, "
+        f"One-way ANOVA: F({a.df_between}, {a.df_within}) = {_fixed(a.f_statistic, 3)}, "
         f"p = {_fmt_p(a.p_value)}"
     )
     lines.append("")
     lines.append(f"Pairwise comparisons (Bonferroni multiplier {report.pairwise[0].multiplier}):")
     for pw in report.pairwise:
         lines.append(
-            f"  {pw.group_a} vs {pw.group_b}: t({pw.df}) = {_fmt_stat(pw.t_statistic)}, "
+            f"  {pw.group_a} vs {pw.group_b}: t({pw.df}) = {_fixed(pw.t_statistic, 3)}, "
             f"raw p = {_fmt_p(pw.p_raw)}, adjusted p = {_fmt_p(pw.p_adjusted)}"
         )
     r = report.regression
     lines.append("")
     lines.append(
-        f"Risk propensity regression: slope = {_fmt_stat(r.slope)}, "
-        f"R^2 = {_fmt2(r.r_squared)}, p = {_fmt_p(r.p_value)}"
+        f"Risk propensity regression: slope = {_fixed(r.slope, 3)}, "
+        f"R^2 = {_fixed(r.r_squared, 2)}, p = {_fmt_p(r.p_value)}"
     )
     lines.append("")
     lines.append("Free-text coding:")
@@ -471,6 +468,8 @@ def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[int, list[st
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise StudyDataError(f"{path}:{start}: {exc}") from None
+        except UnicodeDecodeError:  # decoded in chunks, so its position is no guide
+            raise StudyDataError(_not_utf8(path, str(path))) from None
 
 
 #: The six ratings of a response row joined by commas, each in the model

@@ -537,6 +537,43 @@ def test_classify_uses_the_tables_flag(tmp_path, capsys):
     assert "closed_edge must be 'low' or 'high'" in err
 
 
+# ---------------------------------------------------------------- encoding
+
+
+def _spoil(path, lineno):
+    """Append the byte 0xff, which is never UTF-8, to line ``lineno`` of ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("reader", ["bulletin", "canonical", "thresholds", "tables", "study"])
+def test_a_byte_that_is_not_utf8_is_an_error_at_its_line(tmp_path, capsys, reader):
+    bulletin = tmp_path / "calm.txt"
+    bulletin.write_bytes((FIXTURE_DIR / "calm-day.txt").read_bytes())
+    canonical = tmp_path / "calm.canon"
+    run(capsys, "parse", CALM, "--out", str(canonical))
+    thresholds = tmp_path / "thresholds.txt"
+    thresholds.write_text(GOOD_THRESHOLDS, encoding="utf-8")
+    table_dir = copy_tables(tmp_path)
+    # A study file longer than the csv reader's decode chunk, with the bad
+    # byte past the first chunk.
+    extra = "".join(f"q{k},icons,2.0,true,false\n" for k in range(2000))
+    responses, participants = write_csvs(tmp_path, participants=PARTICIPANTS_CSV + extra)
+    path, line, argv = {
+        "bulletin": (bulletin, 3, ["render", str(bulletin), "--condition", "icons"]),
+        "canonical": (canonical, 3, ["parse", str(canonical)]),
+        "thresholds": (thresholds, 3, ["classify", CALM, "--triad-thresholds", str(thresholds)]),
+        "tables": (table_dir / "wind_chill.table", 4,
+                   ["validate-tables", "--tables", str(table_dir)]),
+        "study": (participants, 1900, ["stats", "--responses", str(responses),
+                                       "--participants", str(participants)]),
+    }[reader]
+    _spoil(path, line)
+    assert run(capsys, *argv) == (
+        1, "", f"error: {path}:{line}: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+
 # ------------------------------------------------------------ error plumbing
 
 

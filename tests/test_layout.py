@@ -1,5 +1,6 @@
 import hashlib
 import re
+import runpy
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -168,20 +169,75 @@ def test_a_set_call_holds_its_documents_until_the_next_call(fixture_texts):
     assert [ref() for ref in held] == [None] * len(held)
 
 
-def test_twelve_set_calls_lay_each_document_out_once_per_condition(fixture_texts, monkeypatch):
+@pytest.fixture
+def layout_calls(monkeypatch):
+    """Counts of ``layout._layouts`` and ``model.validate`` calls."""
+    calls = Counter()
+    for module, fn in ((layout, "_layouts"), (model, "validate")):
+        def counting(*args, _real=getattr(module, fn), _name=fn):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, fn, counting)
+    return calls
+
+
+def test_each_document_is_laid_out_and_validated_once(fixture_texts, layout_calls):
     # Fresh documents, so that no earlier test's layouts are reused.
     docs = [parse_forecast(fixture_texts[name], source_id=name).document
             for name in FIXTURE_NAMES]
-    calls = Counter()
-    for fn in ("_text_groups", "_build_groups"):
-        def counting(*args, _real=getattr(layout, fn), _name=fn):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(layout, fn, counting)
     for condition in LayoutCondition:
         for fmt in FORMATS:
             render_stimulus_set(docs, condition, format=fmt)
-    assert calls == {"_text_groups": 5, "_build_groups": 20}
+    assert layout_calls == {"_layouts": 5, "validate": 5}
+
+    layout_calls.clear()
+    doc = parse_forecast(fixture_texts["severe-day"], source_id="severe-day").document
+    for condition in LayoutCondition:
+        for fmt in FORMATS:
+            render(doc, condition, format=fmt)
+    assert layout_calls == {"_layouts": 1, "validate": 1}
+
+    layout_calls.clear()
+    doc = parse_forecast(fixture_texts["calm-day"], source_id="calm-day").document
+    renders, _ = render_stimulus_set([doc, doc], LayoutCondition.ICONS)
+    assert renders[0] == renders[1]
+    assert layout_calls == {"_layouts": 1, "validate": 1}
+
+
+def test_a_failing_call_leaves_the_last_calls_layouts(fixture_texts, goldens, layout_calls):
+    docs = [parse_forecast(fixture_texts[name], source_id=name).document
+            for name in FIXTURE_NAMES]
+    render_stimulus_set(docs, LayoutCondition.ICONS)
+    held = [weakref.ref(doc) for doc in docs]
+    fresh = parse_forecast(fixture_texts["calm-day"], source_id="calm-day").document
+    bad = with_periods(docs[0], docs[0].periods[:3])
+    with pytest.raises(InvalidDocument, match="expected exactly 4 periods, found 3"):
+        render_stimulus_set([*docs, fresh, bad], LayoutCondition.BASELINE)
+    fresh_ref = weakref.ref(fresh)
+    del docs, fresh, bad
+    assert fresh_ref() is None
+    assert all(ref() is not None for ref in held)
+    layout_calls.clear()
+    for token in sorted(CONDITION_TOKENS):
+        for fmt in FORMATS:
+            renders, _ = render_stimulus_set([ref() for ref in held],
+                                             condition_from_token(token), format=fmt)
+            assert [r.payload for r in renders] == [goldens[name, token, fmt]
+                                                    for name in FIXTURE_NAMES]
+    assert layout_calls == {}
+
+
+def test_refreeze_goldens_writes_the_goldens_and_removes_stale_files(tmp_path, capsys):
+    script = runpy.run_path(str(GOLDEN_DIR.parents[1] / "scripts" / "refreeze_goldens.py"))
+    (tmp_path / "stale.txt").write_text("left by an older layout\n", encoding="utf-8")
+    assert script["main"](["--golden", str(tmp_path)]) == 0
+    names = sorted(path.name for path in GOLDEN_DIR.iterdir())
+    assert len(names) == 60
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+    assert capsys.readouterr().out == (
+        f"removed stale golden stale.txt\nwrote 60 golden files to {tmp_path}\n")
 
 
 def test_baseline_and_summary_last_are_element_set_equal(fixture_docs):
