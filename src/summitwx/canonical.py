@@ -21,16 +21,15 @@ from datetime import datetime
 from .model import (
     Certainty,
     ForecastDocument,
-    ForecastPeriod,
-    InvalidDocument,
     PrecipEvent,
     PrecipKind,
     ValueRange,
     WindPrediction,
+    _document,
     _fmt_num,
+    _period,
     _read_number,
     require_valid,
-    validate,
 )
 from .textparse import Diagnostic, ParseResult, Severity
 
@@ -236,39 +235,27 @@ def parse_canonical(text: str) -> ParseResult:
         wind_chill = None
         if "chill_low_f" in nums:
             wind_chill = ValueRange(nums["chill_low_f"], nums["chill_high_f"], "F")
-        try:
-            periods.append(
-                ForecastPeriod(
-                    label=draft.scalars["label"],
-                    temperature=ValueRange(nums["temp_low_f"], nums["temp_high_f"], "F"),
-                    wind=WindPrediction(
-                        sustained=ValueRange(nums["wind_low_mph"], nums["wind_high_mph"], "mph"),
-                        direction=draft.scalars.get("wind_dir"),
-                        gust_high=nums.get("gust_high_mph"),
-                    ),
-                    wind_chill=wind_chill,
-                    precip_events=tuple(draft.precip),
-                    extra_hazard_notes=tuple(draft.notes),
-                )
-            )
-        except InvalidDocument as exc:
-            for v in exc.violations:
-                field_name = v.field_name.removeprefix("period.")
-                err(draft.span, f"period {i + 1}: {field_name}: {v.rule}")
+        period = _period(
+            err, draft.span, f"period {i + 1}: ",
+            label=draft.scalars["label"],
+            temperature=ValueRange(nums["temp_low_f"], nums["temp_high_f"], "F"),
+            wind=WindPrediction(
+                sustained=ValueRange(nums["wind_low_mph"], nums["wind_high_mph"], "mph"),
+                direction=draft.scalars.get("wind_dir"),
+                gust_high=nums.get("gust_high_mph"),
+            ),
+            wind_chill=wind_chill,
+            precip_events=tuple(draft.precip),
+            extra_hazard_notes=tuple(draft.notes),
+        )
+        if period is not None:
+            periods.append(period)
 
-    coverage = recognized / meaningful if meaningful else 0.0
-    if any(d.severity is Severity.ERROR for d in diags):
-        return ParseResult(None, tuple(diags), coverage)
-
-    doc = ForecastDocument(
-        issued_at=issued_at,
-        summary_text="\n".join(summary_lines),
-        periods=tuple(periods),
-        source_id=top.get("source_id", ""),
-    )
-    violations = validate(doc)
-    for v in violations:
-        err(top_spans.get(v.field_name, whole), f"{v.field_name}: {v.rule}")
-    if violations:
-        return ParseResult(None, tuple(diags), coverage)
-    return ParseResult(doc, tuple(diags), coverage)
+    doc = None
+    if not any(d.severity is Severity.ERROR for d in diags):
+        doc = _document(
+            err, lambda field_name: top_spans.get(field_name, whole),
+            issued_at=issued_at, summary_text="\n".join(summary_lines), periods=tuple(periods),
+            source_id=top.get("source_id", ""),
+        )
+    return ParseResult(doc, tuple(diags), recognized / meaningful if meaningful else 0.0)

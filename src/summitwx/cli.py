@@ -13,26 +13,20 @@ import re
 import sys
 from pathlib import Path
 
-from .hazards import (
-    DEFAULT_ICON_CONFIG,
-    TriadThresholds,
-    derive_document_icons,
-    derive_icons,
-    load_tables,
-    triad_advisory,
-)
 from .model import (
     CONDITION_TOKENS,
     FORMATS,
     WORST_CASE_LABEL,
     ForecastDocument,
+    _fmt_num,
     _not_utf8,
     _read_number,
     condition_from_token,
 )
 
 # Each subcommand imports the layers it runs, so that a one-shot call loads
-# neither the renderer nor the statistics lane unless it uses them.
+# neither the scale tables, the renderer nor the statistics lane unless it
+# uses them.
 
 
 class _CliError(ValueError):
@@ -73,6 +67,8 @@ def _load_document(path: str, source_id: str | None = None) -> ForecastDocument:
 
 
 def _load_tables_arg(args):
+    from .hazards import load_tables
+
     return load_tables(Path(args.tables)) if args.tables else load_tables()
 
 
@@ -99,7 +95,9 @@ def _icon_line(icons) -> str:
 _THRESHOLD_KEYS = ("wind_high_mph", "temperature_low_f")
 
 
-def _load_thresholds(path: str) -> TriadThresholds:
+def _load_thresholds(path: str):
+    from .hazards import TriadThresholds
+
     values: dict[str, float] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -125,6 +123,8 @@ def _load_thresholds(path: str) -> TriadThresholds:
 
 
 def _cmd_classify(args) -> int:
+    from .hazards import derive_document_icons, derive_icons, triad_advisory
+
     doc = _load_document(args.input)
     tables = _load_tables_arg(args)
     lines: list[str] = []
@@ -132,10 +132,10 @@ def _cmd_classify(args) -> int:
     if mode in ("per-period", "both"):
         lines.append("per-period:")
         for i, period in enumerate(doc.periods):
-            icons = derive_icons(period, tables, DEFAULT_ICON_CONFIG)
+            icons = derive_icons(period, tables)
             lines.append(f"  {i + 1}. {period.label}: {_icon_line(icons)}")
     if mode in ("overall", "both"):
-        (icons,) = derive_document_icons(doc, "overall", tables, DEFAULT_ICON_CONFIG)
+        (icons,) = derive_document_icons(doc, "overall", tables)
         lines.append("overall:")
         lines.append(f"  {WORST_CASE_LABEL}: {_icon_line(icons)}")
     if args.triad_thresholds:
@@ -155,7 +155,7 @@ def _cmd_render(args) -> int:
     doc = _load_document(args.input)
     tables = _load_tables_arg(args)
     condition = condition_from_token(args.condition)
-    rendered = render(doc, condition, args.format, tables, DEFAULT_ICON_CONFIG)
+    rendered = render(doc, condition, args.format, tables)
     if args.out is None:
         sys.stdout.write(rendered.payload.decode("utf-8"))
     else:
@@ -206,7 +206,7 @@ def _cmd_validate_tables(args) -> int:
         table = tables[kind]
         print(
             f"ok: {kind.value} ({table.scale_name}) bands={len(table.bands)} "
-            f"domain=[{table.domain_low:g}, {table.domain_high:g}] {table.unit}"
+            f"domain=[{_fmt_num(table.domain_low)}, {_fmt_num(table.domain_high)}] {table.unit}"
         )
     print("all scale tables pass integrity checks")
     return 0

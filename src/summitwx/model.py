@@ -9,7 +9,9 @@ unit conversion, if any, belongs at parse/render boundaries.
 A :class:`ForecastPeriod` checks itself when constructed and raises
 :class:`InvalidDocument` listing every violation, so every period that
 exists is valid. A document's own rules are checked by :func:`require_valid`
-at each entry point that takes a document.
+at each entry point that takes a document. Both parsers build periods and
+documents through :func:`_period` and :func:`_document`, which report each
+broken rule as a diagnostic instead of raising.
 
 The study layout conditions, their command-line tokens, the render formats
 and the canonical number grammar and formatter live here too, so that the
@@ -104,7 +106,7 @@ def _not_utf8(source, origin: str) -> str:
 
 
 def _fmt_num(x: float) -> str:
-    if x == int(x):
+    if math.isfinite(x) and x == int(x):
         return str(int(x))
     return repr(x)
 
@@ -251,6 +253,27 @@ def require_valid(doc: ForecastDocument) -> ForecastDocument:
     if violations:
         raise InvalidDocument(violations)
     return doc
+
+
+def _period(report, span, heading: str, **fields) -> ForecastPeriod | None:
+    """The period of ``fields``, or None once ``report(span, heading +
+    "<field>: <rule>")`` has named each rule it breaks."""
+    try:
+        return ForecastPeriod(**fields)
+    except InvalidDocument as exc:
+        for v in exc.violations:
+            report(span, f"{heading}{v.field_name.removeprefix('period.')}: {v.rule}")
+        return None
+
+
+def _document(report, span_of, **fields) -> ForecastDocument | None:
+    """The document of ``fields``, or None once ``report(span_of(field),
+    "<field>: <rule>")`` has named each rule it breaks."""
+    doc = ForecastDocument(**fields)
+    violations = validate(doc)
+    for v in violations:
+        report(span_of(v.field_name), f"{v.field_name}: {v.rule}")
+    return None if violations else doc
 
 
 def with_periods(doc: ForecastDocument, periods) -> ForecastDocument:

@@ -44,13 +44,13 @@ from .model import (
     COMPASS_POINTS,
     Certainty,
     ForecastDocument,
-    ForecastPeriod,
-    InvalidDocument,
     PrecipEvent,
     PrecipKind,
     ValueRange,
     WindPrediction,
-    validate,
+    _document,
+    _fmt_num,
+    _period,
 )
 
 EPOCH = datetime(1970, 1, 1)
@@ -160,6 +160,9 @@ class _Scan:
     def diag(self, severity: Severity, span: tuple[int, int], message: str) -> None:
         self.diagnostics.append(Diagnostic(severity, span, message))
 
+    def error(self, span: tuple[int, int], message: str) -> None:
+        self.diagnostics.append(Diagnostic(Severity.ERROR, span, message))
+
     def mark(self, start: int, end: int) -> None:
         if end > start:
             self.recognized.append((start, end))
@@ -212,6 +215,7 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
     text = scan.text
     start, end = block
     label = text[header.start(1):header.end(1)]
+    heading = f"period {index + 1} ({label!r}): "
 
     # One pass over the block's tokens. A labelled statement runs from its
     # label to the next label or the end of its sentence, whichever comes
@@ -293,49 +297,37 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
                 else:
                     scan.diag(
                         Severity.WARNING, gust.span(),
-                        f"period {index + 1} ({label!r}): gusts mentioned without a "
-                        "numeric value; gust magnitude left unset",
+                        f"{heading}gusts mentioned without a numeric value; "
+                        "gust magnitude left unset",
                     )
 
     temperature = _envelope(temp_values, "F") if temp_values else None
     if temperature is None:
-        scan.diag(
-            Severity.ERROR, (header.start(), header.end()),
-            f"period {index + 1} ({label!r}): no temperature found",
-        )
+        scan.error(header.span(), heading + "no temperature found")
     sustained = _envelope(sustained_values, "mph") if sustained_values else None
     if sustained is None:
-        scan.diag(
-            Severity.ERROR, (header.start(), header.end()),
-            f"period {index + 1} ({label!r}): no wind prediction found",
-        )
+        scan.error(header.span(), heading + "no wind prediction found")
     gust_high = max(gust_values) if gust_values else None
     if gust_high is not None and sustained is not None and gust_high < sustained.high:
         scan.diag(
-            Severity.WARNING, (header.start(), header.end()),
-            f"period {index + 1} ({label!r}): stated gust {gust_high:g} mph is below "
-            f"the sustained high {sustained.high:g} mph; gust ignored",
+            Severity.WARNING, header.span(),
+            f"{heading}stated gust {_fmt_num(gust_high)} mph is below "
+            f"the sustained high {_fmt_num(sustained.high)} mph; gust ignored",
         )
         gust_high = None
     wind_chill = _envelope(chill_values, "F") if chill_values else None
 
     if temperature is None or sustained is None:
         return None
-    try:
-        return ForecastPeriod(
-            label=label,
-            temperature=temperature,
-            wind=WindPrediction(sustained=sustained, direction=direction, gust_high=gust_high),
-            wind_chill=wind_chill,
-            precip_events=tuple(PrecipEvent(k, c) for k, c in precip_events),
-            extra_hazard_notes=tuple(notes),
-        )
-    except InvalidDocument as exc:
-        for v in exc.violations:
-            field_name = v.field_name.removeprefix("period.")
-            scan.diag(Severity.ERROR, header.span(), f"period {index + 1} ({label!r}): "
-                      f"{field_name}: {v.rule}")
-        return None
+    return _period(
+        scan.error, header.span(), heading,
+        label=label,
+        temperature=temperature,
+        wind=WindPrediction(sustained=sustained, direction=direction, gust_high=gust_high),
+        wind_chill=wind_chill,
+        precip_events=tuple(PrecipEvent(k, c) for k, c in precip_events),
+        extra_hazard_notes=tuple(notes),
+    )
 
 
 def _coverage(scan: _Scan) -> float:
@@ -368,10 +360,7 @@ def parse_forecast(text: str, source_id: str = "") -> ParseResult:
 
     headers = list(_HEADER_RE.finditer(folded))
     if len(headers) != 4:
-        scan.diag(
-            Severity.ERROR, (0, min(len(text), 1)),
-            f"expected 4 periods, found {len(headers)}",
-        )
+        scan.error((0, min(len(text), 1)), f"expected 4 periods, found {len(headers)}")
         return ParseResult(None, tuple(scan.diagnostics), _coverage(scan))
 
     preamble_end = headers[0].start()
@@ -397,10 +386,7 @@ def parse_forecast(text: str, source_id: str = "") -> ParseResult:
         )
     summary_text = summary_text.strip()
     if not summary_text:
-        scan.diag(
-            Severity.ERROR, (0, preamble_end),
-            "no summary narrative before the first period header",
-        )
+        scan.error((0, preamble_end), "no summary narrative before the first period header")
     scan.mark(0, preamble_end)
 
     periods = []
@@ -412,18 +398,11 @@ def parse_forecast(text: str, source_id: str = "") -> ParseResult:
         if period is not None:
             periods.append(period)
 
-    if any(d.severity is Severity.ERROR for d in scan.diagnostics):
-        return ParseResult(None, tuple(scan.diagnostics), _coverage(scan))
-
-    doc = ForecastDocument(
-        issued_at=issued_at,
-        summary_text=summary_text,
-        periods=tuple(periods),
-        source_id=source_id,
-    )
-    violations = validate(doc)
-    for v in violations:
-        scan.diag(Severity.ERROR, (0, min(len(text), 1)), f"{v.field_name}: {v.rule}")
-    if violations:
-        return ParseResult(None, tuple(scan.diagnostics), _coverage(scan))
+    doc = None
+    if not any(d.severity is Severity.ERROR for d in scan.diagnostics):
+        doc = _document(
+            scan.error, lambda _: (0, min(len(text), 1)),
+            issued_at=issued_at, summary_text=summary_text, periods=tuple(periods),
+            source_id=source_id,
+        )
     return ParseResult(doc, tuple(scan.diagnostics), _coverage(scan))

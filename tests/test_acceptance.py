@@ -182,7 +182,7 @@ def test_criterion_5_layout_goldens_and_information_preservation(capsys):
     with verdict(
         capsys, 5,
         "60 golden renders byte-stable; baseline and summary-last element-set-equal; "
-        "every source sentence present in every payload",
+        "every sentence the document holds present in every payload",
     ) as detail:
         docs = fixture_documents()
         rendered_count = 0
@@ -401,12 +401,10 @@ def test_criterion_9_cli_fault_contract(capsys, monkeypatch, tmp_path):
             final = [ln for ln in captured.err.splitlines() if ln.startswith("error: ")]
             assert len(final) == 1, (argv, captured.err)
 
-        import summitwx.cli as cli_module
-
         def explode(directory=None):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(cli_module, "load_tables", explode)
+        monkeypatch.setattr("summitwx.hazards.load_tables", explode)
         code = main(["validate-tables"])
         captured = capsys.readouterr()
         assert code == 2

@@ -496,6 +496,18 @@ def test_validate_tables_accepts_a_retranscribed_directory(tmp_path, capsys):
     assert out.endswith("all scale tables pass integrity checks\n")
 
 
+def test_validate_tables_prints_the_domain_as_written(tmp_path, capsys):
+    table_dir = copy_tables(tmp_path)
+    path = table_dir / "beaufort.table"
+    text = path.read_text(encoding="utf-8")
+    assert "domain: 0 | 200\n" in text and "| 200 |" in text
+    path.write_text(text.replace("domain: 0 | 200\n", "domain: 0 | 1234567\n")
+                    .replace("| 200 |", "| 1234567 |"), encoding="utf-8")
+    code, out, _ = run(capsys, "validate-tables", "--tables", str(table_dir))
+    assert code == 0
+    assert "ok: wind (Beaufort) bands=13 domain=[0, 1234567] mph\n" in out
+
+
 def test_validate_tables_rejects_band_gap(tmp_path, capsys):
     table_dir = copy_tables(tmp_path)
     path = table_dir / "freezing.table"
@@ -591,24 +603,20 @@ def test_no_arguments_exit_1(capsys):
 
 
 def test_multiline_error_collapses_to_one_stderr_line(monkeypatch, capsys):
-    import summitwx.cli as cli_module
-
     def explode(directory=None):
         raise ValueError("first line\nsecond line")
 
-    monkeypatch.setattr(cli_module, "load_tables", explode)
+    monkeypatch.setattr("summitwx.hazards.load_tables", explode)
     code, _, err = run(capsys, "validate-tables")
     assert code == 1
     assert err == "error: first line | second line\n"
 
 
 def test_internal_failure_exit_2(monkeypatch, capsys):
-    import summitwx.cli as cli_module
-
     def explode(directory=None):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli_module, "load_tables", explode)
+    monkeypatch.setattr("summitwx.hazards.load_tables", explode)
     code, out, err = run(capsys, "validate-tables")
     assert code == 2
     assert err == "internal: RuntimeError: boom\n"

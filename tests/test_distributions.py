@@ -198,3 +198,12 @@ def test_argument_validation():
         t_ppf(0.0, 5)
     with pytest.raises(ValueError):
         t_ppf(1.0, 5)
+    for df in (0, -0.5):
+        for fn, x in ((t_ppf, 0.9), (t_two_sided_p, 1.0)):
+            with pytest.raises(ValueError, match="degrees of freedom must be positive"):
+                fn(x, df)
+
+
+def test_t_ppf_of_the_median_is_zero():
+    for df in (0.5, 1, 7, 3000):
+        assert t_ppf(0.5, df) == 0.0

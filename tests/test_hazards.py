@@ -292,6 +292,11 @@ def test_triad_advisory_counts_dangerous_factors():
     )
 
 
+def test_triad_advisory_needs_explicit_thresholds():
+    with pytest.raises(ValueError, match="triad thresholds must be supplied explicitly"):
+        triad_advisory(make_period(), None)
+
+
 def _tamper(tmp_path: Path, name: str, transform) -> Path:
     target = tmp_path / "scales"
     shutil.copytree(SCALES, target)
@@ -355,6 +360,14 @@ def _tamper(tmp_path: Path, name: str, transform) -> Path:
          r"wind_chill\.table:20: band needs 5 fields, got 4"),
         (lambda s: s.replace("domain: -120 | 50", "domain: 5"),
          r"wind_chill\.table:6: domain needs 'low \| high'"),
+        # Integrity errors of the table as a whole.
+        (lambda s: "\n".join(line for line in s.splitlines()
+                             if not line.startswith("band:")) + "\n",
+         r"wind_chill\.table: no bands$"),
+        (lambda s: s.replace("domain: -120 | 50", "domain: 5 | 5"),
+         r"wind_chill\.table: empty domain$"),
+        (lambda s: s.replace("band: 1 | -36 | -16", "band: 1 | -16 | -36"),
+         r"wind_chill\.table: level 1 band is empty or inverted$"),
     ],
 )
 def test_tampered_table_fails_integrity(tmp_path, transform, message):

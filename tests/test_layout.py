@@ -182,23 +182,25 @@ def layout_calls(monkeypatch):
 
 
 def test_each_document_is_laid_out_and_validated_once(fixture_texts, layout_calls):
-    # Fresh documents, so that no earlier test's layouts are reused.
+    # Fresh documents, so that no earlier test's layouts are reused. Each is
+    # parsed before the counts are cleared, so that only the renders count.
     docs = [parse_forecast(fixture_texts[name], source_id=name).document
             for name in FIXTURE_NAMES]
+    layout_calls.clear()
     for condition in LayoutCondition:
         for fmt in FORMATS:
             render_stimulus_set(docs, condition, format=fmt)
     assert layout_calls == {"_layouts": 5, "validate": 5}
 
-    layout_calls.clear()
     doc = parse_forecast(fixture_texts["severe-day"], source_id="severe-day").document
+    layout_calls.clear()
     for condition in LayoutCondition:
         for fmt in FORMATS:
             render(doc, condition, format=fmt)
     assert layout_calls == {"_layouts": 1, "validate": 1}
 
-    layout_calls.clear()
     doc = parse_forecast(fixture_texts["calm-day"], source_id="calm-day").document
+    layout_calls.clear()
     renders, _ = render_stimulus_set([doc, doc], LayoutCondition.ICONS)
     assert renders[0] == renders[1]
     assert layout_calls == {"_layouts": 1, "validate": 1}

@@ -8,8 +8,11 @@ from summitwx.model import (
     Certainty,
     InvalidDocument,
     PrecipEvent,
+    PrecipKind,
     ValueRange,
     WindPrediction,
+    _document,
+    _period,
     require_valid,
     validate,
     with_periods,
@@ -63,6 +66,8 @@ def test_wrong_period_count_is_a_violation():
             "direction",
         ),
         (lambda p: replace(p, precip_events=(PrecipEvent("snow", Certainty.LIKELY),)), "precip"),
+        (lambda p: replace(p, precip_events=(PrecipEvent(PrecipKind.SNOW, "likely"),)),
+         "precip_events[0]"),
         (lambda p: replace(p, label="two\nlines"), "label"),
         (lambda p: replace(p, extra_hazard_notes=("ok", "bad\nnote")), "notes[1]"),
     ],
@@ -103,6 +108,26 @@ def test_require_valid_raises_with_every_violation_listed():
         require_valid(doc)
     assert len(exc.value.violations) == 2
     assert "invalid forecast data" in str(exc.value)
+
+
+def test_the_parse_boundary_reports_each_broken_rule_and_builds_nothing():
+    reports = []
+
+    def report(span, message):
+        reports.append((span, message))
+
+    period, doc = make_period(), make_doc()
+    assert _period(report, (3, 9), "p1: ", **vars(period)) == period
+    assert _document(report, str.upper, **vars(doc)) == doc
+    assert reports == []
+    assert _period(report, (3, 9), "p1: ",
+                   **{**vars(period), "label": "a\nb", "temperature": ValueRange(9, 1)}) is None
+    assert _document(report, str.upper, **{**vars(doc), "summary_text": " "}) is None
+    assert reports == [
+        ((3, 9), "p1: label: must not contain line breaks"),
+        ((3, 9), "p1: temperature: low 9 must be <= high 1"),
+        ("SUMMARY_TEXT", "summary_text: summary must be non-empty"),
+    ]
 
 
 def test_with_periods_replaces_only_periods():

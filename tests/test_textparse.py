@@ -180,6 +180,24 @@ def test_gust_below_sustained_is_dropped_with_warning():
     assert "below the sustained high" in warnings[0].message
 
 
+def test_gust_warning_prints_the_numbers_as_stated():
+    text = mini("Temperatures: 20-30F. Winds: 1000001 to 1000002 mph, gusts to 1000001.5 mph.")
+    (warning,) = [d for d in parse_ok(text).diagnostics if d.severity is Severity.WARNING]
+    assert warning.message == ("period 1 ('Today'): stated gust 1000001.5 mph is below the "
+                               "sustained high 1000002 mph; gust ignored")
+
+
+def test_a_wind_too_large_for_a_float_is_an_error_not_a_crash():
+    text = mini(f"Temperatures: 20-30F. Winds: 10 to 1{'0' * 400} mph, gusts to 50 mph.")
+    result = parse_forecast(text)
+    assert result.document is None
+    assert [d.message for d in result.diagnostics if d.severity is not Severity.INFO] == [
+        "period 1 ('Today'): stated gust 50 mph is below the sustained high inf mph; "
+        "gust ignored",
+        "period 1 ('Today'): wind.sustained: values must be finite",
+    ]
+
+
 def test_stated_wind_chill_extraction():
     doc = parse_ok(
         mini("Temperatures: 0-10F. Winds: NW 40-60 mph. Wind chills: 25-40 below zero.")
