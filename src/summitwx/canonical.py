@@ -83,20 +83,6 @@ class _PeriodDraft:
         self.notes: list[str] = []
 
 
-def _split_key(content: str) -> tuple[str, str] | None:
-    """Split ``key: value`` / ``key:``; None when the shape is wrong."""
-    colon = content.find(":")
-    if colon <= 0:
-        return None
-    key = content[:colon]
-    rest = content[colon + 1:]
-    if rest == "":
-        return key, ""
-    if rest.startswith(" "):
-        return key, rest[1:]
-    return None
-
-
 def parse_canonical(text: str) -> ParseResult:
     """Parse canonical text. Document present iff no error diagnostics."""
     diags: list[Diagnostic] = []
@@ -110,91 +96,80 @@ def parse_canonical(text: str) -> ParseResult:
     def err(span: tuple[int, int], message: str) -> None:
         diags.append(Diagnostic(Severity.ERROR, span, message))
 
-    offset = 0
-    for raw_line in text.split("\n"):
-        span = (offset, offset + len(raw_line))
-        offset += len(raw_line) + 1
-        if not raw_line.strip():
-            continue
-        if raw_line.lstrip().startswith("#"):
-            continue
-        meaningful += 1
+    def take(raw_line: str, span: tuple[int, int]) -> str | None:
+        """Record one meaningful line; return its problem, or None."""
         if "\r" in raw_line:
-            err(span, "carriage return in input; expected bare newlines")
-            continue
-
+            return "carriage return in input; expected bare newlines"
         in_period = raw_line.startswith("  ") and not raw_line[2:].startswith(" ")
         content = raw_line[2:] if in_period else raw_line
-        parts = _split_key(content)
-        if parts is None:
-            err(span, f"expected 'key: value', found {content!r}")
-            continue
-        key, value = parts
+        key, colon, rest = content.partition(":")
+        if not (key and colon) or rest[:1] not in ("", " "):
+            return f"expected 'key: value', found {content!r}"
+        value = rest[1:]
 
         if not top and (in_period or key != "schema"):
-            err(span, "first entry must be the schema declaration")
-            continue
+            return "first entry must be the schema declaration"
 
         if in_period:
             if not drafts:
-                err(span, f"period key {key!r} before any 'period:' marker")
-                continue
+                return f"period key {key!r} before any 'period:' marker"
             draft = drafts[-1]
             if key in _PERIOD_SCALARS:
                 if key in draft.scalars:
-                    err(span, f"duplicate key {key!r} in period {len(drafts)}")
-                    continue
+                    return f"duplicate key {key!r} in period {len(drafts)}"
                 draft.scalars[key] = value
                 draft.spans[key] = span
             elif key == "precip":
                 pieces = value.split(" | ")
                 if len(pieces) != 2:
-                    err(span, f"expected 'kind | certainty', found {value!r}")
-                    continue
+                    return f"expected 'kind | certainty', found {value!r}"
                 try:
                     draft.precip.append(
                         PrecipEvent(PrecipKind(pieces[0]), Certainty(pieces[1]))
                     )
                 except ValueError:
-                    err(span, f"unknown precipitation token in {value!r}")
-                    continue
+                    return f"unknown precipitation token in {value!r}"
             elif key == "hazard_note":
                 draft.notes.append(value)
             else:
-                err(span, f"unknown key {key!r}")
-                continue
+                return f"unknown key {key!r}"
+        elif key == "schema":
+            if top:
+                return "duplicate schema declaration"
+            if value != SCHEMA:
+                return f"unsupported schema {value!r}; expected {SCHEMA!r}"
+            top["schema"] = value
+        elif key in _TOP_SCALARS:
+            if key in top:
+                return f"duplicate key {key!r}"
+            top[key] = value
+            top_spans[key] = span
+        elif key == "summary":
+            # '|' alone is an empty line, and "|"[2:] == "".
+            if value[:2] not in ("|", "| "):
+                return (f"summary value must start with '|' and a space, or be '|' alone, "
+                        f"found {value!r}")
+            summary_lines.append(value[2:])
+        elif key == "period":
+            if value != "":
+                return f"'period:' takes no value, found {value!r}"
+            drafts.append(_PeriodDraft(span))
         else:
-            if key == "schema":
-                if top:
-                    err(span, "duplicate schema declaration")
-                    continue
-                if value != SCHEMA:
-                    err(span, f"unsupported schema {value!r}; expected {SCHEMA!r}")
-                    continue
-                top["schema"] = value
-            elif key in _TOP_SCALARS:
-                if key in top:
-                    err(span, f"duplicate key {key!r}")
-                    continue
-                top[key] = value
-                top_spans[key] = span
-            elif key == "summary":
-                if value == "|":
-                    summary_lines.append("")
-                elif value.startswith("| "):
-                    summary_lines.append(value[2:])
-                else:
-                    err(span, f"summary value must start with '|', found {value!r}")
-                    continue
-            elif key == "period":
-                if value != "":
-                    err(span, f"'period:' takes no value, found {value!r}")
-                    continue
-                drafts.append(_PeriodDraft(span))
-            else:
-                err(span, f"unknown key {key!r}")
-                continue
-        recognized += 1
+            return f"unknown key {key!r}"
+        return None
+
+    offset = 0
+    for raw_line in text.split("\n"):
+        span = (offset, offset + len(raw_line))
+        offset += len(raw_line) + 1
+        if not raw_line.strip() or raw_line.lstrip().startswith("#"):
+            continue
+        meaningful += 1
+        problem = take(raw_line, span)
+        if problem is None:
+            recognized += 1
+        else:
+            err(span, problem)
 
     whole = (0, len(text))
     if "schema" not in top:
@@ -209,15 +184,14 @@ def parse_canonical(text: str) -> ParseResult:
         try:
             issued_at = datetime.fromisoformat(top["issued_at"])
         except ValueError:
-            err(whole, f"unreadable issued_at {top['issued_at']!r}")
+            err(top_spans["issued_at"], f"unreadable issued_at {top['issued_at']!r}")
 
     periods = []
     for i, draft in enumerate(drafts):
-        periods_ok = True
+        reported = len(diags)
         for key in _PERIOD_REQUIRED:
             if key not in draft.scalars:
-                err(whole, f"period {i + 1}: missing required key {key!r}")
-                periods_ok = False
+                err(draft.span, f"period {i + 1}: missing required key {key!r}")
         nums: dict[str, float] = {}
         for key, value in draft.scalars.items():
             if key in ("label", "wind_dir"):
@@ -226,11 +200,9 @@ def parse_canonical(text: str) -> ParseResult:
                 nums[key] = _read_number(value)
             except ValueError as exc:
                 err(draft.spans[key], f"period {i + 1}: {key} {exc}")
-                periods_ok = False
         if ("chill_low_f" in draft.scalars) != ("chill_high_f" in draft.scalars):
-            err(whole, f"period {i + 1}: chill_low_f and chill_high_f must appear together")
-            periods_ok = False
-        if not periods_ok:
+            err(draft.span, f"period {i + 1}: chill_low_f and chill_high_f must appear together")
+        if len(diags) > reported:
             continue
         wind_chill = None
         if "chill_low_f" in nums:
@@ -252,7 +224,8 @@ def parse_canonical(text: str) -> ParseResult:
             periods.append(period)
 
     doc = None
-    if not any(d.severity is Severity.ERROR for d in diags):
+    # Every diagnostic this parser makes is an error, so any diagnostic means no document.
+    if not diags:
         doc = _document(
             err, lambda field_name: top_spans.get(field_name, whole),
             issued_at=issued_at, summary_text="\n".join(summary_lines), periods=tuple(periods),

@@ -188,7 +188,7 @@ def _check_range(prefix: str, rng: ValueRange, unit: str, out: list[Violation]) 
     if not (math.isfinite(rng.low) and math.isfinite(rng.high)):
         out.append(Violation(prefix, "values must be finite"))
     elif not (rng.low <= rng.high):
-        out.append(Violation(prefix, f"low {rng.low} must be <= high {rng.high}"))
+        out.append(Violation(prefix, f"low {_fmt_num(rng.low)} must be <= high {_fmt_num(rng.high)}"))
     if rng.unit != unit:
         out.append(Violation(prefix, f"unit must be {unit!r}, found {rng.unit!r}"))
 
@@ -214,8 +214,8 @@ def validate_period(period: ForecastPeriod, prefix: str = "period") -> list[Viol
         out.append(
             Violation(
                 f"{prefix}.wind.gust_high",
-                f"gust {period.wind.gust_high} must be >= sustained high "
-                f"{period.wind.sustained.high}",
+                f"gust {_fmt_num(period.wind.gust_high)} must be >= sustained high "
+                f"{_fmt_num(period.wind.sustained.high)}",
             )
         )
     if period.wind.direction is not None and period.wind.direction not in COMPASS_POINTS:

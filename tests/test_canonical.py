@@ -226,6 +226,20 @@ def test_unknown_top_level_key():
          "error:3:1 source_id: must not contain tabs"),
         (lambda s: "".join(line for line in s.splitlines(True) if not line.startswith("summary:")),
          "error:1:1 summary_text: summary must be non-empty"),
+        (lambda s: s.replace("issued_at: 2026-01-10T04:30:00", "issued_at: yesterday"),
+         "error:2:1 unreadable issued_at 'yesterday'"),
+        (lambda s: s.replace("  temp_high_f: 30\n", "", 1),
+         "error:6:1 period 1: missing required key 'temp_high_f'"),
+        (lambda s: s.replace("  temp_low_f: 20\n", "  temp_low_f: 20\n  chill_low_f: 5\n", 1),
+         "error:6:1 period 1: chill_low_f and chill_high_f must appear together"),
+        (lambda s: s.replace("summary: | Quiet", "summary: |A Quiet"),
+         "error:4:1 summary value must start with '|' and a space, or be '|' alone, "
+         "found '|A Quiet weather on the summits.'"),
+        (lambda s: s.replace("  temp_low_f: 20\n  temp_high_f: 30\n",
+                             "  temp_low_f: 900\n  temp_high_f: 10\n", 1),
+         "error:6:1 period 1: temperature: low 900 must be <= high 10"),
+        (lambda s: s.replace("  wind_high_mph: 20\n", "  wind_high_mph: 90\n  gust_high_mph: 1\n", 1),
+         "error:6:1 period 1: wind.gust_high: gust 1 must be >= sustained high 90"),
     ],
 )
 def test_parse_errors_name_their_line(mutate, message):
@@ -239,6 +253,41 @@ def test_coverage_counts_unrecognized_lines():
     text = emit_canonical(make_doc()) + "footer: done\n"
     result = parse_canonical(text)
     assert 0.0 < result.coverage < 1.0
+
+
+@pytest.mark.parametrize(
+    "after, line, fragment",
+    [
+        # `after` is the valid line the bad one goes under; None puts it first.
+        ("schema: " + SCHEMA, "footer: done\r", "carriage return"),
+        ("schema: " + SCHEMA, "footer", "expected 'key: value'"),
+        (None, "source_id: early", "first entry must be the schema declaration"),
+        (None, "schema: hsf-canonical/9", "unsupported schema"),
+        ("schema: " + SCHEMA, "  label: stray", "before any 'period:' marker"),
+        ("  label: Today", "  label: Again", "duplicate key 'label' in period 1"),
+        ("  label: Today", "  precip: snow likely", "expected 'kind | certainty'"),
+        ("  label: Today", "  precip: graupel | likely", "unknown precipitation token"),
+        ("  label: Today", "  visibility_mi: 3", "unknown key 'visibility_mi'"),
+        ("schema: " + SCHEMA, "schema: " + SCHEMA, "duplicate schema declaration"),
+        ("issued_at: 2026-01-10T04:30:00", "issued_at: 2026-01-11T00:00:00",
+         "duplicate key 'issued_at'"),
+        ("source_id: unit-test", "summary: |A", "summary value must start with '|'"),
+        ("  wind_dir: NW", "period: x", "'period:' takes no value"),
+        ("  wind_dir: NW", "footer: done", "unknown key 'footer'"),
+    ],
+)
+def test_a_line_with_a_problem_is_never_counted_as_read(after, line, fragment):
+    lines = emit_canonical(make_doc()).split("\n")
+    meaningful = sum(1 for raw in lines if raw.strip())
+    at = 0 if after is None else lines.index(after) + 1
+    lines.insert(at, line)
+    text = "\n".join(lines)
+    start = sum(len(raw) + 1 for raw in lines[:at])
+    result = parse_canonical(text)
+    assert result.document is None
+    assert [d.span for d in result.diagnostics] == [(start, start + len(line))]
+    assert fragment in result.diagnostics[0].message
+    assert result.coverage == meaningful / (meaningful + 1)
 
 
 _NUMBER = st.one_of(
