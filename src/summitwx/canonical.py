@@ -149,6 +149,7 @@ def parse_canonical(text: str) -> ParseResult:
             if value[:2] not in ("|", "| "):
                 return (f"summary value must start with '|' and a space, or be '|' alone, "
                         f"found {value!r}")
+            top_spans.setdefault("summary_text", span)
             summary_lines.append(value[2:])
         elif key == "period":
             if value != "":

@@ -79,9 +79,15 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _sample_sd(values: Sequence[float]) -> float:
+def _describe(values: Sequence[float], t975: float) -> tuple[float, float, float, float]:
+    """Mean, sample SD and 95% CI bounds; ``t975`` is t's 0.975 quantile at n - 1 df."""
+    n = len(values)
     m = _mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
+    sd = math.sqrt(sum((v - m) ** 2 for v in values) / (n - 1))
+    if sd == 0.0:
+        return (m, sd, m, m)
+    half = t975 * sd / math.sqrt(n)
+    return (m, sd, m - half, m + half)
 
 
 @dataclass(frozen=True)
@@ -177,12 +183,8 @@ def t_ci95(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     if n < 2:
         raise StudyDataError(f"confidence interval needs at least 2 values, found {n}")
-    m = _mean(values)
-    sd = _sample_sd(values)
-    if sd == 0.0:
-        return (m, m)
-    half = t_ppf(0.975, n - 1) * sd / math.sqrt(n)
-    return (m - half, m + half)
+    _, _, low, high = _describe(values, t_ppf(0.975, n - 1))
+    return (low, high)
 
 
 @dataclass(frozen=True)
@@ -265,16 +267,27 @@ class StatsReport:
     coding: CodingTable
 
 
-def _coding_cells(participants: Sequence[Participant], flag: str,
-                  conditions: list[LayoutCondition]) -> tuple[CodingCell, ...]:
-    scopes = [("overall", participants)] + [
-        (c.value, [p for p in participants if p.condition is c]) for c in conditions
-    ]
-    cells = []
-    for scope, members in scopes:
-        count = sum(1 for p in members if getattr(p, flag))
-        cells.append(CodingCell(scope, count, len(members), percentage(count, len(members))))
-    return tuple(cells)
+def _coding_table(participants: Sequence[Participant],
+                  conditions: list[LayoutCondition]) -> CodingTable:
+    """Both flags' cells, overall and then per condition, counted in one pass."""
+    # Per condition: participants, per-day mentions, summary-only mentions. An
+    # enum member hashes in Python, so each participant's is looked up once.
+    tallies = {c: [0, 0, 0] for c in conditions}
+    for p in participants:
+        tally = tallies[p.condition]
+        tally[0] += 1
+        if p.mentioned_per_day_info:
+            tally[1] += 1
+        if p.mentioned_summary_only_info:
+            tally[2] += 1
+
+    def cells(k: int) -> tuple[CodingCell, ...]:
+        scopes = [("overall", sum(t[k] for t in tallies.values()), len(participants))]
+        scopes += [(c.value, tallies[c][k], tallies[c][0]) for c in conditions]
+        return tuple(CodingCell(scope, count, total, percentage(count, total))
+                     for scope, count, total in scopes)
+
+    return CodingTable(per_day=cells(1), summary_only=cells(2))
 
 
 def build_report(
@@ -292,21 +305,15 @@ def build_report(
         )
 
     groups = []
+    t975: dict[int, float] = {}  # by group size: the paper's four groups share one
     for c in conditions:
         values = values_by_condition[c]
-        if len(values) < 2:
+        n = len(values)
+        if n < 2:
             raise StudyDataError(f"condition {c.value!r} has fewer than 2 participants")
-        low, high = t_ci95(values)
-        groups.append(
-            GroupSummary(
-                condition=c,
-                n=len(values),
-                mean=_mean(values),
-                sd=_sample_sd(values),
-                ci_low=low,
-                ci_high=high,
-            )
-        )
+        if n not in t975:
+            t975[n] = t_ppf(0.975, n - 1)
+        groups.append(GroupSummary(c, n, *_describe(values, t975[n])))
 
     anova = one_way_anova([values_by_condition[c] for c in conditions])
     pairwise = pairwise_t_tests(
@@ -314,16 +321,12 @@ def build_report(
         correction_count=correction_count,
     )
     regression = grips_regression([(p.grips_score, p.mean_risk) for p in participants])
-    coding = CodingTable(
-        per_day=_coding_cells(participants, "mentioned_per_day_info", conditions),
-        summary_only=_coding_cells(participants, "mentioned_summary_only_info", conditions),
-    )
     return StatsReport(
         groups=tuple(groups),
         anova=anova,
         pairwise=pairwise,
         regression=regression,
-        coding=coding,
+        coding=_coding_table(participants, conditions),
     )
 
 
@@ -477,6 +480,12 @@ def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[int, list[st
 _RATINGS_RE = re.compile(",".join([_NUMBER_RE.pattern] * len(ACTIVITIES)))
 
 
+#: Most distinct rating spellings one load remembers: 4x the 1 001 spellings
+#: of 0-100 at one decimal. A spelling past it is read in full on every row,
+#: so a study whose every rating is distinct keeps no more than this many.
+_KNOWN_RATINGS_MAX = 4096
+
+
 def _read_field(name: str, text: str) -> float:
     try:
         return _read_number(text)
@@ -491,7 +500,9 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
     the command-line tokens (baseline, summary-last, icons, per-day-icons).
     Unknown references, duplicates, malformed numbers, and out-of-range
     ratings are hard errors, each naming ``path:line``. Numbers follow the
-    model number grammar (:func:`summitwx.model._read_number`).
+    model number grammar (:func:`summitwx.model._read_number`). A rating
+    spelling is read and checked in full in the first row it appears in;
+    once that row has passed, later rows take its value as read there.
 
     Returns one :class:`Participant` per participant, in the order of their
     first row in ``responses.csv``; that order fixes the regression sums.
@@ -521,29 +532,36 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
     if not participants:
         raise StudyDataError(f"{participants_path}: no records")
 
-    row_sums: dict[str, list[float]] = {}
-    seen: set[tuple[str, str]] = set()
+    # Rating text -> its value, for texts whose row passed every check; a
+    # 0-100 slider writes few distinct spellings, so most rows skip the reading.
+    known: dict[str, float] = {}
+    row_sums: dict[str, dict[str, float]] = {}  # participant -> forecast -> sum
     for line, row in _csv_rows(responses_path, _RESPONSE_COLUMNS):
         pid, forecast_id = row[0], row[1]
         fields = row[2:]
         try:
             if pid not in participants:
                 raise StudyDataError(f"unknown participant {pid!r}")
-            if (pid, forecast_id) in seen:
+            sums = row_sums.setdefault(pid, {})
+            if forecast_id in sums:
                 raise StudyDataError(
                     f"duplicate response for participant {pid!r}, forecast {forecast_id!r}")
-            seen.add((pid, forecast_id))
-            if _RATINGS_RE.fullmatch(",".join(fields)):
-                ratings = tuple(map(float, fields))
-            else:
-                ratings = tuple(map(_read_field, ACTIVITIES, fields))
-            for name, value in zip(ACTIVITIES, ratings):
-                if not RATING_MIN <= value <= RATING_MAX:
-                    raise StudyDataError(
-                        f"participant {pid!r}, forecast {forecast_id!r}: "
-                        f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
-                    )
-            row_sums.setdefault(pid, []).append(sum(ratings))
+            try:
+                sums[forecast_id] = sum(map(known.__getitem__, fields))
+            except KeyError:
+                if _RATINGS_RE.fullmatch(",".join(fields)):
+                    ratings = tuple(map(float, fields))
+                else:
+                    ratings = tuple(map(_read_field, ACTIVITIES, fields))
+                for name, value in zip(ACTIVITIES, ratings):
+                    if not RATING_MIN <= value <= RATING_MAX:
+                        raise StudyDataError(
+                            f"participant {pid!r}, forecast {forecast_id!r}: "
+                            f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
+                        )
+                sums[forecast_id] = sum(ratings)
+                if len(known) < _KNOWN_RATINGS_MAX:
+                    known.update(zip(fields, ratings))
         except StudyDataError as exc:
             raise StudyDataError(f"{responses_path}:{line}: {exc}") from None
     if not row_sums:
@@ -553,5 +571,6 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
         raise StudyDataError(
             f"{participants_path}: participants with no responses: {', '.join(silent)}"
         )
-    return tuple(Participant(pid, *participants[pid], mean_risk=sum(sums) / len(sums))
+    return tuple(Participant(pid, *participants[pid],
+                             mean_risk=sum(sums.values()) / len(sums))
                  for pid, sums in row_sums.items())

@@ -226,6 +226,10 @@ def test_unknown_top_level_key():
          "error:3:1 source_id: must not contain tabs"),
         (lambda s: "".join(line for line in s.splitlines(True) if not line.startswith("summary:")),
          "error:1:1 summary_text: summary must be non-empty"),
+        # Blank summary lines are still summary lines: the error is at the first.
+        (lambda s: s.replace("summary: | Quiet weather on the summits.\n", "summary: |\n")
+                    .replace("summary: | No hazards expected.\n", "summary: |   \n"),
+         "error:4:1 summary_text: summary must be non-empty"),
         (lambda s: s.replace("issued_at: 2026-01-10T04:30:00", "issued_at: yesterday"),
          "error:2:1 unreadable issued_at 'yesterday'"),
         (lambda s: s.replace("  temp_high_f: 30\n", "", 1),

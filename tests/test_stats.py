@@ -9,19 +9,27 @@ contract line by line.
 import csv
 import hashlib
 import math
+import os
 import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
+from summitwx import stats
+from summitwx.distributions import t_ppf
 from summitwx.layout import LayoutCondition, condition_from_token
 from summitwx.stats import (
     ACTIVITIES,
+    RATING_MAX,
+    RATING_MIN,
     AnovaResult,
     Participant,
     StudyDataError,
@@ -35,6 +43,10 @@ from summitwx.stats import (
     pairwise_t_tests,
     percentage,
     t_ci95,
+    _csv_rows,
+    _RATINGS_RE,
+    _read_field,
+    _RESPONSE_COLUMNS,
 )
 
 TOL = 1e-9
@@ -567,6 +579,158 @@ def test_participants_are_checked_once(paper_study, monkeypatch):
     assert calls == [p.participant_id for p in participants]
 
 
+def oracle_load_responses(responses_path, participants_path, participants):
+    """The response loop of ``load_study`` as it was before the loader kept
+    each rating spelling's value, kept verbatim as the loader's oracle:
+    every row is matched, converted and range-checked on its own.
+    ``participants`` is the participant table, pid -> metadata tuple."""
+    row_sums: dict[str, list[float]] = {}
+    seen: set[tuple[str, str]] = set()
+    for line, row in _csv_rows(responses_path, _RESPONSE_COLUMNS):
+        pid, forecast_id = row[0], row[1]
+        fields = row[2:]
+        try:
+            if pid not in participants:
+                raise StudyDataError(f"unknown participant {pid!r}")
+            if (pid, forecast_id) in seen:
+                raise StudyDataError(
+                    f"duplicate response for participant {pid!r}, forecast {forecast_id!r}")
+            seen.add((pid, forecast_id))
+            if _RATINGS_RE.fullmatch(",".join(fields)):
+                ratings = tuple(map(float, fields))
+            else:
+                ratings = tuple(map(_read_field, ACTIVITIES, fields))
+            for name, value in zip(ACTIVITIES, ratings):
+                if not RATING_MIN <= value <= RATING_MAX:
+                    raise StudyDataError(
+                        f"participant {pid!r}, forecast {forecast_id!r}: "
+                        f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
+                    )
+            row_sums.setdefault(pid, []).append(sum(ratings))
+        except StudyDataError as exc:
+            raise StudyDataError(f"{responses_path}:{line}: {exc}") from None
+    if not row_sums:
+        raise StudyDataError(f"{responses_path}: no records")
+    silent = sorted(set(participants) - row_sums.keys())
+    if silent:
+        raise StudyDataError(
+            f"{participants_path}: participants with no responses: {', '.join(silent)}"
+        )
+    return tuple(Participant(pid, *participants[pid], mean_risk=sum(sums) / len(sums))
+                 for pid, sums in row_sums.items())
+
+
+ORACLE_TABLE = {
+    "p1": (LayoutCondition.BASELINE, 3.5, True, False),
+    "p2": (LayoutCondition.ICONS, 2.1, False, True),
+}
+
+
+def assert_loads_as_the_oracle(directory, rows):
+    """``load_study`` on a study of response ``rows`` (lists of fields) either
+    returns the oracle's participants, ``mean_risk`` to the bit, or raises
+    the oracle's exact message, which it returns without the directory."""
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = write_study(directory, participants=GOOD_PARTICIPANTS, responses=[])
+    with open(paths[0], "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    try:
+        expected = oracle_load_responses(*paths, ORACLE_TABLE)
+    except StudyDataError as exc:
+        with pytest.raises(StudyDataError) as err:
+            load_study(*paths)
+        assert str(err.value) == str(exc)
+        return str(exc).removeprefix(f"{directory}{os.sep}")
+    loaded = load_study(*paths)
+    assert loaded == expected
+    assert [p.mean_risk.hex() for p in loaded] == [p.mean_risk.hex() for p in expected]
+    return None
+
+
+def response(pid, fid, *ratings):
+    return [pid, fid, *ratings]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # Equivalent spellings each keep the value their own first row read.
+        ([response("p1", "f1", "5", "5.0", "05", "-0", "1e+1", "0"),
+          response("p2", "f1", "-0", "05", "5.0", "5", "0", "1e+1"),
+          response("p1", "f2", "1e+1", "-0", "0", "05", "5", "5.0")], None),
+        # A bad text after known spellings in the same row.
+        ([response("p1", "f1", *["5"] * 6), response("p2", "f1", *["5"] * 5, "six")],
+         "responses.csv:3: multi_night_camping is not a number: 'six'"),
+        ([response("p1", "f1", *["5"] * 6), response("p2", "f1", "5", "5", "101", "5", "5", "5")],
+         "responses.csv:3: participant 'p2', forecast 'f1': "
+         "mountaineering rating 101.0 outside [0, 100]"),
+        ([response("p1", "f1", *["5"] * 6), response("p2", "f1", *["5"] * 5, " 5")],
+         "responses.csv:3: multi_night_camping is not a number: ' 5'"),
+        # A quoted comma between two known spellings is still one field.
+        ([response("p1", "f1", "2", "3", "4", "5", "6", "7"),
+          response("p2", "f1", "1", "2,3", "4", "5", "6", "7")],
+         "responses.csv:3: day_hike is not a number: '2,3'"),
+        # Out of range before a non-number: the non-number is reported.
+        ([response("p1", "f1", "101", "six", "5", "5", "5", "5")],
+         "responses.csv:2: day_hike is not a number: 'six'"),
+        ([response("p1", "f1", *["5"] * 6), response("p1", "f1", *["5"] * 6)],
+         "responses.csv:3: duplicate response for participant 'p1', forecast 'f1'"),
+        ([response("p1", "f1", *["5"] * 6), response("p9", "f1", *["5"] * 6)],
+         "responses.csv:3: unknown participant 'p9'"),
+    ],
+    ids=["equivalent-spellings", "non-number-after-known", "out-of-range-after-known",
+         "padded-known-spelling",
+         "quoted-comma", "out-of-range-then-non-number", "duplicate", "unknown-participant"],
+)
+def test_load_study_matches_the_oracle(tmp_path, rows, message):
+    assert assert_loads_as_the_oracle(tmp_path, rows) == message
+
+
+def test_load_study_matches_the_oracle_past_the_spelling_bound(tmp_path):
+    # 6 000 distinct spellings, 4 096 of them remembered; the second pass
+    # reads each row again under a new forecast id, known or not.
+    spellings = [f"{k / 60:.6f}" for k in range(6000)]
+    assert len(set(spellings)) > stats._KNOWN_RATINGS_MAX
+    chunks = [spellings[k:k + 6] for k in range(0, len(spellings), 6)]
+    rows = [response(f"p{1 + k % 2}", f"f{k}", *chunk) for k, chunk in enumerate(chunks)]
+    rows += [response(f"p{1 + k % 2}", f"g{k}", *chunk) for k, chunk in enumerate(chunks)]
+    assert assert_loads_as_the_oracle(tmp_path, rows) is None
+    rows.append(response("p1", "h", *spellings[-5:], "1e+999"))
+    assert assert_loads_as_the_oracle(tmp_path, rows) == (
+        f"responses.csv:{len(rows) + 1}: participant 'p1', forecast 'h': "
+        "multi_night_camping rating inf outside [0, 100]")
+
+
+# A small vocabulary, with equivalent spellings of 0, 5 and 10.
+COMMON_RATINGS = ("5", "5.0", "05", "-0", "0", "1e+1", "10", "10.00", "100", "0.5")
+BAD_RATINGS = ("101", "-1", "100.5", "1e+999", "six", "nan", "", " 5", "1E1", "2,3", "5,0")
+
+
+@st.composite
+def response_rows(draw):
+    fresh = st.integers(0, 10**6).map(lambda k: f"{k // 10**4}.{k % 10**4:04d}")
+    known = st.sampled_from(COMMON_RATINGS)
+    field = st.one_of(known, known, known, fresh)  # mostly spellings seen before
+    rows = []
+    for k in range(draw(st.integers(1, 24))):
+        fields = draw(st.lists(field, min_size=6, max_size=6))
+        if draw(st.integers(0, 15)) == 0:
+            fields[draw(st.integers(0, 5))] = draw(st.sampled_from(BAD_RATINGS))
+        pid = "p9" if draw(st.integers(0, 100)) == 0 else draw(st.sampled_from(["p1", "p2"]))
+        # Now and then a forecast id the row before already used.
+        fid = f"f{k - 1 if k and draw(st.integers(0, 25)) == 0 else k}"
+        rows.append([pid, fid, *fields])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=response_rows(), bound=st.sampled_from([0, 3, 40, 4096]))
+def test_load_study_agrees_with_the_oracle(tmp_path_factory, rows, bound):
+    directory = tmp_path_factory.getbasetemp() / "oracle-study"
+    with mock.patch.object(stats, "_KNOWN_RATINGS_MAX", bound):
+        assert_loads_as_the_oracle(directory, rows)
+
+
 # ------------------------------------------------------------------- report
 
 
@@ -641,6 +805,36 @@ def test_build_report_orders_groups_by_condition_not_by_data():
     assert report.groups[0].mean == pytest.approx(210.0, abs=TOL)
     assert [(pw.group_a, pw.group_b) for pw in report.pairwise] == [("baseline", "icons")]
     assert [cell.scope for cell in report.coding.per_day] == ["overall", "baseline", "icons"]
+
+
+def groups_of_sizes(seed, sizes) -> list[Participant]:
+    rng = random.Random(seed)
+    return [
+        record(pid=f"{condition.value}-{k}", condition=condition,
+               mean_risk=rng.uniform(0.0, 600.0), grips=rng.uniform(1.0, 5.0))
+        for condition, n in zip(LayoutCondition, sizes)
+        for k in range(n)
+    ]
+
+
+@pytest.mark.parametrize("sizes, dfs", [((32, 32, 32, 32), [31]), ((3, 3, 4), [2, 3])])
+def test_build_report_reads_one_t_quantile_per_group_size(monkeypatch, sizes, dfs):
+    participants = groups_of_sizes(7, sizes)
+    calls = []
+
+    def counting(p, df):
+        calls.append(df)
+        return t_ppf(p, df)
+
+    monkeypatch.setattr(stats, "t_ppf", counting)
+    report = build_report(participants)
+    assert calls == dfs
+    for g in report.groups:
+        values = [p.mean_risk for p in participants if p.condition is g.condition]
+        mean = sum(values) / len(values)
+        assert (g.n, g.mean) == (len(values), mean)
+        assert g.sd == math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+        assert (g.ci_low, g.ci_high) == t_ci95(values)
 
 
 def test_build_report_is_deterministic():
