@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "canonical": ("SCHEMA", "emit_canonical", "parse_canonical"),
     "hazards": (
-        "DEFAULT_ICON_CONFIG", "KIND_ORDER", "HazardIcon", "HazardKind", "IconRuleConfig",
-        "ScaleBand", "ScaleTable", "ScaleTableError", "TriadAdvisory", "TriadThresholds",
-        "TriadVerdict", "beaufort_force", "derive_document_icons", "derive_icons",
+        "KIND_ORDER", "WIND_DISPLAY_FLOOR", "HazardIcon", "HazardKind", "ScaleBand",
+        "ScaleTable", "ScaleTableError", "TriadAdvisory", "TriadThresholds", "TriadVerdict",
+        "beaufort_force", "derive_document_icons", "derive_icons",
         "load_scale_table", "load_tables", "period_wind_chill", "round_half_away",
         "triad_advisory", "wind_chill", "wind_chill_category",
     ),

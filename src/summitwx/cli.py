@@ -181,7 +181,7 @@ def _cmd_stimuli(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = _EXTENSIONS[args.format]
     for i, (doc, rendered) in enumerate(zip(docs, renders)):
-        slug = _SLUG_RE.sub("-", (doc.source_id or f"doc-{i + 1}").lower()).strip("-")
+        slug = _SLUG_RE.sub("-", doc.source_id.lower()).strip("-") or f"doc-{i + 1}"
         (out_dir / f"{i + 1:02d}-{slug}.{ext}").write_bytes(rendered.payload)
     (out_dir / "index.tsv").write_text(index, encoding="utf-8")
     return 0

@@ -306,19 +306,9 @@ class HazardIcon:
     gust_annotation: float | None = None
 
 
-@dataclass(frozen=True)
-class IconRuleConfig:
-    """Display knobs for icon derivation.
-
-    ``wind_display_floor``: minimum Beaufort force that shows a wind icon.
-    Every force has a defined icon, but low forces are not hazards; the
-    floor defaults to 6 (strong breeze) and is explicit configuration.
-    """
-
-    wind_display_floor: int = 6
-
-
-DEFAULT_ICON_CONFIG = IconRuleConfig()
+#: Lowest Beaufort force that shows a wind icon. Every force has an icon, but
+#: forces below 6 (strong breeze) are not hazards.
+WIND_DISPLAY_FLOOR = 6
 
 
 def _icon(table: ScaleTable, band: ScaleBand, gust: float | None = None) -> HazardIcon:
@@ -348,18 +338,17 @@ def period_wind_chill(period: ForecastPeriod) -> float:
 def derive_icons(
     period: ForecastPeriod,
     tables=None,
-    config: IconRuleConfig = DEFAULT_ICON_CONFIG,
 ) -> tuple[HazardIcon, ...]:
     """Derive the icon set for one period, in fixed kind order.
 
     Consumes only the period's fields and the scale tables: wind icon at or
-    above the configured Beaufort display floor; wind-chill icon for any
+    above Beaufort force :data:`WIND_DISPLAY_FLOOR`; wind-chill icon for any
     frostbite-time category; freezing icon for a low strictly below 32 F;
     winter-precipitation icon for any snow, sleet, or freezing-rain event.
     At most one icon per kind. A period is valid by construction.
     """
     tables = tables or load_tables()
-    return _icons(_bands(period, tables), period.wind.gust_high, tables, config)
+    return _icons(_bands(period, tables), period.wind.gust_high, tables)
 
 
 def _bands(period: ForecastPeriod, tables) -> tuple[ScaleBand, ...]:
@@ -373,13 +362,13 @@ def _bands(period: ForecastPeriod, tables) -> tuple[ScaleBand, ...]:
     )
 
 
-def _icons(bands, gust: float | None, tables, config: IconRuleConfig) -> tuple[HazardIcon, ...]:
+def _icons(bands, gust: float | None, tables) -> tuple[HazardIcon, ...]:
     """Icons for one band per kind: wind at or above the display floor, badged
     with ``gust`` when that reaches a higher force; other kinds at level >= 1."""
     force, *others = bands
     icons: list[HazardIcon] = []
     wind_table = tables[HazardKind.WIND]
-    if force.level >= config.wind_display_floor:
+    if force.level >= WIND_DISPLAY_FLOOR:
         badge = gust if gust is not None and wind_table.level_for(gust) > force.level else None
         icons.append(_icon(wind_table, force, gust=badge))
     for kind, band in zip(KIND_ORDER[1:], others):
@@ -392,7 +381,6 @@ def derive_document_icons(
     doc: ForecastDocument,
     mode: str = "overall",
     tables=None,
-    config: IconRuleConfig = DEFAULT_ICON_CONFIG,
 ) -> tuple[tuple[HazardIcon, ...], ...]:
     """Icon sets for a whole document.
 
@@ -408,9 +396,9 @@ def derive_document_icons(
                  for column in zip(*(_bands(p, tables) for p in periods))]
         gust = max((p.wind.gust_high for p in periods if p.wind.gust_high is not None),
                    default=None)
-        return (_icons(worst, gust, tables, config),)
+        return (_icons(worst, gust, tables),)
     if mode == "per_period":
-        return tuple(derive_icons(p, tables, config) for p in periods)
+        return tuple(derive_icons(p, tables) for p in periods)
     raise ValueError(f"mode must be 'overall' or 'per_period', got {mode!r}")
 
 

@@ -20,11 +20,9 @@ from importlib import resources
 from typing import NamedTuple
 
 from .hazards import (
-    DEFAULT_ICON_CONFIG,
     GLYPH_IDS,
     HazardIcon,
     HazardKind,
-    IconRuleConfig,
     derive_document_icons,
     derive_icons,
     load_tables,
@@ -222,11 +220,11 @@ def _period_elements(index: int, period: ForecastPeriod) -> tuple[_TextElement, 
                   for suffix, field, line in rows])
 
 
-def _layouts(doc: ForecastDocument, tables, config: IconRuleConfig) -> dict:
+def _layouts(doc: ForecastDocument, tables) -> dict:
     """Each condition's ``(groups, manifest)``: one masthead, summary and set of
     period blocks, arranged four ways, two with icon rows added."""
     overall = (_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
-                         derive_document_icons(doc, "overall", tables, config)[0]),)  # validates
+                         derive_document_icons(doc, "overall", tables)[0]),)  # validates
     masthead = (
         _TextElement("title", "constant", ("HIGHER SUMMITS FORECAST",)),
         _TextElement("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",)),
@@ -238,7 +236,7 @@ def _layouts(doc: ForecastDocument, tables, config: IconRuleConfig) -> dict:
     per_day = tuple(
         (elements[0],
          _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]", "HAZARDS:",
-                   derive_icons(period, tables, config)),
+                   derive_icons(period, tables)),
          *elements[1:])
         for i, (elements, period) in enumerate(zip(periods, doc.periods))
     )
@@ -252,32 +250,32 @@ def _layouts(doc: ForecastDocument, tables, config: IconRuleConfig) -> dict:
 
 #: The layouts of the documents the last call rendered (``render`` a call with
 #: one document, ``render_stimulus_set`` one with its whole set): ``(tables,
-#: config, {id(doc): (doc, _layouts(doc, tables, config))})``. A document is
-#: validated only as it is laid out, so every held layout is of a valid one. A
-#: hit needs the very same objects: equal documents may print differently
-#: (``issued_at`` 12:00+00:00 equals 07:00-05:00). A call replaces the memo in
-#: one assignment once all its documents are laid out, so it holds one call's
-#: documents at most and a call that fails leaves it as it was.
-_last: tuple = (None, None, {})
+#: {id(doc): (doc, _layouts(doc, tables))})``. A document is validated only as
+#: it is laid out, so every held layout is of a valid one. A hit needs the very
+#: same objects: equal documents may print differently (``issued_at``
+#: 12:00+00:00 equals 07:00-05:00). A call replaces the memo in one assignment
+#: once all its documents are laid out, so it holds one call's documents at
+#: most and a call that fails leaves it as it was.
+_last: tuple = (None, {})
 
 
-def _render_all(docs: tuple, condition: LayoutCondition, format: str, tables,
-                config: IconRuleConfig) -> tuple[RenderedDocument, ...]:
+def _render_all(docs: tuple, condition: LayoutCondition, format: str,
+                tables) -> tuple[RenderedDocument, ...]:
     """Render each of ``docs`` under one condition and format, in order."""
     global _last
     write = _writer(_DOCUMENT_WRITERS, format)
     if not isinstance(condition, LayoutCondition):
         raise ValueError(f"unknown condition {condition!r}")
     tables = tables or load_tables()
-    last_tables, last_config, held = _last
-    if last_tables is not tables or last_config is not config:
+    last_tables, held = _last
+    if last_tables is not tables:
         held = {}
     # A held document stays alive, so no other object can have its id.
     layouts = {}
     for doc in docs:
         key = id(doc)
-        layouts[key] = layouts.get(key) or held.get(key) or (doc, _layouts(doc, tables, config))
-    _last = (tables, config, layouts)
+        layouts[key] = layouts.get(key) or held.get(key) or (doc, _layouts(doc, tables))
+    _last = (tables, layouts)
     return tuple([RenderedDocument(format, write(groups).encode("utf-8"), manifest)
                   for groups, manifest in [layouts[id(doc)][1][condition] for doc in docs]])
 
@@ -403,7 +401,6 @@ def render(
     condition: LayoutCondition,
     format: str = "plain",
     tables=None,
-    config: IconRuleConfig = DEFAULT_ICON_CONFIG,
 ) -> RenderedDocument:
     """Render one document under one condition. Pure and byte-deterministic.
 
@@ -411,7 +408,7 @@ def render(
     call's layouts are reused, so rendering one document in several
     conditions and formats in a row builds it once.
     """
-    return _render_all((doc,), condition, format, tables, config)[0]
+    return _render_all((doc,), condition, format, tables)[0]
 
 
 def render_stimulus_set(
@@ -419,7 +416,6 @@ def render_stimulus_set(
     condition: LayoutCondition,
     format: str = "plain",
     tables=None,
-    config: IconRuleConfig = DEFAULT_ICON_CONFIG,
 ) -> tuple[tuple[RenderedDocument, ...], str]:
     """Render every document under one fixed condition.
 
@@ -432,7 +428,7 @@ def render_stimulus_set(
     import hashlib  # here, so that a render or a classify alone never loads it
 
     docs = tuple(docs)
-    renders = _render_all(docs, condition, format, tables, config)
+    renders = _render_all(docs, condition, format, tables)
     lines = []
     for i, (doc, rendered) in enumerate(zip(docs, renders)):
         digest = hashlib.sha256(rendered.payload).hexdigest()

@@ -198,37 +198,37 @@ def _check_single_line(prefix: str, value: str, out: list[Violation]) -> None:
         out.append(Violation(prefix, "must not contain line breaks"))
 
 
-def validate_period(period: ForecastPeriod, prefix: str = "period") -> list[Violation]:
+def validate_period(period: ForecastPeriod) -> list[Violation]:
     """Collect invariant violations for one period. Empty list means valid."""
     out: list[Violation] = []
-    _check_single_line(f"{prefix}.label", period.label, out)
-    _check_range(f"{prefix}.temperature", period.temperature, "F", out)
+    _check_single_line("period.label", period.label, out)
+    _check_range("period.temperature", period.temperature, "F", out)
     if period.wind_chill is not None:
-        _check_range(f"{prefix}.wind_chill", period.wind_chill, "F", out)
-    _check_range(f"{prefix}.wind.sustained", period.wind.sustained, "mph", out)
+        _check_range("period.wind_chill", period.wind_chill, "F", out)
+    _check_range("period.wind.sustained", period.wind.sustained, "mph", out)
     if period.wind.sustained.low < 0:
-        out.append(Violation(f"{prefix}.wind.sustained", "wind speeds must be >= 0"))
+        out.append(Violation("period.wind.sustained", "wind speeds must be >= 0"))
     if period.wind.gust_high is not None and not math.isfinite(period.wind.gust_high):
-        out.append(Violation(f"{prefix}.wind.gust_high", "values must be finite"))
+        out.append(Violation("period.wind.gust_high", "values must be finite"))
     elif period.wind.gust_high is not None and period.wind.gust_high < period.wind.sustained.high:
         out.append(
             Violation(
-                f"{prefix}.wind.gust_high",
+                "period.wind.gust_high",
                 f"gust {_fmt_num(period.wind.gust_high)} must be >= sustained high "
                 f"{_fmt_num(period.wind.sustained.high)}",
             )
         )
     if period.wind.direction is not None and period.wind.direction not in COMPASS_POINTS:
         out.append(
-            Violation(f"{prefix}.wind.direction", f"unknown compass point {period.wind.direction!r}")
+            Violation("period.wind.direction", f"unknown compass point {period.wind.direction!r}")
         )
     for i, ev in enumerate(period.precip_events):
         if not isinstance(ev.kind, PrecipKind):
-            out.append(Violation(f"{prefix}.precip_events[{i}]", "kind outside the closed set"))
+            out.append(Violation(f"period.precip_events[{i}]", "kind outside the closed set"))
         if not isinstance(ev.certainty, Certainty):
-            out.append(Violation(f"{prefix}.precip_events[{i}]", "certainty outside the closed set"))
+            out.append(Violation(f"period.precip_events[{i}]", "certainty outside the closed set"))
     for i, note in enumerate(period.extra_hazard_notes):
-        _check_single_line(f"{prefix}.extra_hazard_notes[{i}]", note, out)
+        _check_single_line(f"period.extra_hazard_notes[{i}]", note, out)
     return out
 
 

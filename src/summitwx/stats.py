@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .distributions import f_sf, t_ppf, t_two_sided_p
-from .model import _NUMBER_RE, LayoutCondition, _not_utf8, _read_number, condition_from_token
+from .model import (_NUMBER_RE, LayoutCondition, _fmt_num, _not_utf8, _read_number,
+                    condition_from_token)
 
 #: Rated activities, in the fixed column order of the response file.
 ACTIVITIES = (
@@ -67,11 +68,11 @@ class Participant:
     def __post_init__(self) -> None:
         if not math.isfinite(self.grips_score):
             raise StudyDataError(
-                f"participant {self.participant_id!r}: grips_score {self.grips_score} "
+                f"participant {self.participant_id!r}: grips_score {_fmt_num(self.grips_score)} "
                 "is not finite")
         if not RATING_MIN <= self.mean_risk <= _RISK_MAX:  # NaN fails too
             raise StudyDataError(
-                f"participant {self.participant_id!r}: mean_risk {self.mean_risk} "
+                f"participant {self.participant_id!r}: mean_risk {_fmt_num(self.mean_risk)} "
                 f"outside [{RATING_MIN:g}, {_RISK_MAX:g}]")
 
 
@@ -556,8 +557,8 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
                 for name, value in zip(ACTIVITIES, ratings):
                     if not RATING_MIN <= value <= RATING_MAX:
                         raise StudyDataError(
-                            f"participant {pid!r}, forecast {forecast_id!r}: "
-                            f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
+                            f"participant {pid!r}, forecast {forecast_id!r}: {name} rating "
+                            f"{_fmt_num(value)} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
                         )
                 sums[forecast_id] = sum(ratings)
                 if len(known) < _KNOWN_RATINGS_MAX:

@@ -328,15 +328,19 @@ def test_render_rejects_unknown_format(capsys):
 
 def test_stimuli_writes_numbered_files_and_index(tmp_path, capsys):
     out_dir = tmp_path / "set"
-    code, out, _ = run(capsys, "stimuli", SEVERE, CALM, "--condition", "per-day-icons",
-                       "--format", "svg", "--out", str(out_dir))
+    # A name with no ASCII letter or digit gives no slug; the file takes doc-<n>.
+    star = tmp_path / "\u2605.txt"
+    star.write_bytes((FIXTURE_DIR / "calm-day.txt").read_bytes())
+    code, out, _ = run(capsys, "stimuli", SEVERE, CALM, str(star), "--condition",
+                       "per-day-icons", "--format", "svg", "--out", str(out_dir))
     assert code == 0
     names = sorted(p.name for p in out_dir.iterdir())
-    assert names == ["01-severe-day.svg", "02-calm-day.svg", "index.tsv"]
+    assert names == ["01-severe-day.svg", "02-calm-day.svg", "03-doc-3.svg", "index.tsv"]
     index_lines = (out_dir / "index.tsv").read_text(encoding="utf-8").splitlines()
-    assert len(index_lines) == 2
+    assert len(index_lines) == 3
     assert index_lines[0].startswith("01\tsevere-day\tper_day_icons\tsvg\t")
     assert index_lines[1].startswith("02\tcalm-day\tper_day_icons\tsvg\t")
+    assert index_lines[2].startswith("03\t\u2605\tper_day_icons\tsvg\t")
     doc = parse_forecast(
         (FIXTURE_DIR / "severe-day.txt").read_text(encoding="utf-8"),
         source_id="severe-day",

@@ -10,10 +10,9 @@ from conftest import documents, periods
 from helpers import make_doc, make_period
 from summitwx import hazards
 from summitwx.hazards import (
-    DEFAULT_ICON_CONFIG,
     KIND_ORDER,
+    WIND_DISPLAY_FLOOR,
     HazardKind,
-    IconRuleConfig,
     ScaleTableError,
     TriadThresholds,
     TriadVerdict,
@@ -109,13 +108,6 @@ def test_wind_icon_iff_force_at_display_floor():
     assert levels.get(HazardKind.WIND) == 6
 
 
-def test_wind_display_floor_is_configurable():
-    config = IconRuleConfig(wind_display_floor=1)
-    levels = _kind_levels(derive_icons(make_period(wind=(1, 5), temp=(40, 50)), config=config))
-    assert levels.get(HazardKind.WIND) == 2
-    assert DEFAULT_ICON_CONFIG.wind_display_floor == 6
-
-
 def test_stated_chill_wins_over_computed():
     period = make_period(temp=(-20, -10), wind=(60, 80), chill=(-30, -20))
     assert period_wind_chill(period) == -30
@@ -168,7 +160,7 @@ def test_icon_rules_hold_on_generated_periods(period):
     }
     assert (HazardKind.WINTER_PRECIP in levels) == bool(winter)
     assert (HazardKind.WIND in levels) == (
-        beaufort_force(period.wind.sustained.high) >= DEFAULT_ICON_CONFIG.wind_display_floor
+        beaufort_force(period.wind.sustained.high) >= WIND_DISPLAY_FLOOR
     )
     for icon in icons:
         assert icon.level >= 1 or icon.kind is HazardKind.WIND
@@ -255,14 +247,16 @@ def test_overall_level_equals_max_of_per_period_levels(doc):
         assert overall_levels[kind] == expected, kind
     assert list(per_period) == [derive_icons(p) for p in doc.periods]
 
-    # With no display floor the wind icon always shows, so its badge can be
-    # checked: the highest stated gust, exactly when its force is higher.
-    unfloored = IconRuleConfig(wind_display_floor=0)
-    (wind, *_) = derive_document_icons(doc, "overall", config=unfloored)[0]
-    gusts = [p.wind.gust_high for p in doc.periods if p.wind.gust_high is not None]
+    # The wind icon shows exactly when the windiest period reaches the floor,
+    # and its badge is the highest stated gust, exactly when its force is higher.
     beaufort = load_tables()[HazardKind.WIND]
-    badged = bool(gusts) and beaufort.level_for(max(gusts)) > wind.level
-    assert wind.gust_annotation == (max(gusts) if badged else None)
+    force = max(beaufort.level_for(p.wind.sustained.high) for p in doc.periods)
+    wind = [icon for icon in overall if icon.kind is HazardKind.WIND]
+    assert len(wind) == (force >= WIND_DISPLAY_FLOOR)
+    gusts = [p.wind.gust_high for p in doc.periods if p.wind.gust_high is not None]
+    badged = bool(gusts) and beaufort.level_for(max(gusts)) > force
+    for icon in wind:
+        assert icon.gust_annotation == (max(gusts) if badged else None)
 
 
 def test_document_icons_rejects_unknown_mode():

@@ -26,11 +26,12 @@ SUBMODULES = ("canonical", "cli", "distributions", "hazards", "layout", "model",
 
 #: The package's public names and their home modules: the names the package
 #: bound when it imported every layer eagerly, with ``Participant`` in place
-#: of the per-response record and its two helpers. The lazy namespace keeps
+#: of the per-response record and its two helpers, and ``WIND_DISPLAY_FLOOR``
+#: in place of the icon rule config and its default. The lazy namespace keeps
 #: each.
 EAGER_EXPORTS = {
     "canonical": "SCHEMA emit_canonical parse_canonical",
-    "hazards": """DEFAULT_ICON_CONFIG KIND_ORDER HazardIcon HazardKind IconRuleConfig ScaleBand
+    "hazards": """KIND_ORDER WIND_DISPLAY_FLOOR HazardIcon HazardKind ScaleBand
         ScaleTable ScaleTableError TriadAdvisory TriadThresholds TriadVerdict beaufort_force
         derive_document_icons derive_icons load_scale_table load_tables period_wind_chill
         round_half_away triad_advisory wind_chill wind_chill_category""",

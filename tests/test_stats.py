@@ -26,6 +26,7 @@ scipy_stats = pytest.importorskip("scipy.stats")
 from summitwx import stats
 from summitwx.distributions import t_ppf
 from summitwx.layout import LayoutCondition, condition_from_token
+from summitwx.model import _fmt_num
 from summitwx.stats import (
     ACTIVITIES,
     RATING_MAX,
@@ -115,7 +116,7 @@ def test_participant_mean_risk_averages_over_forecasts(tmp_path):
     [
         ({"mean_risk": math.nan}, "participant 'p1': mean_risk nan outside [0, 600]"),
         ({"mean_risk": 600.5}, "participant 'p1': mean_risk 600.5 outside [0, 600]"),
-        ({"mean_risk": -1.0}, "participant 'p1': mean_risk -1.0 outside [0, 600]"),
+        ({"mean_risk": -1.0}, "participant 'p1': mean_risk -1 outside [0, 600]"),
         ({"grips": math.inf}, "participant 'p1': grips_score inf is not finite"),
     ],
     ids=["nan-risk", "risk-above-600", "negative-risk", "infinite-grips"],
@@ -469,9 +470,9 @@ def test_load_study_accepts_numeric_bool_tokens(tmp_path):
          "responses.csv:2: backcountry_skiing is not a number: 'inf'"),
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,101", "p2,f1,1,2,3,4,5,6"],
          "responses.csv:2: participant 'p1', forecast 'f1': "
-         "multi_night_camping rating 101.0 outside [0, 100]"),
+         "multi_night_camping rating 101 outside [0, 100]"),
         (GOOD_PARTICIPANTS, ["p1,f1,-1,2,3,4,5,6", "p2,f1,1,2,3,4,5,6"],
-         "responses.csv:2: participant 'p1', forecast 'f1': car_trip rating -1.0 outside"),
+         "responses.csv:2: participant 'p1', forecast 'f1': car_trip rating -1 outside"),
         (GOOD_PARTICIPANTS, ["p1,f1,1,2,3,4,5,6", "p2,f1,1,2,3,4,100.5,6"],
          "responses.csv:3: participant 'p2', forecast 'f1': single_night_camping rating"),
         # Line 3 has the wrong field count, but line 2 is wrong first.
@@ -603,8 +604,8 @@ def oracle_load_responses(responses_path, participants_path, participants):
             for name, value in zip(ACTIVITIES, ratings):
                 if not RATING_MIN <= value <= RATING_MAX:
                     raise StudyDataError(
-                        f"participant {pid!r}, forecast {forecast_id!r}: "
-                        f"{name} rating {value} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
+                        f"participant {pid!r}, forecast {forecast_id!r}: {name} rating "
+                        f"{_fmt_num(value)} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
                     )
             row_sums.setdefault(pid, []).append(sum(ratings))
         except StudyDataError as exc:
@@ -663,7 +664,7 @@ def response(pid, fid, *ratings):
          "responses.csv:3: multi_night_camping is not a number: 'six'"),
         ([response("p1", "f1", *["5"] * 6), response("p2", "f1", "5", "5", "101", "5", "5", "5")],
          "responses.csv:3: participant 'p2', forecast 'f1': "
-         "mountaineering rating 101.0 outside [0, 100]"),
+         "mountaineering rating 101 outside [0, 100]"),
         ([response("p1", "f1", *["5"] * 6), response("p2", "f1", *["5"] * 5, " 5")],
          "responses.csv:3: multi_night_camping is not a number: ' 5'"),
         # A quoted comma between two known spellings is still one field.
