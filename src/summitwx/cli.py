@@ -99,7 +99,7 @@ def _load_thresholds(path: str):
     from .hazards import TriadThresholds
 
     values: dict[str, float] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -42,12 +42,7 @@ class HazardKind(Enum):
 
 
 #: Icon emission order within a set. Fixed; never reordered by content.
-KIND_ORDER = (
-    HazardKind.WIND,
-    HazardKind.WIND_CHILL,
-    HazardKind.FREEZING_TEMP,
-    HazardKind.WINTER_PRECIP,
-)
+KIND_ORDER = tuple(HazardKind)
 
 GLYPH_IDS = {
     HazardKind.WIND: "wind",
@@ -64,6 +59,8 @@ _TABLE_FILES = {
 }
 
 _COLOR_RE = re.compile(r"^#[0-9A-F]{6}$")
+#: The header keys a scale table states once each.
+_HEADER_KEYS = frozenset(("schema", "kind", "scale_name", "unit", "domain", "closed_edge"))
 
 
 class ScaleTableError(ValueError):
@@ -125,7 +122,7 @@ def _read_scale_table(source, origin: str) -> ScaleTable:
     at: dict[str, str] = {}  # where each key sits, as origin:line
     provenance: list[str] = []
     bands: list[ScaleBand] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -148,7 +145,7 @@ def _read_scale_table(source, origin: str) -> ScaleTable:
                 level=round(level), low=_number(parts[1], "low", where),
                 high=_number(parts[2], "high", where), color=parts[3], label=parts[4],
             ))
-        elif key in {"schema", "kind", "scale_name", "unit", "domain", "closed_edge"}:
+        elif key in _HEADER_KEYS:
             if key in fields:
                 raise ScaleTableError(f"{origin}:{lineno}: duplicate key {key!r}")
             fields[key] = value
@@ -156,7 +153,7 @@ def _read_scale_table(source, origin: str) -> ScaleTable:
         else:
             raise ScaleTableError(f"{origin}:{lineno}: unknown key {key!r}")
 
-    missing = {"schema", "kind", "scale_name", "unit", "domain", "closed_edge"} - fields.keys()
+    missing = _HEADER_KEYS - fields.keys()
     if missing:
         raise ScaleTableError(f"{origin}: missing keys: {', '.join(sorted(missing))}")
     if fields["schema"] != "hazard-scale/1":
@@ -270,7 +267,7 @@ def wind_chill(temperature_f: float, wind_mph: float) -> float:
 
 def beaufort_force(sustained_high_mph: float, tables=None) -> int:
     """Beaufort force 0-12 for a sustained wind speed in mph."""
-    if sustained_high_mph < 0:
+    if not sustained_high_mph >= 0:  # NaN too
         raise ValueError(f"wind speed must be >= 0, got {sustained_high_mph}")
     tables = tables or load_tables()
     return tables[HazardKind.WIND].level_for(sustained_high_mph)
@@ -282,10 +279,14 @@ def wind_chill_category(wc_f: float, tables=None) -> int:
     0: no frostbite hazard; 1: frostbite within 30 minutes; 2: within 10;
     3: within 5. The wind chill is rounded half-away-from-zero to a whole
     degree first, matching the hazard chart's granularity. A value exactly
-    at a band threshold takes the more severe category.
+    at a band threshold takes the more severe category; an infinite one takes
+    the end band.
     """
+    if math.isnan(wc_f):
+        raise ValueError(f"wind chill must be a number, got {wc_f}")
     tables = tables or load_tables()
-    return tables[HazardKind.WIND_CHILL].level_for(round_half_away(wc_f))
+    degrees = round_half_away(wc_f) if math.isfinite(wc_f) else wc_f
+    return tables[HazardKind.WIND_CHILL].level_for(degrees)
 
 
 @dataclass(frozen=True)

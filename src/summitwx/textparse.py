@@ -8,7 +8,9 @@ no diagnostic of its own and shows only as a lower ``coverage``.
 
 Each period block is read in one left-to-right pass over its tokens:
 sentence breaks, field labels, numbers, gust words, precipitation and
-certainty keywords, and hazard keywords.
+certainty keywords, and hazard keywords. A labelled statement is read
+where it ends, its numbers right to left, so that a trailing ``below
+zero`` reaches back across a range.
 
 Grammar token sets. Keywords are ASCII letters in any case: the text is
 folded once, ``A-Z`` to ``a-z``, and matched case-sensitively, so a
@@ -172,8 +174,12 @@ def _numbers(folded: str, numbers: list[re.Match], start: int, end: int) -> list
     """Values of the number tokens ``numbers``, all inside
     ``folded[start:end]``, with the range-hyphen and below-zero rules."""
     values: list[float] = []
-    negate: list[bool] = []
-    for m in numbers:
+    below = False
+    right = end  # where the number to the right of ``m`` starts
+    # Right to left: "35-50 below zero" puts the whole range below zero, so a
+    # number is below zero when ``below`` follows it, or when the number to
+    # its right is below zero and only a range separator lies between them.
+    for m in reversed(numbers):
         token = m[0]
         value = float(token)
         if token.startswith("-"):
@@ -183,24 +189,16 @@ def _numbers(folded: str, numbers: list[re.Match], start: int, end: int) -> list
                 k -= 1
             if k >= start and "0" <= folded[k] <= "9":
                 value = float(token[1:])
-        values.append(value)
-        negate.append(bool(_BELOW_RE.match(folded, m.end(), end)))
-    # "35-50 below zero" puts the whole range below zero, so a trailing
-    # negation spreads left across pure range separators.
-    for i in range(len(values)):
-        if not negate[i]:
-            continue
-        values[i] = -abs(values[i])
-        j = i - 1
-        while (j >= 0 and not negate[j]
-               and _RANGE_GAP_RE.fullmatch(folded, numbers[j].end(), numbers[j + 1].start())):
-            values[j] = -abs(values[j])
-            j -= 1
+        below = bool(_BELOW_RE.match(folded, m.end(), end)
+                     or below and _RANGE_GAP_RE.fullmatch(folded, m.end(), right))
+        values.append(-abs(value) if below else value)
+        right = m.start()
+    values.reverse()
     return values
 
 
-def _envelope(values: list[float], unit: str) -> ValueRange:
-    return ValueRange(low=min(values), high=max(values), unit=unit)
+def _envelope(values: list[float], unit: str) -> ValueRange | None:
+    return ValueRange(low=min(values), high=max(values), unit=unit) if values else None
 
 
 def _unwrap(note: str) -> str:
@@ -219,15 +217,17 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
 
     # One pass over the block's tokens. A labelled statement runs from its
     # label to the next label or the end of its sentence, whichever comes
-    # first; anything after the sentence is narrative, not part of the
-    # value. Precipitation counts anywhere in a sentence, with the certainty
-    # the sentence states; hazard notes and coverage come from the
-    # sentence's narrative part, the text before its first label.
-    statements: list[tuple[re.Match, int, list[re.Match], re.Match | None, int]] = []
+    # first, and is read where it ends; anything after the sentence is
+    # narrative, not part of the value. Precipitation counts anywhere in a
+    # sentence, with the certainty the sentence states; hazard notes and
+    # coverage come from the sentence's narrative part, the text before its
+    # first label.
+    values: dict[str, list[float]] = {"temp": [], "chill": [], "wind": [], "gust": []}
+    direction: str | None = None
     statement: re.Match | None = None  # the open statement's label token
-    numbers: list[re.Match] = []
-    gust: re.Match | None = None  # its first gust word, and how many numbers precede it
-    gust_at = 0
+    numbers: list[re.Match] = []  # its numbers, up to its first gust word if any
+    gust: re.Match | None = None  # a wind statement's first gust word
+    gusts: list[re.Match] = []  # and the numbers after it
     precip_events: list[tuple[PrecipKind, Certainty]] = []
     notes: list[str] = []
     s_start, narrative_end, kinds = start, None, []
@@ -236,13 +236,30 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
         token = m.lastgroup
         if token == "number":
             if statement is not None:
-                numbers.append(m)
+                (numbers if gust is None else gusts).append(m)
         elif token == "stop" or token in _LABELS:
             if statement is not None:
-                statements.append((statement, m.start(), numbers, gust, gust_at))
+                name, seg_end = statement.lastgroup, m.start()
+                split = seg_end if gust is None else gust.start()
+                scan.mark(statement.start(), seg_end)
+                values[name] += _numbers(folded, numbers, statement.end(), split)
+                if name == "wind" and direction is None:
+                    dm = _COMPASS_RE.search(folded, statement.end(),
+                                            numbers[0].start() if numbers else split)
+                    if dm:
+                        direction = dm[1].upper()
+                if gust is not None:
+                    post = _numbers(folded, gusts, gust.end(), seg_end)
+                    if not post:
+                        scan.diag(
+                            Severity.WARNING, gust.span(),
+                            f"{heading}gusts mentioned without a numeric value; "
+                            "gust magnitude left unset",
+                        )
+                    values["gust"] += post
                 statement = None
             if token != "stop":
-                statement, numbers, gust = m, [], None
+                statement, numbers, gust, gusts = m, [], None, []
                 if narrative_end is None:
                     narrative_end = m.start()
                 continue
@@ -260,7 +277,7 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
             likely = chance = hazard = False
         elif token == "gust":
             if gust is None and statement is not None and statement.lastgroup == "wind":
-                gust, gust_at = m, len(numbers)
+                gust = m
         elif token == "likely":
             likely = True
         elif token == "chance":
@@ -270,44 +287,13 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
         elif PrecipKind[token] not in kinds:
             kinds.append(PrecipKind[token])
 
-    temp_values: list[float] = []
-    chill_values: list[float] = []
-    sustained_values: list[float] = []
-    gust_values: list[float] = []
-    direction: str | None = None
-    for lm, seg_end, numbers, gust, gust_at in statements:
-        scan.mark(lm.start(), seg_end)
-        if lm.lastgroup == "temp":
-            temp_values.extend(_numbers(folded, numbers, lm.end(), seg_end))
-        elif lm.lastgroup == "chill":
-            chill_values.extend(_numbers(folded, numbers, lm.end(), seg_end))
-        else:
-            # Numbers before the first gust word are sustained speeds, after it gusts.
-            split = gust.start() if gust else seg_end
-            pre = numbers[:gust_at] if gust else numbers
-            sustained_values.extend(_numbers(folded, pre, lm.end(), split))
-            if direction is None:
-                dm = _COMPASS_RE.search(folded, lm.end(), pre[0].start() if pre else split)
-                if dm:
-                    direction = dm[1].upper()
-            if gust:
-                post = _numbers(folded, numbers[gust_at:], gust.end(), seg_end)
-                if post:
-                    gust_values.extend(post)
-                else:
-                    scan.diag(
-                        Severity.WARNING, gust.span(),
-                        f"{heading}gusts mentioned without a numeric value; "
-                        "gust magnitude left unset",
-                    )
-
-    temperature = _envelope(temp_values, "F") if temp_values else None
+    temperature = _envelope(values["temp"], "F")
     if temperature is None:
         scan.error(header.span(), heading + "no temperature found")
-    sustained = _envelope(sustained_values, "mph") if sustained_values else None
+    sustained = _envelope(values["wind"], "mph")
     if sustained is None:
         scan.error(header.span(), heading + "no wind prediction found")
-    gust_high = max(gust_values) if gust_values else None
+    gust_high = max(values["gust"], default=None)
     if gust_high is not None and sustained is not None and gust_high < sustained.high:
         scan.diag(
             Severity.WARNING, header.span(),
@@ -315,7 +301,7 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
             f"the sustained high {_fmt_num(sustained.high)} mph; gust ignored",
         )
         gust_high = None
-    wind_chill = _envelope(chill_values, "F") if chill_values else None
+    wind_chill = _envelope(values["chill"], "F")
 
     if temperature is None or sustained is None:
         return None

@@ -267,6 +267,11 @@ def test_classify_rejects_unknown_mode(capsys):
          "thresholds.txt:1: wind_high_mph is not a number: '1e999'"),
         ("wind_high_mph: 1e+999\ntemperature_low_f: -10\n",
          "thresholds.txt:1: wind_high_mph is not finite: '1e+999'"),
+        # A line ends at "\n" only: a comment with a U+2028 (or any other
+        # character str.splitlines() breaks at) is one line, line 1.
+        *[(f"# cutoffs{c} from the workshop\nwind_high_mph: fast\ntemperature_low_f: -10\n",
+           "thresholds.txt:2: wind_high_mph is not a number: 'fast'")
+          for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"],
     ],
 )
 def test_classify_rejects_bad_threshold_files(tmp_path, capsys, content, fragment):

@@ -61,6 +61,17 @@ def test_beaufort_clamps_above_domain_and_rejects_negatives():
         beaufort_force(-3)
 
 
+def test_scalar_helpers_reject_nan_and_take_the_end_band_at_infinity():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="wind speed must be >= 0, got nan"):
+        beaufort_force(nan)
+    with pytest.raises(ValueError, match="wind chill must be a number, got nan"):
+        wind_chill_category(nan)
+    assert beaufort_force(inf) == 12
+    assert wind_chill_category(inf) == 0
+    assert wind_chill_category(-inf) == 3
+
+
 def test_load_tables_is_complete_and_cached():
     tables = load_tables()
     assert set(tables) == set(HazardKind)
@@ -362,6 +373,12 @@ def _tamper(tmp_path: Path, name: str, transform) -> Path:
          r"wind_chill\.table: empty domain$"),
         (lambda s: s.replace("band: 1 | -36 | -16", "band: 1 | -16 | -36"),
          r"wind_chill\.table: level 1 band is empty or inverted$"),
+        # A line ends at "\n" only: a comment with a form feed (or any other
+        # character str.splitlines() breaks at) is one line, line 8.
+        *[(lambda s, c=c: s.replace("closed_edge: high\n", f"closed_edge: high\n# a{c}b\n")
+           .replace("| #6FA8DC | Frostbite in 10 minutes", "| #6FA8DC"),
+           r"wind_chill\.table:21: band needs 5 fields, got 4$")
+          for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"],
     ],
 )
 def test_tampered_table_fails_integrity(tmp_path, transform, message):

@@ -210,6 +210,18 @@ def test_study_reader_takes_numbers_only_from_the_model_grammar():
     assert offenders == []
 
 
+def test_no_module_splits_lines_at_anything_but_a_newline():
+    # str.splitlines() also ends a line at \v, \f, \x1c-\x1e, \x85, U+2028
+    # and U+2029, where no editor does, so a line number after one is wrong.
+    offenders = []
+    for path in sorted((SRC / "summitwx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "splitlines"):
+                offenders.append(f"{path.name}:{node.lineno} calls .splitlines()")
+    assert offenders == []
+
+
 # ---------------------------------------------------------- lazy namespace
 
 

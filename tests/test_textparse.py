@@ -198,6 +198,98 @@ def test_a_wind_too_large_for_a_float_is_an_error_not_a_crash():
     ]
 
 
+@pytest.mark.parametrize(
+    "today, temperature, sustained, direction, gust, warned_at",
+    [
+        # Two wind statements: the first compass point wins, the sustained
+        # values and the gusts of both merge.
+        ("Temperatures: 20-30F. Winds: NW 10-20 mph, gusts to 40. Winds: SE 30 mph, gusts 50.",
+         (20, 30), (10, 30), "NW", 50, []),
+        ("Temperatures: 20-30F. Winds: 10-20 mph. Winds: SE 30 mph, gusts 50.",
+         (20, 30), (10, 30), "SE", 50, []),
+        # A gust word in a temperature statement is not a split: every number
+        # after it is still a temperature.
+        ("Temperatures: 20-30F with gusts 45. Winds: NW 10-20 mph.",
+         (20, 45), (10, 20), "NW", None, []),
+        # Only the first gust word of a wind statement splits it.
+        ("Temperatures: 20-30F. Winds: NW 10-20 mph gusting 30, gusts 40.",
+         (20, 30), (10, 20), "NW", 40, []),
+        ("Temperatures: 20-30F. Winds: NW 10-20 mph gusting, gusts 40.",
+         (20, 30), (10, 20), "NW", 40, []),
+        # A gust word with no number after it warns once per statement, in
+        # statement order.
+        ("Temperatures: 20-30F. Winds: NW 10-20 mph gusting. Winds: W 25 mph with gusts.",
+         (20, 30), (10, 25), "NW", None, ["gusting", "gusts"]),
+    ],
+    ids=["two-winds", "two-winds-later-direction", "gust-in-temperature",
+         "two-gust-words", "two-gust-words-first-bare", "two-bare-gusts"],
+)
+def test_order_sensitive_statements(today, temperature, sustained, direction, gust, warned_at):
+    text = mini(today)
+    result = parse_ok(text)
+    period = result.document.periods[0]
+    assert (period.temperature.low, period.temperature.high) == temperature
+    assert (period.wind.sustained.low, period.wind.sustained.high) == sustained
+    assert period.wind.direction == direction
+    assert period.wind.gust_high == gust
+    warnings = [d for d in result.diagnostics if d.severity is Severity.WARNING]
+    assert [text[slice(*d.span)] for d in warnings] == warned_at
+    assert all("gusts mentioned without a numeric value" in d.message for d in warnings)
+
+
+def oracle_numbers(folded, numbers, start, end):
+    """The number reader as it was before it became one right-to-left pass,
+    kept verbatim as its oracle: numbers read forward, then a second loop
+    spreads ``below zero`` to the left."""
+    values: list[float] = []
+    negate: list[bool] = []
+    for m in numbers:
+        token = m[0]
+        value = float(token)
+        if token.startswith("-"):
+            # Hyphen between two complete numbers separates a range.
+            k = m.start() - 1
+            while k >= start and folded[k].isspace():
+                k -= 1
+            if k >= start and "0" <= folded[k] <= "9":
+                value = float(token[1:])
+        values.append(value)
+        negate.append(bool(textparse._BELOW_RE.match(folded, m.end(), end)))
+    # "35-50 below zero" puts the whole range below zero, so a trailing
+    # negation spreads left across pure range separators.
+    for i in range(len(values)):
+        if not negate[i]:
+            continue
+        values[i] = -abs(values[i])
+        j = i - 1
+        while (j >= 0 and not negate[j]
+               and textparse._RANGE_GAP_RE.fullmatch(folded, numbers[j].end(),
+                                                     numbers[j + 1].start())):
+            values[j] = -abs(values[j])
+            j -= 1
+    return values
+
+
+_NUMBER_PIECES = st.one_of(
+    st.from_regex(r"-?(?:0|[1-9][0-9]?)(?:\.[05])?", fullmatch=True),
+    st.sampled_from(["-", "to", "or", "through", "and", "near", "f", "mph", "x", "zero",
+                     "below", "below zero", "degrees below zero", "degrees", "belowzero"]),
+)
+_NUMBER_GAPS = st.sampled_from(["", " ", "  ", "\n", " \n ", "\t", "\n\n", "\x0b"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_NUMBER_PIECES, _NUMBER_GAPS), max_size=16))
+def test_number_reader_matches_the_two_loop_reader(pieces):
+    folded = "temperatures: " + "".join(piece + gap for piece, gap in pieces)
+    start = len("temperatures:")
+    numbers = [m for m in textparse._TOKEN_RE.finditer(folded, start)
+               if m.lastgroup == "number"]
+    got = textparse._numbers(folded, numbers, start, len(folded))
+    assert list(map(repr, got)) == list(map(repr, oracle_numbers(folded, numbers, start,
+                                                                  len(folded))))
+
+
 def test_stated_wind_chill_extraction():
     doc = parse_ok(
         mini("Temperatures: 0-10F. Winds: NW 40-60 mph. Wind chills: 25-40 below zero.")
