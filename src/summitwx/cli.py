@@ -19,7 +19,8 @@ from .model import (
     WORST_CASE_LABEL,
     ForecastDocument,
     _fmt_num,
-    _not_utf8,
+    _key_values,
+    _read_input,
     _read_number,
     condition_from_token,
 )
@@ -40,11 +41,9 @@ class _SingleLineParser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return _read_input(Path(path), path, _CliError)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise _CliError(_not_utf8(Path(path), path)) from None
 
 
 def _load_document(path: str, source_id: str | None = None) -> ForecastDocument:
@@ -99,27 +98,19 @@ def _load_thresholds(path: str):
     from .hazards import TriadThresholds
 
     values: dict[str, float] = {}
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        if not sep or key not in _THRESHOLD_KEYS:
+    for lineno, key, value in _key_values(_read_text(path)):
+        if value is None or key not in _THRESHOLD_KEYS:
             raise _CliError(f"{path}:{lineno}: expected one of {', '.join(_THRESHOLD_KEYS)}")
         if key in values:
             raise _CliError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _read_number(value.strip())
+            values[key] = _read_number(value)
         except ValueError as exc:
             raise _CliError(f"{path}:{lineno}: {key} {exc}") from None
     missing = [k for k in _THRESHOLD_KEYS if k not in values]
     if missing:
         raise _CliError(f"{path}: missing threshold key(s): {', '.join(missing)}")
-    return TriadThresholds(
-        wind_high_mph=values["wind_high_mph"],
-        temperature_low_f=values["temperature_low_f"],
-    )
+    return TriadThresholds(**values)
 
 
 def _cmd_classify(args) -> int:

@@ -28,7 +28,8 @@ from .model import (
     WINTER_PRECIP_KINDS,
     ForecastDocument,
     ForecastPeriod,
-    _not_utf8,
+    _key_values,
+    _read_input,
     _read_number,
     require_valid,
 )
@@ -114,23 +115,13 @@ def _number(text: str, name: str, where: str) -> float:
 def _read_scale_table(source, origin: str) -> ScaleTable:
     """The scale table in the file or package resource ``source``. A line's
     error names ``origin:line``, an error of the whole table ``origin``."""
-    try:
-        text = source.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ScaleTableError(_not_utf8(source, origin)) from None
     fields: dict[str, str] = {}
     at: dict[str, str] = {}  # where each key sits, as origin:line
     provenance: list[str] = []
     bands: list[ScaleBand] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ScaleTableError(f"{origin}:{lineno}: expected 'key: value', got {line!r}")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_values(_read_input(source, origin, ScaleTableError)):
+        if value is None:
+            raise ScaleTableError(f"{origin}:{lineno}: expected 'key: value', got {key!r}")
         if key == "provenance":
             provenance.append(value)
         elif key == "band":

@@ -34,6 +34,7 @@ from .model import (  # noqa: F401  (the condition names are re-exported)
     ForecastPeriod,
     LayoutCondition,
     _fmt_num,
+    _read_input,
     condition_from_token,
 )
 
@@ -120,7 +121,7 @@ def _glyph_inner(glyph_id: str) -> str:
     if glyph_id not in GLYPH_IDS.values():
         raise ValueError(f"unknown glyph_id {glyph_id!r}")
     path = resources.files("summitwx") / "assets" / "glyphs" / f"{glyph_id}.svg"
-    text = path.read_text(encoding="utf-8").strip()
+    text = _read_input(path, str(path), ValueError).strip()
     open_end = text.index(">") + 1
     close_start = text.rindex("</svg>")
     return text[open_end:close_start]

@@ -16,7 +16,8 @@ broken rule as a diagnostic instead of raising.
 The study layout conditions, their command-line tokens, the render formats
 and the canonical number grammar and formatter live here too, so that the
 statistics lane can name a condition without importing the renderer, and
-the renderer can print a number without importing a parser.
+the renderer can print a number without importing a parser. So does the
+one reader that turns an input file into text and numbered lines.
 """
 
 from __future__ import annotations
@@ -94,15 +95,30 @@ def _read_number(text: str) -> float:
     return value
 
 
-def _not_utf8(source, origin: str) -> str:
-    """``<origin>:<line>: ...`` naming the first byte of the file ``source`` that is not UTF-8."""
+def _read_input(source, origin: str, error: type[Exception]) -> str:
+    """The text of the file or package resource ``source`` as ``read_text``
+    gives it: UTF-8, with each ``\\r\\n`` and lone ``\\r`` read as ``\\n``. A
+    byte that is not UTF-8 raises ``error`` reading ``<origin>:<line>: byte
+    0x.. is not UTF-8 (<reason>)``, its line counted the same way."""
     data = source.read_bytes()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1  # no UTF-8 sequence spans a newline
-        return f"{origin}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-    return f"{origin}: not UTF-8"  # the file changed after the failed read
+        # No UTF-8 sequence holds a \r or \n byte, so the bytes end lines as the text does.
+        line = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise error(f"{origin}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                    f"({exc.reason})") from None
+
+
+def _key_values(text: str):
+    """``(line, key, value)`` for each line of ``text`` that is neither blank
+    nor a ``#`` comment: the line split at its first ``:``, key and value
+    stripped, and ``value`` None on a line without a colon."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, sep, value = line.partition(":")
+            yield lineno, key.strip(), value.strip() if sep else None
 
 
 def _fmt_num(x: float) -> str:

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .distributions import f_sf, t_ppf, t_two_sided_p
-from .model import (_NUMBER_RE, LayoutCondition, _fmt_num, _not_utf8, _read_number,
+from .model import (_NUMBER_RE, LayoutCondition, _fmt_num, _read_input, _read_number,
                     condition_from_token)
 
 #: Rated activities, in the fixed column order of the response file.
@@ -473,7 +473,8 @@ def _csv_rows(path: Path, columns: Sequence[str]) -> Iterator[tuple[int, list[st
         except csv.Error as exc:
             raise StudyDataError(f"{path}:{start}: {exc}") from None
         except UnicodeDecodeError:  # decoded in chunks, so its position is no guide
-            raise StudyDataError(_not_utf8(path, str(path))) from None
+            _read_input(path, str(path), StudyDataError)  # raises at the bad byte's line
+            raise StudyDataError(f"{path}: not UTF-8") from None  # the file changed since
 
 
 #: The six ratings of a response row joined by commas, each in the model

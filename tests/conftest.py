@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -81,6 +81,15 @@ def periods(draw) -> ForecastPeriod:
     )
 
 
+#: Naive, or aware at an offset west or east of UTC, on the half hour or off
+#: the minute. An aware time equals the same instant at any other offset, so
+#: ``==`` alone misses a round trip that moved the offset.
+_issue_zones = st.none() | st.sampled_from([
+    timezone(timedelta(hours=-5)), timezone(timedelta(hours=5, minutes=30)),
+    timezone(timedelta(seconds=30)), timezone.utc,
+]) | st.integers(-86_399, 86_399).map(lambda s: timezone(timedelta(seconds=s)))
+
+
 @st.composite
 def documents(draw) -> ForecastDocument:
     summary = draw(
@@ -98,7 +107,8 @@ def documents(draw) -> ForecastDocument:
         .filter(lambda s: s.strip())
     )
     issued = draw(
-        st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2100, 1, 1))
+        st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2100, 1, 1),
+                     timezones=_issue_zones)
     )
     return ForecastDocument(
         issued_at=issued,

@@ -87,9 +87,14 @@ def test_round_trip_exhaustive_seeded_sample():
 @settings(max_examples=300, deadline=None)
 @given(documents())
 def test_round_trip_is_identity(doc):
-    result = parse_canonical(emit_canonical(doc))
+    text = emit_canonical(doc)
+    result = parse_canonical(text)
     assert result.errors == ()
     assert result.document == doc
+    # An aware time equals the same instant at another offset; the offset
+    # and the text must survive too.
+    assert result.document.issued_at.utcoffset() == doc.issued_at.utcoffset()
+    assert emit_canonical(result.document) == text
     assert result.coverage == 1.0
 
 

@@ -561,15 +561,20 @@ def test_classify_uses_the_tables_flag(tmp_path, capsys):
 # ---------------------------------------------------------------- encoding
 
 
-def _spoil(path, lineno):
-    """Append the byte 0xff, which is never UTF-8, to line ``lineno`` of ``path``."""
+def _spoil(path, lineno, ending):
+    """Append the byte 0xff, which is never UTF-8, to line ``lineno`` of
+    ``path``, and end each of its lines with ``ending``."""
     lines = path.read_bytes().split(b"\n")
     lines[lineno - 1] += b"\xff"
-    path.write_bytes(b"\n".join(lines))
+    path.write_bytes(ending.join(lines))
 
 
-@pytest.mark.parametrize("reader", ["bulletin", "canonical", "thresholds", "tables", "study"])
-def test_a_byte_that_is_not_utf8_is_an_error_at_its_line(tmp_path, capsys, reader):
+@pytest.mark.parametrize("reader, ending", [
+    pytest.param(reader, ending, id=reader + suffix)
+    for suffix, ending in (("", b"\n"), ("-crlf", b"\r\n"), ("-cr", b"\r"))
+    for reader in ("bulletin", "canonical", "thresholds", "tables", "study")
+])
+def test_a_byte_that_is_not_utf8_is_an_error_at_its_line(tmp_path, capsys, reader, ending):
     bulletin = tmp_path / "calm.txt"
     bulletin.write_bytes((FIXTURE_DIR / "calm-day.txt").read_bytes())
     canonical = tmp_path / "calm.canon"
@@ -590,7 +595,7 @@ def test_a_byte_that_is_not_utf8_is_an_error_at_its_line(tmp_path, capsys, reade
         "study": (participants, 1900, ["stats", "--responses", str(responses),
                                        "--participants", str(participants)]),
     }[reader]
-    _spoil(path, line)
+    _spoil(path, line, ending)
     assert run(capsys, *argv) == (
         1, "", f"error: {path}:{line}: byte 0xff is not UTF-8 (invalid start byte)\n")
 

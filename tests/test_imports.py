@@ -222,6 +222,20 @@ def test_no_module_splits_lines_at_anything_but_a_newline():
     assert offenders == []
 
 
+def test_only_model_reads_an_input_file_as_text_or_bytes():
+    # model._read_input decodes each input file and names the line of a byte
+    # that is not UTF-8; a second reader would decide both again, its own way.
+    offenders = []
+    for path in sorted((SRC / "summitwx").glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("read_text", "read_bytes")):
+                offenders.append(f"{path.name}:{node.lineno} calls .{node.func.attr}()")
+    assert offenders == []
+
+
 # ---------------------------------------------------------- lazy namespace
 
 

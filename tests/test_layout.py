@@ -434,6 +434,39 @@ def test_render_icon_rejects_unknown_format_and_glyph(fixture_docs):
         render_icon(replace(overall[0], glyph_id="missing"), "svg")
 
 
+def _wcag_luminance(color):
+    """WCAG 2.1 relative luminance of ``#RRGGBB``."""
+    channels = [int(color[i:i + 2], 16) / 255 for i in (1, 3, 5)]
+    r, g, b = (c / 12.92 if c <= 0.03928 else ((c + 0.055) / 1.055) ** 2.4 for c in channels)
+    return 0.2126 * r + 0.7152 * g + 0.0722 * b
+
+
+#: WCAG 2.1 contrast, (L1 + 0.05) / (L2 + 0.05), of each packaged band
+#: against the ink _glyph_color picks for it. Three fall below the 4.5 that
+#: WCAG AA asks of text: wind force 10 (where dark ink would give 5.19), wind
+#: force 11 and winter precipitation level 1.
+BAND_INK_CONTRAST = {
+    ("wind", 0): 17.06, ("wind", 1): 13.61, ("wind", 2): 13.51, ("wind", 3): 13.21,
+    ("wind", 4): 12.06, ("wind", 5): 11.25, ("wind", 6): 11.94, ("wind", 7): 13.08,
+    ("wind", 8): 10.01, ("wind", 9): 6.94, ("wind", 10): 3.28, ("wind", 11): 4.26,
+    ("wind", 12): 5.33,
+    ("wind_chill", 0): 17.06, ("wind_chill", 1): 11.45, ("wind_chill", 2): 6.75,
+    ("wind_chill", 3): 6.76,
+    ("freezing_temp", 0): 17.06, ("freezing_temp", 1): 9.07,
+    ("winter_precip", 0): 17.06, ("winter_precip", 1): 4.15,
+}
+
+
+def test_each_band_keeps_its_ink_contrast():
+    contrast = {}
+    for kind, table in load_tables().items():
+        for band in table.bands:
+            lighter, darker = sorted(
+                map(_wcag_luminance, (band.color, layout._glyph_color(band.color))), reverse=True)
+            contrast[kind.value, band.level] = round((lighter + 0.05) / (darker + 0.05), 2)
+    assert contrast == BAND_INK_CONTRAST
+
+
 def test_render_rejects_bad_inputs(fixture_docs):
     doc = fixture_docs["calm-day"]
     with pytest.raises(ValueError, match="plain"):

@@ -2,6 +2,8 @@ from dataclasses import replace
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_doc, make_period
 from summitwx.model import (
@@ -12,6 +14,7 @@ from summitwx.model import (
     ValueRange,
     WindPrediction,
     _document,
+    _key_values,
     _period,
     require_valid,
     validate,
@@ -148,3 +151,41 @@ def test_frozen_dataclasses_reject_mutation():
 def test_document_equality_is_structural():
     assert make_doc() == make_doc()
     assert make_doc() != replace(make_doc(), issued_at=datetime(2020, 1, 1))
+
+
+def oracle_key_values(text):
+    """The line loop the scale-table and threshold readers each wrote before
+    they shared model._key_values, kept verbatim as its oracle: the ``(line,
+    key, value)`` of each line up to the first one without a colon, and that
+    line's number and stripped text, where the scale-table reader stopped."""
+    found = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            return found, (lineno, line)
+        key = key.strip()
+        value = value.strip()
+        found.append((lineno, key, value))
+    return found, None
+
+
+#: Pieces of key-value lines: blank and padding runs (str.strip() also takes
+#: \x0c and U+2028), comment marks, keys, colons and values holding colons.
+_LINE_PIECES = st.sampled_from(
+    ["", " ", "  ", "\t", "\x0c", "\u2028", "#", "# note", "key", " band ", "kind",
+     ":", " : ", "a: b", "1 | 2 | #FF0000", "caf\xe9", "-10"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(_LINE_PIECES, max_size=6).map("".join), max_size=12).map("\n".join))
+def test_key_values_matches_the_reader_loop(text):
+    found, error = [], None
+    for lineno, key, value in _key_values(text):
+        if value is None:
+            error = (lineno, key)
+            break
+        found.append((lineno, key, value))
+    assert (found, error) == oracle_key_values(text)
