@@ -19,7 +19,7 @@ _EXPORTS = {
     "hazards": (
         "KIND_ORDER", "WIND_DISPLAY_FLOOR", "HazardIcon", "HazardKind", "ScaleBand",
         "ScaleTable", "ScaleTableError", "TriadAdvisory", "TriadThresholds", "TriadVerdict",
-        "beaufort_force", "derive_document_icons", "derive_icons",
+        "beaufort_force", "derive_document_icons", "derive_icon_rows", "derive_icons",
         "load_scale_table", "load_tables", "period_wind_chill", "round_half_away",
         "triad_advisory", "wind_chill", "wind_chill_category",
     ),

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path, PurePath, PurePosixPath
 from types import MappingProxyType
 from typing import Mapping
@@ -90,16 +91,28 @@ class ScaleTable:
 
     def band_for(self, value: float) -> ScaleBand:
         """Band containing ``value``; values beyond the domain take the end band."""
+        return self.bands[self._position(value)]
+
+    def _position(self, value: float) -> int:
+        """Index in ``bands`` of the band containing ``value``."""
         x = min(max(value, self.domain_low), self.domain_high)
+        bands = self.bands
         if self.closed_edge == "low":
-            for band in self.bands[:-1]:
+            for i, band in enumerate(bands[:-1]):
                 if band.low <= x < band.high:
-                    return band
-            return self.bands[-1]
-        for band in self.bands[1:][::-1]:
+                    return i
+            return len(bands) - 1
+        for i in range(len(bands) - 1, 0, -1):
+            band = bands[i]
             if band.low < x <= band.high:
-                return band
-        return self.bands[0]
+                return i
+        return 0
+
+    @cached_property
+    def _band_icons(self) -> tuple[HazardIcon, ...]:
+        """Each band's icon without a gust badge, in band order: built once
+        per table, and shared by every icon row that shows the band."""
+        return tuple(_icon(self, band) for band in self.bands)
 
     def level_for(self, value: float) -> int:
         return self.band_for(value).level
@@ -303,7 +316,7 @@ class HazardIcon:
 WIND_DISPLAY_FLOOR = 6
 
 
-def _icon(table: ScaleTable, band: ScaleBand, gust: float | None = None) -> HazardIcon:
+def _icon(table: ScaleTable, band: ScaleBand) -> HazardIcon:
     return HazardIcon(
         kind=table.kind,
         level=band.level,
@@ -311,7 +324,6 @@ def _icon(table: ScaleTable, band: ScaleBand, gust: float | None = None) -> Haza
         scale_name=table.scale_name,
         glyph_id=GLYPH_IDS[table.kind],
         label=band.label,
-        gust_annotation=gust,
     )
 
 
@@ -339,34 +351,50 @@ def derive_icons(
     winter-precipitation icon for any snow, sleet, or freezing-rain event.
     At most one icon per kind. A period is valid by construction.
     """
-    tables = tables or load_tables()
-    return _icons(_bands(period, tables), period.wind.gust_high, tables)
+    scales = _scales(tables or load_tables())
+    return _icons(_bands(period, scales), period.wind.gust_high, scales[0])
 
 
-def _bands(period: ForecastPeriod, tables) -> tuple[ScaleBand, ...]:
-    """The period's band on each scale, in :data:`KIND_ORDER`."""
+def _scales(tables) -> tuple[ScaleTable, ...]:
+    """The four tables, in :data:`KIND_ORDER`."""
+    return (tables[HazardKind.WIND], tables[HazardKind.WIND_CHILL],
+            tables[HazardKind.FREEZING_TEMP], tables[HazardKind.WINTER_PRECIP])
+
+
+def _bands(period: ForecastPeriod, scales) -> tuple[HazardIcon, ...]:
+    """The unbadged icon of the period's band on each of ``scales``."""
+    wind, chill, freezing, winter = scales
     winter_kinds = {ev.kind for ev in period.precip_events if ev.kind in WINTER_PRECIP_KINDS}
     return (
-        tables[HazardKind.WIND].band_for(period.wind.sustained.high),
-        tables[HazardKind.WIND_CHILL].band_for(round_half_away(period_wind_chill(period))),
-        tables[HazardKind.FREEZING_TEMP].band_for(period.temperature.low),
-        tables[HazardKind.WINTER_PRECIP].band_for(len(winter_kinds)),
+        wind._band_icons[wind._position(period.wind.sustained.high)],
+        chill._band_icons[chill._position(round_half_away(period_wind_chill(period)))],
+        freezing._band_icons[freezing._position(period.temperature.low)],
+        winter._band_icons[winter._position(len(winter_kinds))],
     )
 
 
-def _icons(bands, gust: float | None, tables) -> tuple[HazardIcon, ...]:
-    """Icons for one band per kind: wind at or above the display floor, badged
-    with ``gust`` when that reaches a higher force; other kinds at level >= 1."""
-    force, *others = bands
-    icons: list[HazardIcon] = []
-    wind_table = tables[HazardKind.WIND]
-    if force.level >= WIND_DISPLAY_FLOOR:
-        badge = gust if gust is not None and wind_table.level_for(gust) > force.level else None
-        icons.append(_icon(wind_table, force, gust=badge))
-    for kind, band in zip(KIND_ORDER[1:], others):
-        if band.level >= 1:
-            icons.append(_icon(tables[kind], band))
+def _icons(bands, gust: float | None, wind_table: ScaleTable) -> tuple[HazardIcon, ...]:
+    """The shown icons of one band icon per kind: wind at or above the display
+    floor, badged with ``gust`` when that reaches a higher force; other kinds
+    at level >= 1. Only a badged icon is a new object."""
+    wind, *others = bands
+    icons = [icon for icon in others if icon.level >= 1]
+    if wind.level >= WIND_DISPLAY_FLOOR:
+        if gust is not None and wind_table.level_for(gust) > wind.level:
+            wind = replace(wind, gust_annotation=gust)
+        icons.insert(0, wind)
     return tuple(icons)
+
+
+_LEVEL = attrgetter("level")
+
+
+def _overall(rows, periods, wind_table: ScaleTable) -> tuple[HazardIcon, ...]:
+    """The worst-case icons of ``periods``, whose band icons are ``rows``."""
+    worst = [max(column, key=_LEVEL) for column in zip(*rows)]
+    gust = max((p.wind.gust_high for p in periods if p.wind.gust_high is not None),
+               default=None)
+    return _icons(worst, gust, wind_table)
 
 
 def derive_document_icons(
@@ -382,16 +410,26 @@ def derive_document_icons(
     when that gust reaches a higher force.
     """
     periods = require_valid(doc).periods
-    tables = tables or load_tables()
+    scales = _scales(tables or load_tables())
     if mode == "overall":
-        worst = [max(column, key=lambda band: band.level)
-                 for column in zip(*(_bands(p, tables) for p in periods))]
-        gust = max((p.wind.gust_high for p in periods if p.wind.gust_high is not None),
-                   default=None)
-        return (_icons(worst, gust, tables),)
+        return (_overall([_bands(p, scales) for p in periods], periods, scales[0]),)
     if mode == "per_period":
-        return tuple(derive_icons(p, tables) for p in periods)
+        return tuple(_icons(_bands(p, scales), p.wind.gust_high, scales[0]) for p in periods)
     raise ValueError(f"mode must be 'overall' or 'per_period', got {mode!r}")
+
+
+def derive_icon_rows(
+    doc: ForecastDocument,
+    tables=None,
+) -> tuple[tuple[HazardIcon, ...], tuple[tuple[HazardIcon, ...], ...]]:
+    """Both icon rows of a document, ``(overall, per_period)``, as
+    :func:`derive_document_icons` gives them in each mode, from one band
+    lookup per period."""
+    periods = require_valid(doc).periods
+    scales = _scales(tables or load_tables())
+    rows = [_bands(p, scales) for p in periods]
+    return (_overall(rows, periods, scales[0]),
+            tuple(_icons(bands, p.wind.gust_high, scales[0]) for bands, p in zip(rows, periods)))
 
 
 class TriadVerdict(Enum):

@@ -23,8 +23,7 @@ from .hazards import (
     GLYPH_IDS,
     HazardIcon,
     HazardKind,
-    derive_document_icons,
-    derive_icons,
+    derive_icon_rows,
     load_tables,
 )
 from .model import (  # noqa: F401  (the condition names are re-exported)
@@ -48,28 +47,23 @@ class RenderedDocument:
     manifest: tuple[tuple[str, str], ...]
 
 
-class _TextElement(NamedTuple):
-    element_id: str
-    source: str
-    lines: tuple[str, ...]
+class _Block(NamedTuple):
+    """One element, or one group of elements, written in every format once.
+    ``svg`` holds a ``%d`` for each y coordinate (and ``%%`` for a ``%``), and
+    ``ys`` the coordinates as offsets below the block's top; the block is
+    ``height`` tall. A group's ``html`` is its whole ``<section>``."""
+
+    manifest: tuple[tuple[str, str], ...]
+    plain: str
+    html: str
+    svg: str
+    ys: tuple[int, ...]
+    height: int
 
 
-class _IconRow(NamedTuple):
-    element_id: str
-    source: str
-    heading: str
-    icons: tuple[tuple[str, HazardIcon], ...]  # (element id, icon) pairs
-
-
-#: A layout: groups of elements (``_TextElement`` and ``_IconRow``), each
-#: group a paragraph or block. Tuples, since one layout serves several renders.
-_Groups = tuple[tuple[object, ...], ...]
-
-
-def _icon_row(element_id: str, source: str, heading: str, icons) -> _IconRow:
-    """An icon row whose k-th icon (from 1) has the id ``<row>-icon-<k>``."""
-    return _IconRow(element_id, source, heading,
-                    tuple((f"{element_id}-icon-{k}", icon) for k, icon in enumerate(icons, 1)))
+#: A layout: its groups, each a paragraph or block. One layout serves several
+#: renders, and the groups every condition shows are shared between them.
+_Groups = tuple[_Block, ...]
 
 
 _CHILL_SHORT = {1: "30 MIN", 2: "10 MIN", 3: "5 MIN"}
@@ -138,17 +132,26 @@ def _esc(text: str) -> str:
     return html.escape(text, quote=True)
 
 
-def _icon_svg(icon: HazardIcon, element_id: str | None = None) -> str:
+class _Escaped(dict):
+    """Each line of text of one layout, html-escaped on first use, so that a
+    line is escaped once however often the layout shows it."""
+
+    def __missing__(self, line: str) -> str:
+        self[line] = escaped = _esc(line)
+        return escaped
+
+
+def _svg_tail(icon: HazardIcon) -> str:
+    """The svg markup of ``icon`` after its ``<g`` and ``id`` attribute."""
     inner = _glyph_inner(icon.glyph_id)
     label = _esc(_accessible_label(icon))
-    id_attr = f' id="{element_id}"' if element_id else ""
     color = _glyph_color(icon.color)
     badge = ""
     if icon.gust_annotation is not None:
         badge = (f'<text class="icon-badge" x="37" y="37" text-anchor="end" '
                  f'fill="{color}">{_badge(icon)}</text>')
     return (
-        f'<g{id_attr} class="icon" role="img" aria-label="{label}">'
+        f' class="icon" role="img" aria-label="{label}">'
         f"<title>{label}</title>"
         f'<rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>'
         f'<g transform="translate(8 8)" style="color:{color}">{inner}</g>'
@@ -158,15 +161,15 @@ def _icon_svg(icon: HazardIcon, element_id: str | None = None) -> str:
     )
 
 
-def _icon_html(icon: HazardIcon, element_id: str | None = None) -> str:
+def _html_tail(icon: HazardIcon) -> str:
+    """The html markup of ``icon`` after its ``<span`` and ``id`` attribute."""
     inner = _glyph_inner(icon.glyph_id)
     label = _esc(_accessible_label(icon))
-    id_attr = f' id="{element_id}"' if element_id else ""
     badge = ""
     if icon.gust_annotation is not None:
         badge = f'<span class="icon-badge">{_badge(icon)}</span>'
     return (
-        f'<span{id_attr} class="icon" role="img" aria-label="{label}" '
+        f' class="icon" role="img" aria-label="{label}" '
         f'style="background:{icon.color};color:{_glyph_color(icon.color)}">'
         f'<svg viewBox="0 0 24 24" width="28" height="28" aria-hidden="true">{inner}</svg>'
         f"{badge}"
@@ -182,7 +185,8 @@ def _writer(writers: dict, format: str):
     return writers[format]
 
 
-_ICON_WRITERS = {"plain": _plain_icon, "svg": _icon_svg, "html": _icon_html}
+_ICON_WRITERS = {"plain": _plain_icon, "svg": lambda icon: "<g" + _svg_tail(icon),
+                 "html": lambda icon: "<span" + _html_tail(icon)}
 
 
 def render_icon(icon: HazardIcon, format: str = "plain") -> str:
@@ -192,7 +196,78 @@ def render_icon(icon: HazardIcon, format: str = "plain") -> str:
     return write(icon)
 
 
-def _period_elements(index: int, period: ForecastPeriod) -> tuple[_TextElement, ...]:
+_PAD = 16
+_LINE_H = 22
+_ICON_CELL_H = 56
+_ICON_PITCH = 48
+_GROUP_GAP = 12
+
+
+def _text(element_id: str, source: str, lines, escaped: _Escaped) -> _Block:
+    """A text element of ``lines``, one ``<text>`` each in svg."""
+    shown = [escaped[line] for line in lines]
+    css = ' class="title"' if element_id == "title" else ""
+    svg = "".join([f'<text{css} x="{_PAD}" y="%d">{line.replace("%", "%%")}</text>\n'
+                   for line in shown])
+    # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``: a
+    # document has some 30 text elements.
+    return tuple.__new__(_Block, (
+        ((element_id, source),), "\n".join(lines),
+        f'<p id="{element_id}">{"<br>".join(shown)}</p>', f'<g id="{element_id}">\n{svg}</g>\n',
+        tuple(range(16, 16 + _LINE_H * len(shown), _LINE_H)), _LINE_H * len(shown)))
+
+
+def _icon_markup(icon: HazardIcon, markup: dict) -> tuple[str, str, str]:
+    """The plain text of ``icon`` and its svg and html markup after the id
+    attribute. An unbadged icon's are kept in ``markup`` under its glyph and
+    level, which name one band of the tables ``markup`` is kept for."""
+    if icon.gust_annotation is not None:
+        return _plain_icon(icon), _svg_tail(icon), _html_tail(icon)
+    key = (icon.glyph_id, icon.level)
+    written = markup.get(key)
+    if written is None:
+        written = markup[key] = (_plain_icon(icon), _svg_tail(icon), _html_tail(icon))
+    return written
+
+
+def _icon_row(element_id: str, source: str, heading: str, icons, markup: dict,
+              escaped: _Escaped) -> _Block:
+    """An icon row whose k-th icon (from 1) has the id ``<row>-icon-<k>``."""
+    ids = [f"{element_id}-icon-{k}" for k in range(1, len(icons) + 1)]
+    written = [_icon_markup(icon, markup) for icon in icons]
+    heading_html = escaped[heading]
+    svg = [f'<g id="{element_id}">\n<text class="row-heading" x="{_PAD}" y="%d">'
+           f'{heading_html.replace("%", "%%")}</text>\n']
+    for k, (icon_id, (_, svg_tail, _)) in enumerate(zip(ids, written)):
+        svg.append(f'<g transform="translate({_PAD + k * _ICON_PITCH} %d)">\n'
+                   f'<g id="{icon_id}"{svg_tail.replace("%", "%%")}\n</g>\n')
+    svg.append("</g>\n")
+    return _Block(
+        ((element_id, source), *[(icon_id, source) for icon_id in ids]),
+        heading + "".join([f" {plain}" for plain, _, _ in written]),
+        "\n".join([f'<div class="icon-row" id="{element_id}">',
+                   f'<span class="row-heading">{heading_html}</span>',
+                   *[f'<span id="{icon_id}"{html_tail}'
+                     for icon_id, (_, _, html_tail) in zip(ids, written)],
+                   "</div>"]),
+        "".join(svg), (16, *[_LINE_H] * len(icons)),
+        _LINE_H + (_ICON_CELL_H if icons else 0))
+
+
+def _group(elements) -> _Block:
+    """The group of ``elements``, one ``<section>`` in html."""
+    ys, top = [], 0
+    for el in elements:
+        ys += [top + y for y in el.ys]
+        top += el.height
+    return _Block(
+        tuple([entry for el in elements for entry in el.manifest]),
+        "\n".join([el.plain for el in elements]),
+        '<section class="group">\n' + "\n".join([el.html for el in elements]) + "\n</section>",
+        "".join([el.svg for el in elements]), tuple(ys), top)
+
+
+def _period_elements(index: int, period: ForecastPeriod, escaped: _Escaped) -> list[_Block]:
     t, wind, chill = period.temperature, period.wind, period.wind_chill
     direction = f"{wind.direction} " if wind.direction else ""
     wind_line = (f"  Winds: {direction}{_fmt_num(wind.sustained.low)} to "
@@ -214,50 +289,54 @@ def _period_elements(index: int, period: ForecastPeriod) -> tuple[_TextElement, 
     for k, note in enumerate(period.extra_hazard_notes):
         rows.append((f"note-{k + 1}", f"extra_hazard_notes[{k}]", f"  Note: {note}"))
     n = index + 1
-    # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``: a
-    # tenth of the time it takes to build a period's elements.
-    return tuple([tuple.__new__(_TextElement,
-                                (f"period-{n}-{suffix}", f"periods[{index}].{field}", (line,)))
-                  for suffix, field, line in rows])
+    return [_text(f"period-{n}-{suffix}", f"periods[{index}].{field}", (line,), escaped)
+            for suffix, field, line in rows]
 
 
-def _layouts(doc: ForecastDocument, tables) -> dict:
+def _layouts(doc: ForecastDocument, tables, markup: dict) -> dict:
     """Each condition's ``(groups, manifest)``: one masthead, summary and set of
-    period blocks, arranged four ways, two with icon rows added."""
-    overall = (_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
-                         derive_document_icons(doc, "overall", tables)[0]),)  # validates
-    masthead = (
-        _TextElement("title", "constant", ("HIGHER SUMMITS FORECAST",)),
-        _TextElement("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",)),
-    )
+    period blocks, arranged four ways, two with icon rows added. Each line of
+    text is escaped once, each group written once, and each unbadged icon's
+    markup is taken from or kept in ``markup``."""
+    overall, per_period = derive_icon_rows(doc, tables)  # validates
+    escaped = _Escaped()
+    masthead = [
+        _text("title", "constant", ("HIGHER SUMMITS FORECAST",), escaped),
+        _text("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",), escaped),
+    ]
     if doc.source_id:
-        masthead += (_TextElement("source", "source_id", (f"Source: {doc.source_id}",)),)
-    summary = (_TextElement("summary", "summary_text", tuple(doc.summary_text.split("\n"))),)
-    periods = tuple(_period_elements(i, p) for i, p in enumerate(doc.periods))
-    per_day = tuple(
-        (elements[0],
-         _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]", "HAZARDS:",
-                   derive_icons(period, tables)),
-         *elements[1:])
-        for i, (elements, period) in enumerate(zip(periods, doc.periods))
-    )
-    return {condition: (groups, _manifest(groups)) for condition, groups in (
-        (LayoutCondition.BASELINE, (masthead, summary, *periods)),
-        (LayoutCondition.SUMMARY_LAST, (masthead, *periods, summary)),
-        (LayoutCondition.ICONS, (masthead, overall, summary, *periods)),
-        (LayoutCondition.PER_DAY_ICONS, (masthead, *per_day, summary)),
-    )}
+        masthead.append(_text("source", "source_id", (f"Source: {doc.source_id}",), escaped))
+    masthead = _group(masthead)
+    summary = _group([_text("summary", "summary_text", doc.summary_text.split("\n"), escaped)])
+    periods, per_day = [], []
+    for i, (period, icons) in enumerate(zip(doc.periods, per_period)):
+        label, *rest = _period_elements(i, period, escaped)
+        periods.append(_group([label, *rest]))
+        per_day.append(_group([label, _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]",
+                                                "HAZARDS:", icons, markup, escaped), *rest]))
+    overall = _group([_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
+                                overall, markup, escaped)])
+    return {condition: (groups, tuple([entry for group in groups for entry in group.manifest]))
+            for condition, groups in (
+                (LayoutCondition.BASELINE, (masthead, summary, *periods)),
+                (LayoutCondition.SUMMARY_LAST, (masthead, *periods, summary)),
+                (LayoutCondition.ICONS, (masthead, overall, summary, *periods)),
+                (LayoutCondition.PER_DAY_ICONS, (masthead, *per_day, summary)),
+            )}
 
 
 #: The layouts of the documents the last call rendered (``render`` a call with
-#: one document, ``render_stimulus_set`` one with its whole set): ``(tables,
-#: {id(doc): (doc, _layouts(doc, tables))})``. A document is validated only as
-#: it is laid out, so every held layout is of a valid one. A hit needs the very
-#: same objects: equal documents may print differently (``issued_at``
-#: 12:00+00:00 equals 07:00-05:00). A call replaces the memo in one assignment
-#: once all its documents are laid out, so it holds one call's documents at
-#: most and a call that fails leaves it as it was.
-_last: tuple = (None, {})
+#: one document, ``render_stimulus_set`` one with its whole set), and the
+#: markup of each band's unbadged icon that they show: ``(tables, {id(doc):
+#: (doc, _layouts(doc, tables, markup))}, markup)``. The markup is kept for as
+#: long as the tables are, so it holds one entry per band at most, and a
+#: document laid out later takes its icons' markup from it. A document is
+#: validated only as it is laid out, so every held layout is of a valid one. A
+#: hit needs the very same objects: equal documents may print differently
+#: (``issued_at`` 12:00+00:00 equals 07:00-05:00). A call replaces the memo in
+#: one assignment once all its documents are laid out, so it holds one call's
+#: documents at most and a call that fails leaves its layouts as they were.
+_last: tuple = (None, {}, {})
 
 
 def _render_all(docs: tuple, condition: LayoutCondition, format: str,
@@ -268,40 +347,21 @@ def _render_all(docs: tuple, condition: LayoutCondition, format: str,
     if not isinstance(condition, LayoutCondition):
         raise ValueError(f"unknown condition {condition!r}")
     tables = tables or load_tables()
-    last_tables, held = _last
+    last_tables, held, markup = _last
     if last_tables is not tables:
-        held = {}
+        held, markup = {}, {}
     # A held document stays alive, so no other object can have its id.
     layouts = {}
     for doc in docs:
         key = id(doc)
-        layouts[key] = layouts.get(key) or held.get(key) or (doc, _layouts(doc, tables))
-    _last = (tables, layouts)
+        layouts[key] = layouts.get(key) or held.get(key) or (doc, _layouts(doc, tables, markup))
+    _last = (tables, layouts, markup)
     return tuple([RenderedDocument(format, write(groups).encode("utf-8"), manifest)
                   for groups, manifest in [layouts[id(doc)][1][condition] for doc in docs]])
 
 
-def _manifest(groups: _Groups) -> tuple[tuple[str, str], ...]:
-    entries: list[tuple[str, str]] = []
-    for group in groups:
-        for el in group:
-            entries.append((el.element_id, el.source))
-            if isinstance(el, _IconRow):
-                entries.extend((icon_id, el.source) for icon_id, _ in el.icons)
-    return tuple(entries)
-
-
 def _render_plain(groups: _Groups) -> str:
-    blocks = []
-    for group in groups:
-        lines: list[str] = []
-        for el in group:
-            if isinstance(el, _IconRow):
-                lines.append(el.heading + "".join(f" {_plain_icon(i)}" for _, i in el.icons))
-            else:
-                lines.extend(el.lines)
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join([group.plain for group in groups]) + "\n"
 
 
 _SVG_STYLE = (
@@ -314,42 +374,16 @@ _SVG_STYLE = (
     ".icon-badge { font-size: 9px; font-weight: bold; }"
 )
 
-_PAD = 16
-_LINE_H = 22
-_ICON_CELL_H = 56
-_ICON_PITCH = 48
-_GROUP_GAP = 12
-
 
 def _render_svg(groups: _Groups) -> str:
-    parts = ["", f"<style>{_SVG_STYLE}</style>"]  # the header waits for the height
-    y = _PAD
+    body = []
+    top = _PAD
     for group in groups:
-        for el in group:
-            parts.append(f'<g id="{el.element_id}">')
-            if isinstance(el, _IconRow):
-                parts.append(f'<text class="row-heading" x="{_PAD}" y="{y + 16}">{_esc(el.heading)}</text>')
-                y += _LINE_H
-                x = _PAD
-                for icon_id, icon in el.icons:
-                    parts.append(f'<g transform="translate({x} {y})">')
-                    parts.append(_icon_svg(icon, icon_id))
-                    parts.append("</g>")
-                    x += _ICON_PITCH
-                if el.icons:
-                    y += _ICON_CELL_H
-            else:
-                css = ' class="title"' if el.element_id == "title" else ""
-                for line in el.lines:
-                    parts.append(f'<text{css} x="{_PAD}" y="{y + 16}">{_esc(line)}</text>')
-                    y += _LINE_H
-            parts.append("</g>")
-        y += _GROUP_GAP
-    height = y + _PAD - _GROUP_GAP
-    parts[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" width="760" height="{height}" '
-                f'viewBox="0 0 760 {height}">')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        body.append(group.svg % tuple([top + y for y in group.ys]))
+        top += group.height + _GROUP_GAP
+    height = top + _PAD - _GROUP_GAP
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="760" height="{height}" '
+            f'viewBox="0 0 760 {height}">\n<style>{_SVG_STYLE}</style>\n{"".join(body)}</svg>\n')
 
 
 _HTML_STYLE = (
@@ -367,31 +401,16 @@ _HTML_STYLE = (
     ".icon-label, .icon-badge { font-size: 9px; font-weight: bold; }"
 )
 
+_HTML_HEAD = (
+    '<!DOCTYPE html>\n<html lang="en">\n'
+    '<head><meta charset="utf-8"><title>Higher Summits Forecast</title>\n'
+    f'<style>{_HTML_STYLE}</style></head>\n<body>\n<main class="forecast">\n'
+)
+
 
 def _render_html(groups: _Groups) -> str:
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en">',
-        '<head><meta charset="utf-8"><title>Higher Summits Forecast</title>',
-        f"<style>{_HTML_STYLE}</style></head>",
-        "<body>",
-        '<main class="forecast">',
-    ]
-    for group in groups:
-        parts.append('<section class="group">')
-        for el in group:
-            if isinstance(el, _IconRow):
-                parts.append(f'<div class="icon-row" id="{el.element_id}">')
-                parts.append(f'<span class="row-heading">{_esc(el.heading)}</span>')
-                for icon_id, icon in el.icons:
-                    parts.append(_icon_html(icon, icon_id))
-                parts.append("</div>")
-            else:
-                body = "<br>".join(_esc(line) for line in el.lines)
-                parts.append(f'<p id="{el.element_id}">{body}</p>')
-        parts.append("</section>")
-    parts.extend(["</main>", "</body>", "</html>"])
-    return "\n".join(parts) + "\n"
+    body = "\n".join([group.html for group in groups])
+    return f"{_HTML_HEAD}{body}\n</main>\n</body>\n</html>\n"
 
 
 _DOCUMENT_WRITERS = {"plain": _render_plain, "svg": _render_svg, "html": _render_html}

@@ -96,13 +96,15 @@ def _read_number(text: str) -> float:
 
 
 def _read_input(source, origin: str, error: type[Exception]) -> str:
-    """The text of the file or package resource ``source`` as ``read_text``
-    gives it: UTF-8, with each ``\\r\\n`` and lone ``\\r`` read as ``\\n``. A
-    byte that is not UTF-8 raises ``error`` reading ``<origin>:<line>: byte
-    0x.. is not UTF-8 (<reason>)``, its line counted the same way."""
+    """The text of the file or package resource ``source``: UTF-8 without one
+    leading byte-order mark, with each ``\\r\\n`` and lone ``\\r`` read as
+    ``\\n``. A byte that is not UTF-8 raises ``error`` reading
+    ``<origin>:<line>: byte 0x.. is not UTF-8 (<reason>)``, its line counted
+    the same way."""
     data = source.read_bytes()
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8").removeprefix("\ufeff")
+        return text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         # No UTF-8 sequence holds a \r or \n byte, so the bytes end lines as the text does.
         line = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1

@@ -2,19 +2,33 @@
 
 The wind-chill grid below was transcribed from the published NWS chart as
 a pre-build oracle and anchored against known cells (for example 0 F at
-15 mph is -19 F). Tests compare library output against it; nothing here
-imports from the code under test except the data model.
+15 mph is -19 F). Tests compare library output against it. The layout
+oracle at the end takes only the data model and the hazard kinds, glyph ids
+and wind-chill rules from the package.
 """
 
 from __future__ import annotations
 
+import html
 import math
 import random
 import re
+from collections import namedtuple
 from datetime import datetime, timedelta
+from importlib import resources
 
+from summitwx.hazards import (
+    GLYPH_IDS,
+    KIND_ORDER,
+    WIND_DISPLAY_FLOOR,
+    HazardIcon,
+    HazardKind,
+    period_wind_chill,
+    round_half_away,
+)
 from summitwx.model import (
     COMPASS_POINTS,
+    WINTER_PRECIP_KINDS,
     Certainty,
     ForecastDocument,
     ForecastPeriod,
@@ -22,6 +36,7 @@ from summitwx.model import (
     PrecipKind,
     ValueRange,
     WindPrediction,
+    _fmt_num,
 )
 
 # Chart rows keyed by air temperature (F); columns are wind 5..60 step 5 mph.
@@ -281,3 +296,336 @@ def write_bulletin(doc: ForecastDocument) -> str:
     """
     text = f"Issued: {doc.issued_at.isoformat()}\n{doc.summary_text}\n\n"
     return text + "\n".join(_raw_period(p) for p in doc.periods) + "\n"
+
+
+# ---------------------------------------------------------------- layout oracle
+#
+# The layout writers as they were before a layout was written once per
+# element: each render walks the elements and writes every line and icon
+# again. Kept verbatim (the icon rules too, from ``hazards``) so that tests
+# can hold the renderer to the same bytes and manifests.
+
+_OracleTextElement = namedtuple("_OracleTextElement", "element_id source lines")
+_OracleIconRow = namedtuple("_OracleIconRow", "element_id source heading icons")
+
+
+def _oracle_icon_row(element_id, source, heading, icons):
+    return _OracleIconRow(element_id, source, heading,
+                          tuple((f"{element_id}-icon-{k}", icon) for k, icon in enumerate(icons, 1)))
+
+
+def _icon(table, band, gust=None):
+    return HazardIcon(
+        kind=table.kind,
+        level=band.level,
+        color=band.color,
+        scale_name=table.scale_name,
+        glyph_id=GLYPH_IDS[table.kind],
+        label=band.label,
+        gust_annotation=gust,
+    )
+
+
+def _bands(period, tables):
+    winter_kinds = {ev.kind for ev in period.precip_events if ev.kind in WINTER_PRECIP_KINDS}
+    return (
+        tables[HazardKind.WIND].band_for(period.wind.sustained.high),
+        tables[HazardKind.WIND_CHILL].band_for(round_half_away(period_wind_chill(period))),
+        tables[HazardKind.FREEZING_TEMP].band_for(period.temperature.low),
+        tables[HazardKind.WINTER_PRECIP].band_for(len(winter_kinds)),
+    )
+
+
+def _icons(bands, gust: float | None, tables) -> tuple[HazardIcon, ...]:
+    """Icons for one band per kind: wind at or above the display floor, badged
+    with ``gust`` when that reaches a higher force; other kinds at level >= 1."""
+    force, *others = bands
+    icons: list[HazardIcon] = []
+    wind_table = tables[HazardKind.WIND]
+    if force.level >= WIND_DISPLAY_FLOOR:
+        badge = gust if gust is not None and wind_table.level_for(gust) > force.level else None
+        icons.append(_icon(wind_table, force, gust=badge))
+    for kind, band in zip(KIND_ORDER[1:], others):
+        if band.level >= 1:
+            icons.append(_icon(tables[kind], band))
+    return tuple(icons)
+
+
+def oracle_icon_rows(doc, tables):
+    """``(overall, per_period)`` icons of ``doc``, derived band by band."""
+    periods = doc.periods
+    worst = [max(column, key=lambda band: band.level)
+             for column in zip(*(_bands(p, tables) for p in periods))]
+    gust = max((p.wind.gust_high for p in periods if p.wind.gust_high is not None),
+               default=None)
+    return (_icons(worst, gust, tables),
+            tuple(_icons(_bands(p, tables), p.wind.gust_high, tables) for p in periods))
+
+
+_CHILL_SHORT = {1: "30 MIN", 2: "10 MIN", 3: "5 MIN"}
+_ICON_WORDS = {
+    HazardKind.WIND: ("WIND {label}", "F{level}"),
+    HazardKind.WIND_CHILL: ("WIND CHILL {label}", "{chill}"),
+    HazardKind.FREEZING_TEMP: ("FREEZING", "FREEZE"),
+    HazardKind.WINTER_PRECIP: ("WINTER PRECIP", "WINTER"),
+}
+
+
+def _icon_words(kind, level):
+    plain, short = _ICON_WORDS[kind]
+    short = short.format(level=level, chill=_CHILL_SHORT.get(level, f"L{level}"))
+    return plain.format(label=short.replace(" ", "")), short
+
+
+def _short_label(icon):
+    return _icon_words(icon.kind, icon.level)[1]
+
+
+def _badge(icon):
+    return f"G{_fmt_num(icon.gust_annotation)}"
+
+
+def _accessible_label(icon):
+    text = f"{icon.scale_name}: {icon.label}"
+    if icon.gust_annotation is not None:
+        text += f", gusts to {_fmt_num(icon.gust_annotation)} mph"
+    return text
+
+
+def _plain_icon(icon):
+    inner = _icon_words(icon.kind, icon.level)[0]
+    if icon.gust_annotation is not None:
+        inner += f" {_badge(icon)}"
+    return f"[{inner}]"
+
+
+def _glyph_inner(glyph_id):
+    path = resources.files("summitwx") / "assets" / "glyphs" / f"{glyph_id}.svg"
+    text = path.read_text(encoding="utf-8").strip()
+    open_end = text.index(">") + 1
+    close_start = text.rindex("</svg>")
+    return text[open_end:close_start]
+
+
+def _glyph_color(background):
+    r, g, b = (int(background[i:i + 2], 16) for i in (1, 3, 5))
+    luminance = (0.2126 * r + 0.7152 * g + 0.0722 * b) / 255.0
+    return "#FFFFFF" if luminance < 0.5 else "#1A1A2E"
+
+
+def _esc(text: str) -> str:
+    return html.escape(text, quote=True)
+
+
+def _icon_svg(icon: HazardIcon, element_id: str | None = None) -> str:
+    inner = _glyph_inner(icon.glyph_id)
+    label = _esc(_accessible_label(icon))
+    id_attr = f' id="{element_id}"' if element_id else ""
+    color = _glyph_color(icon.color)
+    badge = ""
+    if icon.gust_annotation is not None:
+        badge = (f'<text class="icon-badge" x="37" y="37" text-anchor="end" '
+                 f'fill="{color}">{_badge(icon)}</text>')
+    return (
+        f'<g{id_attr} class="icon" role="img" aria-label="{label}">'
+        f"<title>{label}</title>"
+        f'<rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>'
+        f'<g transform="translate(8 8)" style="color:{color}">{inner}</g>'
+        f"{badge}"
+        f'<text class="icon-label" x="20" y="51" text-anchor="middle">{_esc(_short_label(icon))}</text>'
+        "</g>"
+    )
+
+
+def _icon_html(icon: HazardIcon, element_id: str | None = None) -> str:
+    inner = _glyph_inner(icon.glyph_id)
+    label = _esc(_accessible_label(icon))
+    id_attr = f' id="{element_id}"' if element_id else ""
+    badge = ""
+    if icon.gust_annotation is not None:
+        badge = f'<span class="icon-badge">{_badge(icon)}</span>'
+    return (
+        f'<span{id_attr} class="icon" role="img" aria-label="{label}" '
+        f'style="background:{icon.color};color:{_glyph_color(icon.color)}">'
+        f'<svg viewBox="0 0 24 24" width="28" height="28" aria-hidden="true">{inner}</svg>'
+        f"{badge}"
+        f'<span class="icon-label">{_esc(_short_label(icon))}</span>'
+        f"</span>"
+    )
+
+
+def oracle_render_icon(icon, format):
+    return {"plain": _plain_icon, "svg": _icon_svg, "html": _icon_html}[format](icon)
+
+
+def _period_elements(index, period):
+    t, wind, chill = period.temperature, period.wind, period.wind_chill
+    direction = f"{wind.direction} " if wind.direction else ""
+    wind_line = (f"  Winds: {direction}{_fmt_num(wind.sustained.low)} to "
+                 f"{_fmt_num(wind.sustained.high)} mph")
+    if wind.gust_high is not None:
+        wind_line += f", gusts to {_fmt_num(wind.gust_high)} mph"
+    rows = [
+        ("label", "label", f"{period.label}:"),
+        ("temperature", "temperature",
+         f"  Temperatures: {_fmt_num(t.low)} to {_fmt_num(t.high)} F"),
+        ("wind", "wind", wind_line),
+    ]
+    if chill is not None:
+        rows.append(("wind-chill", "wind_chill",
+                     f"  Wind chills: {_fmt_num(chill.low)} to {_fmt_num(chill.high)} F"))
+    for k, event in enumerate(period.precip_events):
+        rows.append((f"precip-{k + 1}", f"precip_events[{k}]", f"  Precipitation: "
+                     f"{event.kind.value.replace('_', ' ')} ({event.certainty.value})"))
+    for k, note in enumerate(period.extra_hazard_notes):
+        rows.append((f"note-{k + 1}", f"extra_hazard_notes[{k}]", f"  Note: {note}"))
+    return tuple(_OracleTextElement(f"period-{index + 1}-{suffix}", f"periods[{index}].{field}",
+                                    (line,)) for suffix, field, line in rows)
+
+
+def _oracle_groups(doc, condition, tables):
+    overall_icons, per_period_icons = oracle_icon_rows(doc, tables)
+    overall = (_oracle_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
+                                overall_icons),)
+    masthead = (
+        _OracleTextElement("title", "constant", ("HIGHER SUMMITS FORECAST",)),
+        _OracleTextElement("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",)),
+    )
+    if doc.source_id:
+        masthead += (_OracleTextElement("source", "source_id", (f"Source: {doc.source_id}",)),)
+    summary = (_OracleTextElement("summary", "summary_text", tuple(doc.summary_text.split("\n"))),)
+    periods = tuple(_period_elements(i, p) for i, p in enumerate(doc.periods))
+    per_day = tuple(
+        (elements[0],
+         _oracle_icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]", "HAZARDS:", icons),
+         *elements[1:])
+        for i, (elements, icons) in enumerate(zip(periods, per_period_icons))
+    )
+    return {
+        "baseline": (masthead, summary, *periods),
+        "summary_last": (masthead, *periods, summary),
+        "icons": (masthead, overall, summary, *periods),
+        "per_day_icons": (masthead, *per_day, summary),
+    }[condition.value]
+
+
+def _manifest(groups) -> tuple[tuple[str, str], ...]:
+    entries: list[tuple[str, str]] = []
+    for group in groups:
+        for el in group:
+            entries.append((el.element_id, el.source))
+            if isinstance(el, _OracleIconRow):
+                entries.extend((icon_id, el.source) for icon_id, _ in el.icons)
+    return tuple(entries)
+
+
+def _render_plain(groups) -> str:
+    blocks = []
+    for group in groups:
+        lines: list[str] = []
+        for el in group:
+            if isinstance(el, _OracleIconRow):
+                lines.append(el.heading + "".join(f" {_plain_icon(i)}" for _, i in el.icons))
+            else:
+                lines.extend(el.lines)
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+_STYLESHEET_VERSION = "hsf-layout/1"
+_SVG_STYLE = (
+    f"/* {_STYLESHEET_VERSION} */\n"
+    "text { font-family: 'DejaVu Sans', Helvetica, Arial, sans-serif;"
+    " font-size: 14px; fill: #1A1A2E; }\n"
+    ".title { font-size: 16px; font-weight: bold; letter-spacing: 1px; }\n"
+    ".row-heading { font-weight: bold; }\n"
+    ".icon-label { font-size: 9px; }\n"
+    ".icon-badge { font-size: 9px; font-weight: bold; }"
+)
+
+_PAD = 16
+_LINE_H = 22
+_ICON_CELL_H = 56
+_ICON_PITCH = 48
+_GROUP_GAP = 12
+
+
+def _render_svg(groups) -> str:
+    parts = ["", f"<style>{_SVG_STYLE}</style>"]  # the header waits for the height
+    y = _PAD
+    for group in groups:
+        for el in group:
+            parts.append(f'<g id="{el.element_id}">')
+            if isinstance(el, _OracleIconRow):
+                parts.append(f'<text class="row-heading" x="{_PAD}" y="{y + 16}">{_esc(el.heading)}</text>')
+                y += _LINE_H
+                x = _PAD
+                for icon_id, icon in el.icons:
+                    parts.append(f'<g transform="translate({x} {y})">')
+                    parts.append(_icon_svg(icon, icon_id))
+                    parts.append("</g>")
+                    x += _ICON_PITCH
+                if el.icons:
+                    y += _ICON_CELL_H
+            else:
+                css = ' class="title"' if el.element_id == "title" else ""
+                for line in el.lines:
+                    parts.append(f'<text{css} x="{_PAD}" y="{y + 16}">{_esc(line)}</text>')
+                    y += _LINE_H
+            parts.append("</g>")
+        y += _GROUP_GAP
+    height = y + _PAD - _GROUP_GAP
+    parts[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" width="760" height="{height}" '
+                f'viewBox="0 0 760 {height}">')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+_HTML_STYLE = (
+    f"/* {_STYLESHEET_VERSION} */\n"
+    "body { font-family: 'DejaVu Sans', Helvetica, Arial, sans-serif;"
+    " font-size: 15px; color: #1A1A2E; background: #FFFFFF; margin: 2rem; }\n"
+    "main.forecast { max-width: 46rem; }\n"
+    "section.group { margin-bottom: 1rem; }\n"
+    "p { margin: 0 0 0.25rem 0; white-space: pre-wrap; }\n"
+    "#title { font-weight: bold; letter-spacing: 1px; }\n"
+    ".row-heading { font-weight: bold; }\n"
+    ".icon-row { display: flex; gap: 8px; align-items: center; }\n"
+    ".icon { display: inline-flex; flex-direction: column; align-items: center;"
+    " border-radius: 6px; padding: 4px; min-width: 40px; }\n"
+    ".icon-label, .icon-badge { font-size: 9px; font-weight: bold; }"
+)
+
+
+def _render_html(groups) -> str:
+    parts = [
+        "<!DOCTYPE html>",
+        '<html lang="en">',
+        '<head><meta charset="utf-8"><title>Higher Summits Forecast</title>',
+        f"<style>{_HTML_STYLE}</style></head>",
+        "<body>",
+        '<main class="forecast">',
+    ]
+    for group in groups:
+        parts.append('<section class="group">')
+        for el in group:
+            if isinstance(el, _OracleIconRow):
+                parts.append(f'<div class="icon-row" id="{el.element_id}">')
+                parts.append(f'<span class="row-heading">{_esc(el.heading)}</span>')
+                for icon_id, icon in el.icons:
+                    parts.append(_icon_html(icon, icon_id))
+                parts.append("</div>")
+            else:
+                body = "<br>".join(_esc(line) for line in el.lines)
+                parts.append(f'<p id="{el.element_id}">{body}</p>')
+        parts.append("</section>")
+    parts.extend(["</main>", "</body>", "</html>"])
+    return "\n".join(parts) + "\n"
+
+
+def oracle_render(doc, condition, format, tables):
+    """``(payload, manifest)`` of ``doc`` under ``condition`` and ``format``,
+    written as the renderer wrote them element by element."""
+    groups = _oracle_groups(doc, condition, tables)
+    write = {"plain": _render_plain, "svg": _render_svg, "html": _render_html}[format]
+    return write(groups).encode("utf-8"), _manifest(groups)

@@ -600,6 +600,31 @@ def test_a_byte_that_is_not_utf8_is_an_error_at_its_line(tmp_path, capsys, reade
         1, "", f"error: {path}:{line}: byte 0xff is not UTF-8 (invalid start byte)\n")
 
 
+@pytest.mark.parametrize("reader", ("bulletin", "canonical", "thresholds", "tables", "study"))
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, reader):
+    bulletin = tmp_path / "calm.txt"
+    bulletin.write_bytes((FIXTURE_DIR / "calm-day.txt").read_bytes())
+    canonical = tmp_path / "calm.canon"
+    run(capsys, "parse", CALM, "--out", str(canonical))
+    thresholds = tmp_path / "thresholds.txt"
+    thresholds.write_text(GOOD_THRESHOLDS, encoding="utf-8")
+    table_dir = copy_tables(tmp_path)
+    responses, participants = write_csvs(tmp_path)
+    path, argv = {
+        "bulletin": (bulletin, ["parse", str(bulletin)]),
+        "canonical": (canonical, ["classify", str(canonical)]),
+        "thresholds": (thresholds, ["classify", SEVERE, "--triad-thresholds", str(thresholds)]),
+        "tables": (table_dir / "beaufort.table",
+                   ["classify", SEVERE, "--tables", str(table_dir)]),
+        "study": (participants, ["stats", "--responses", str(responses),
+                                 "--participants", str(participants)]),
+    }[reader]
+    without = run(capsys, *argv)
+    assert without[0] == 0
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # a UTF-8 byte-order mark
+    assert run(capsys, *argv) == without
+
+
 # ------------------------------------------------------------ error plumbing
 
 

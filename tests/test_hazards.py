@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import documents, periods
-from helpers import make_doc, make_period
+from helpers import make_doc, make_period, oracle_icon_rows
 from summitwx import hazards
 from summitwx.hazards import (
     KIND_ORDER,
@@ -18,6 +18,7 @@ from summitwx.hazards import (
     TriadVerdict,
     beaufort_force,
     derive_document_icons,
+    derive_icon_rows,
     derive_icons,
     load_scale_table,
     load_tables,
@@ -257,6 +258,7 @@ def test_overall_level_equals_max_of_per_period_levels(doc):
         expected = max(_kind_levels(icons).get(kind, 0) for icons in per_period)
         assert overall_levels[kind] == expected, kind
     assert list(per_period) == [derive_icons(p) for p in doc.periods]
+    assert derive_icon_rows(doc) == (overall, per_period) == oracle_icon_rows(doc, load_tables())
 
     # The wind icon shows exactly when the windiest period reaches the floor,
     # and its badge is the highest stated gust, exactly when its force is higher.

@@ -1,4 +1,5 @@
 import hashlib
+import html
 import re
 import runpy
 import weakref
@@ -8,18 +9,27 @@ from datetime import datetime, timedelta, timezone
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, GOLDEN_DIR
-from helpers import make_doc, squash, visible_text
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, GOLDEN_DIR, documents
+from helpers import (
+    make_doc,
+    make_period,
+    oracle_icon_rows,
+    oracle_render,
+    oracle_render_icon,
+    squash,
+    visible_text,
+)
 from test_cli import GOOD_THRESHOLDS
 from test_hazards import _tamper
-from summitwx import cli, layout, model
+from summitwx import cli, hazards, layout, model
 from summitwx.canonical import emit_canonical
 from summitwx.hazards import (
     TriadThresholds,
     derive_document_icons,
+    derive_icon_rows,
     derive_icons,
     load_tables,
     triad_advisory,
@@ -106,6 +116,64 @@ def test_equal_documents_each_print_their_own_issued_line(fixture_docs):
             for doc, line in ((utc, "Issued: 2026-01-01T12:00:00+00:00"),
                               (eastern, "Issued: 2026-01-01T07:00:00-05:00")):
                 assert line in render(doc, condition, format=fmt).payload.decode()
+
+
+#: Text that html escapes, and the ``%`` that the svg line template doubles.
+_MARKUP = "Rime & <fog> on the \"knife\" edge's 100% {x}"
+
+
+def _with_markup(doc, at: int):
+    """``doc`` with markup in its source id and a note of period ``at``."""
+    periods = list(doc.periods)
+    notes = (*periods[at].extra_hazard_notes, _MARKUP)
+    periods[at] = replace(periods[at], extra_hazard_notes=notes)
+    return replace(doc, source_id=_MARKUP, periods=tuple(periods))
+
+
+# Gusts that badge the wind icon of a period and of the overall row, and an
+# issue time with an offset.
+_BADGED = replace(
+    make_doc((make_period("Today", temp=(-5, 5), wind=(60, 70), gust=110, notes=(_MARKUP,)),
+              make_period("Tonight", wind=(30, 40), gust=47),
+              make_period("Tomorrow", temp=(31, 40)),
+              make_period("Tomorrow night"))),
+    issued_at=datetime(2026, 1, 10, 4, 30, tzinfo=timezone(timedelta(hours=-5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents(), st.none() | st.integers(0, 3))
+@example(_BADGED, 1)
+def test_every_render_matches_the_element_by_element_writers(doc, markup_at):
+    if markup_at is not None:
+        doc = _with_markup(doc, markup_at)
+    tables = load_tables()
+    for condition in LayoutCondition:
+        for fmt in FORMATS:
+            rendered = render(doc, condition, format=fmt)
+            assert ((rendered.payload, rendered.manifest)
+                    == oracle_render(doc, condition, fmt, tables))
+    overall, per_period = oracle_icon_rows(doc, tables)
+    for icon in {*overall, *(icon for icons in per_period for icon in icons)}:
+        for fmt in FORMATS:
+            assert render_icon(icon, fmt) == oracle_render_icon(icon, fmt)
+
+
+def test_each_tables_object_renders_its_own_colours(fixture_docs, tmp_path):
+    # Force 12 recoloured: an icon's markup kept for one tables object must
+    # not be written under another.
+    packaged = load_tables()
+    recoloured = load_tables(_tamper(tmp_path, "beaufort.table",
+                                     lambda s: s.replace("#D5102D", "#123456")))
+    doc = fixture_docs["severe-day"]
+    for tables, colour, other in ((packaged, "#D5102D", "#123456"),
+                                  (recoloured, "#123456", "#D5102D"),
+                                  (packaged, "#D5102D", "#123456")):
+        for condition in (LayoutCondition.ICONS, LayoutCondition.PER_DAY_ICONS):
+            for fmt in ("svg", "html"):
+                rendered = render(doc, condition, format=fmt, tables=tables)
+                assert rendered.payload == oracle_render(doc, condition, fmt, tables)[0]
+                assert colour in rendered.payload.decode()
+                assert other not in rendered.payload.decode()
 
 
 def _custom_cases(tmp_path):
@@ -202,6 +270,48 @@ def test_each_document_is_laid_out_and_validated_once(fixture_texts, layout_call
     renders, _ = render_stimulus_set([doc, doc], LayoutCondition.ICONS)
     assert renders[0] == renders[1]
     assert layout_calls == {"_layouts": 1, "validate": 1}
+
+
+@pytest.fixture
+def layout_work(monkeypatch):
+    """Counts of the work a layout does: ``hazards._bands`` (a period's band
+    lookups) and ``html.escape`` calls, unbadged icons built by
+    ``hazards._icon``, and each kind of unbadged icon markup written."""
+    calls = Counter()
+
+    def wrap(module, fn, counts=lambda *args: True):
+        def counting(*args, _real=getattr(module, fn), **kwargs):
+            calls[fn] += counts(*args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, fn, counting)
+
+    for module, fn in ((hazards, "_bands"), (hazards, "_icon"), (html, "escape")):
+        wrap(module, fn)
+    for fn in ("_plain_icon", "_svg_tail", "_html_tail"):
+        wrap(layout, fn, lambda icon: icon.gust_annotation is None)
+    return calls
+
+
+def test_a_layout_looks_each_period_up_once_and_writes_each_line_once(
+        fixture_texts, tmp_path, layout_work):
+    # Tables of their own, whose icons no earlier test has built.
+    tables = load_tables(_tamper(tmp_path, "beaufort.table", lambda s: s))
+    first, second = (parse_forecast(fixture_texts["severe-day"], source_id="severe-day").document
+                     for _ in range(2))
+    layout_work.clear()
+    render(first, LayoutCondition.BASELINE, tables=tables)
+    bands = sum(len(table.bands) for table in tables.values())
+    # Severe-day shows seven distinct unbadged icons, each written once.
+    assert {fn: n for fn, n in layout_work.items() if fn != "escape"} == {
+        "_bands": 4, "_icon": bands, "_plain_icon": 7, "_svg_tail": 7, "_html_tail": 7}
+
+    layout_work.clear()
+    payload = render(second, LayoutCondition.BASELINE, tables=tables).payload.decode()
+    text = [line for line in payload.split("\n") if line]
+    assert len(set(text)) < len(text)  # two periods read "Temperatures: 0 to 10 F"
+    # One escape per distinct line, the two icon row headings included.
+    lines = {*text, "HAZARDS:", "HAZARDS (48 HOURS):"}
+    assert dict(layout_work) == {"_bands": 4, "escape": len(lines)}
 
 
 def test_a_failing_call_leaves_the_last_calls_layouts(fixture_texts, goldens, layout_calls):
@@ -549,6 +659,7 @@ _DOCUMENT_ENTRY_POINTS = [
     ),
     pytest.param(lambda doc: derive_document_icons(doc, "overall"), id="icons-overall"),
     pytest.param(lambda doc: derive_document_icons(doc, "per_period"), id="icons-per_period"),
+    pytest.param(derive_icon_rows, id="icon-rows"),
     pytest.param(emit_canonical, id="emit_canonical"),
 ]
 
