@@ -26,8 +26,8 @@ from .model import (
 )
 
 # Each subcommand imports the layers it runs, so that a one-shot call loads
-# neither the scale tables, the renderer nor the statistics lane unless it
-# uses them.
+# neither the scale tables, the canonical reader, the renderer nor the
+# statistics lane unless it uses them.
 
 
 class _CliError(ValueError):
@@ -50,13 +50,16 @@ def _load_document(path: str, source_id: str | None = None) -> ForecastDocument:
     """Read a forecast file, raw or canonical, into a valid document. A raw
     file is named ``source_id``, or else its file stem; a canonical file
     keeps its own ``source_id:`` line."""
-    from .canonical import SCHEMA, parse_canonical
     from .textparse import format_diagnostic, parse_forecast
 
     text = _read_text(path)
-    if text.startswith("schema: " + SCHEMA):
-        result = parse_canonical(text)
-    else:
+    result = None
+    if text.startswith("schema: "):  # only a file that may be canonical loads its reader
+        from .canonical import SCHEMA, parse_canonical
+
+        if text.startswith("schema: " + SCHEMA):
+            result = parse_canonical(text)
+    if result is None:
         result = parse_forecast(text, source_id=source_id or Path(path).stem)
     for diag in result.diagnostics:
         print(f"{path}: {format_diagnostic(diag, text)}", file=sys.stderr)
@@ -86,9 +89,7 @@ def _cmd_parse(args) -> int:
 
 
 def _icon_line(icons) -> str:
-    from .layout import render_icon
-
-    return " ".join(render_icon(icon, "plain") for icon in icons) if icons else "(none)"
+    return " ".join(icon.plain_text for icon in icons) if icons else "(none)"
 
 
 _THRESHOLD_KEYS = ("wind_high_mph", "temperature_low_f")

@@ -29,6 +29,7 @@ from .model import (
     WINTER_PRECIP_KINDS,
     ForecastDocument,
     ForecastPeriod,
+    _fmt_num,
     _key_values,
     _read_input,
     _read_number,
@@ -309,6 +310,45 @@ class HazardIcon:
     glyph_id: str
     label: str
     gust_annotation: float | None = None
+
+    @property
+    def short_label(self) -> str:
+        """The label an icon graphic shows: ``F8``, ``10 MIN``, ``FREEZE``."""
+        return _icon_words(self.kind, self.level)[1]
+
+    @property
+    def badge(self) -> str:
+        """The gust badge of an icon that has a ``gust_annotation``: ``G75``."""
+        return f"G{_fmt_num(self.gust_annotation)}"
+
+    @property
+    def plain_text(self) -> str:
+        """The icon as plain text: ``[WIND F8 G75]``, ``[WIND CHILL 10MIN]``."""
+        word = _icon_words(self.kind, self.level)[0]
+        if self.gust_annotation is not None:
+            word += f" {self.badge}"
+        return f"[{word}]"
+
+
+_CHILL_SHORT = {1: "30 MIN", 2: "10 MIN", 3: "5 MIN"}
+
+#: Per kind: the plain-text word and the short label. ``{level}`` is the
+#: icon's level, ``{chill}`` the frostbite time of a wind-chill level, and
+#: ``{label}`` the short label without spaces.
+_ICON_WORDS = {
+    HazardKind.WIND: ("WIND {label}", "F{level}"),
+    HazardKind.WIND_CHILL: ("WIND CHILL {label}", "{chill}"),
+    HazardKind.FREEZING_TEMP: ("FREEZING", "FREEZE"),
+    HazardKind.WINTER_PRECIP: ("WINTER PRECIP", "WINTER"),
+}
+
+
+@lru_cache(maxsize=128)
+def _icon_words(kind: HazardKind, level: int) -> tuple[str, str]:
+    """The plain-text word and the short label of ``kind`` at ``level``."""
+    plain, short = _ICON_WORDS[kind]
+    short = short.format(level=level, chill=_CHILL_SHORT.get(level, f"L{level}"))
+    return plain.format(label=short.replace(" ", "")), short
 
 
 #: Lowest Beaufort force that shows a wind icon. Every force has an icon, but

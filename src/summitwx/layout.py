@@ -13,7 +13,6 @@ and the scale tables fully determine the output bytes.
 
 from __future__ import annotations
 
-import html
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -22,7 +21,6 @@ from typing import NamedTuple
 from .hazards import (
     GLYPH_IDS,
     HazardIcon,
-    HazardKind,
     derive_icon_rows,
     load_tables,
 )
@@ -66,47 +64,11 @@ class _Block(NamedTuple):
 _Groups = tuple[_Block, ...]
 
 
-_CHILL_SHORT = {1: "30 MIN", 2: "10 MIN", 3: "5 MIN"}
-
-#: Per kind: the plain-text word and the short label. ``{level}`` is the
-#: icon's level, ``{chill}`` the frostbite time of a wind-chill level, and
-#: ``{label}`` the short label without spaces.
-_ICON_WORDS = {
-    HazardKind.WIND: ("WIND {label}", "F{level}"),
-    HazardKind.WIND_CHILL: ("WIND CHILL {label}", "{chill}"),
-    HazardKind.FREEZING_TEMP: ("FREEZING", "FREEZE"),
-    HazardKind.WINTER_PRECIP: ("WINTER PRECIP", "WINTER"),
-}
-
-
-@lru_cache(maxsize=128)
-def _icon_words(kind: HazardKind, level: int) -> tuple[str, str]:
-    """The plain-text word and the short label of ``kind`` at ``level``."""
-    plain, short = _ICON_WORDS[kind]
-    short = short.format(level=level, chill=_CHILL_SHORT.get(level, f"L{level}"))
-    return plain.format(label=short.replace(" ", "")), short
-
-
-def _short_label(icon: HazardIcon) -> str:
-    return _icon_words(icon.kind, icon.level)[1]
-
-
-def _badge(icon: HazardIcon) -> str:
-    return f"G{_fmt_num(icon.gust_annotation)}"
-
-
 def _accessible_label(icon: HazardIcon) -> str:
     text = f"{icon.scale_name}: {icon.label}"
     if icon.gust_annotation is not None:
         text += f", gusts to {_fmt_num(icon.gust_annotation)} mph"
     return text
-
-
-def _plain_icon(icon: HazardIcon) -> str:
-    inner = _icon_words(icon.kind, icon.level)[0]
-    if icon.gust_annotation is not None:
-        inner += f" {_badge(icon)}"
-    return f"[{inner}]"
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +91,10 @@ def _glyph_color(background: str) -> str:
 
 
 def _esc(text: str) -> str:
-    return html.escape(text, quote=True)
+    """``html.escape(text, quote=True)``, written out: the html module would
+    load its 2 231-entry entity table, which escaping does not use."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("'", "&#x27;"))
 
 
 class _Escaped(dict):
@@ -149,14 +114,14 @@ def _svg_tail(icon: HazardIcon) -> str:
     badge = ""
     if icon.gust_annotation is not None:
         badge = (f'<text class="icon-badge" x="37" y="37" text-anchor="end" '
-                 f'fill="{color}">{_badge(icon)}</text>')
+                 f'fill="{color}">{icon.badge}</text>')
     return (
         f' class="icon" role="img" aria-label="{label}">'
         f"<title>{label}</title>"
         f'<rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>'
         f'<g transform="translate(8 8)" style="color:{color}">{inner}</g>'
         f"{badge}"
-        f'<text class="icon-label" x="20" y="51" text-anchor="middle">{_esc(_short_label(icon))}</text>'
+        f'<text class="icon-label" x="20" y="51" text-anchor="middle">{_esc(icon.short_label)}</text>'
         "</g>"
     )
 
@@ -167,13 +132,13 @@ def _html_tail(icon: HazardIcon) -> str:
     label = _esc(_accessible_label(icon))
     badge = ""
     if icon.gust_annotation is not None:
-        badge = f'<span class="icon-badge">{_badge(icon)}</span>'
+        badge = f'<span class="icon-badge">{icon.badge}</span>'
     return (
         f' class="icon" role="img" aria-label="{label}" '
         f'style="background:{icon.color};color:{_glyph_color(icon.color)}">'
         f'<svg viewBox="0 0 24 24" width="28" height="28" aria-hidden="true">{inner}</svg>'
         f"{badge}"
-        f'<span class="icon-label">{_esc(_short_label(icon))}</span>'
+        f'<span class="icon-label">{_esc(icon.short_label)}</span>'
         f"</span>"
     )
 
@@ -185,7 +150,8 @@ def _writer(writers: dict, format: str):
     return writers[format]
 
 
-_ICON_WRITERS = {"plain": _plain_icon, "svg": lambda icon: "<g" + _svg_tail(icon),
+_ICON_WRITERS = {"plain": lambda icon: icon.plain_text,
+                 "svg": lambda icon: "<g" + _svg_tail(icon),
                  "html": lambda icon: "<span" + _html_tail(icon)}
 
 
@@ -222,11 +188,11 @@ def _icon_markup(icon: HazardIcon, markup: dict) -> tuple[str, str, str]:
     attribute. An unbadged icon's are kept in ``markup`` under its glyph and
     level, which name one band of the tables ``markup`` is kept for."""
     if icon.gust_annotation is not None:
-        return _plain_icon(icon), _svg_tail(icon), _html_tail(icon)
+        return icon.plain_text, _svg_tail(icon), _html_tail(icon)
     key = (icon.glyph_id, icon.level)
     written = markup.get(key)
     if written is None:
-        written = markup[key] = (_plain_icon(icon), _svg_tail(icon), _html_tail(icon))
+        written = markup[key] = (icon.plain_text, _svg_tail(icon), _html_tail(icon))
     return written
 
 

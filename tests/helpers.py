@@ -14,7 +14,7 @@ import math
 import random
 import re
 from collections import namedtuple
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from importlib import resources
 
 from summitwx.hazards import (
@@ -164,13 +164,23 @@ def build_random_period(rng: random.Random, label: str = "Today") -> ForecastPer
     )
 
 
+#: Naive, or aware at a whole-hour offset, at +05:30, or at an offset with
+#: seconds. An aware time equals the same instant at any other offset, so a
+#: round trip compares the emitted text as well as ``==``.
+_UTC_OFFSETS = (
+    None, timezone.utc, timezone(timedelta(hours=-5)), timezone(timedelta(hours=9)),
+    timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(seconds=30)),
+    timezone(timedelta(hours=-3, seconds=-17)),
+)
+
+
 def build_random_document(rng: random.Random) -> ForecastDocument:
     """One structurally valid document; fast enough for thousand-doc loops."""
     summary_lines = [
         " ".join(rng.choice(_WORDS) for _ in range(rng.randint(3, 8)))
         for _ in range(rng.randint(1, 3))
     ]
-    issued = datetime(2026, 1, 1) + timedelta(
+    issued = datetime(2026, 1, 1, tzinfo=rng.choice(_UTC_OFFSETS)) + timedelta(
         minutes=rng.randint(0, 525_600), microseconds=rng.randint(0, 999_999)
     )
     return ForecastDocument(

@@ -216,9 +216,11 @@ def test_criterion_6_canonical_round_trip_and_fixture_parsing(capsys):
         rng = random.Random(66)
         for i in range(1000):
             doc = build_random_document(rng)
-            result = parse_canonical(emit_canonical(doc))
+            text = emit_canonical(doc)
+            result = parse_canonical(text)
             assert not result.errors, (i, result.errors)
             assert result.document == doc, i
+            assert emit_canonical(result.document) == text, i
         for name in FIXTURE_NAMES:
             text = (FIXTURE_DIR / f"{name}.txt").read_text(encoding="utf-8")
             result = parse_forecast(text, source_id=name)

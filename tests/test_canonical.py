@@ -79,9 +79,11 @@ def test_round_trip_exhaustive_seeded_sample():
     rng = random.Random(20260816)
     for _ in range(250):
         doc = build_random_document(rng)
-        result = parse_canonical(emit_canonical(doc))
+        text = emit_canonical(doc)
+        result = parse_canonical(text)
         assert result.errors == ()
         assert result.document == doc
+        assert emit_canonical(result.document) == text
 
 
 @settings(max_examples=300, deadline=None)

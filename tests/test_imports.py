@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import summitwx
+from summitwx import cli
 from conftest import FIXTURE_DIR
 from test_cli import write_csvs
 
@@ -73,30 +74,49 @@ def loaded_after(code):
 # ---------------------------------------------------------------- footprint
 
 PARSE_LAYERS = {"cli", "model", "textparse", "canonical"}
+#: A raw bulletin needs only the text parser; the canonical reader is loaded
+#: only for a file that starts like a canonical one.
+RAW_LAYERS = {"cli", "model", "textparse"}
 
 
 @pytest.mark.parametrize(
     "argv, layers",
     [
         (["parse", "{calm}"], PARSE_LAYERS),
-        (["classify", "{severe}"], PARSE_LAYERS | {"hazards", "layout"}),
+        (["classify", "{severe}"], RAW_LAYERS | {"hazards"}),
+        (["classify", "{tmp}/severe.canon"], PARSE_LAYERS | {"hazards"}),
         (["render", "{severe}", "--condition", "icons", "--format", "svg"],
-         PARSE_LAYERS | {"hazards", "layout"}),
+         RAW_LAYERS | {"hazards", "layout"}),
         (["stimuli", "{calm}", "{severe}", "--condition", "per-day-icons", "--out", "{tmp}/set"],
-         PARSE_LAYERS | {"hazards", "layout"}),
+         RAW_LAYERS | {"hazards", "layout"}),
         (["stats", "--responses", "{tmp}/responses.csv",
           "--participants", "{tmp}/participants.csv"],
          {"cli", "model", "stats", "distributions"}),
         (["validate-tables"], {"cli", "model", "hazards"}),
     ],
-    ids=["parse", "classify", "render", "stimuli", "stats", "validate-tables"],
+    ids=["parse", "classify", "classify-canonical", "render", "stimuli", "stats",
+         "validate-tables"],
 )
 def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers):
     write_csvs(tmp_path)
-    argv = [arg.format(calm=FIXTURE_DIR / "calm-day.txt", severe=FIXTURE_DIR / "severe-day.txt",
-                       tmp=tmp_path) for arg in argv]
+    severe = FIXTURE_DIR / "severe-day.txt"
+    assert cli.main(["parse", str(severe), "--out", str(tmp_path / "severe.canon")]) == 0
+    argv = [arg.format(calm=FIXTURE_DIR / "calm-day.txt", severe=severe, tmp=tmp_path)
+            for arg in argv]
     code = f"from summitwx import cli\nassert cli.main({argv!r}) == 0\n"
     assert loaded_after(code) == layers
+
+
+def run_fresh_without(argv, modules, tmp_path=None):
+    """Run ``summitwx argv`` in a fresh interpreter and check that none of
+    ``modules`` was loaded."""
+    argv = [arg.format(calm=FIXTURE_DIR / "calm-day.txt", severe=FIXTURE_DIR / "severe-day.txt",
+                       tmp=tmp_path) for arg in argv]
+    code = (f"import sys\nfrom summitwx import cli\nassert cli.main({argv!r}) == 0\n"
+            f"loaded = sorted(m for m in {sorted(modules)!r} if m in sys.modules)\n"
+            "assert not loaded, f'{loaded} loaded'\n")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -106,11 +126,20 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers):
 )
 def test_one_shot_subcommands_do_not_load_hashlib(argv):
     # Only the stimulus-set index digests its renders.
-    argv = [arg.format(severe=FIXTURE_DIR / "severe-day.txt") for arg in argv]
-    code = (f"import sys\nfrom summitwx import cli\nassert cli.main({argv!r}) == 0\n"
-            "assert 'hashlib' not in sys.modules, 'hashlib loaded'\n")
-    proc = fresh_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh_without(argv, {"hashlib"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "{severe}"], ["render", "{severe}", "--condition", "icons", "--format", "html"],
+     ["stimuli", "{calm}", "{severe}", "--condition", "icons", "--format", "html",
+      "--out", "{tmp}/set"]],
+    ids=["classify", "render", "stimuli"],
+)
+def test_no_subcommand_loads_the_html_module(tmp_path, argv):
+    # The renderer escapes with five replacements of its own; the html
+    # module would load its entity table, which escaping does not use.
+    run_fresh_without(argv, {"html", "html.entities"}, tmp_path)
 
 
 def test_import_summitwx_loads_no_submodule():

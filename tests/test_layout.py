@@ -27,6 +27,7 @@ from test_hazards import _tamper
 from summitwx import cli, hazards, layout, model
 from summitwx.canonical import emit_canonical
 from summitwx.hazards import (
+    HazardIcon,
     TriadThresholds,
     derive_document_icons,
     derive_icon_rows,
@@ -275,8 +276,8 @@ def test_each_document_is_laid_out_and_validated_once(fixture_texts, layout_call
 @pytest.fixture
 def layout_work(monkeypatch):
     """Counts of the work a layout does: ``hazards._bands`` (a period's band
-    lookups) and ``html.escape`` calls, unbadged icons built by
-    ``hazards._icon``, and each kind of unbadged icon markup written."""
+    lookups) and ``layout._esc`` (html-escape) calls, unbadged icons built by
+    ``hazards._icon``, and each kind of unbadged icon text and markup written."""
     calls = Counter()
 
     def wrap(module, fn, counts=lambda *args: True):
@@ -285,10 +286,15 @@ def layout_work(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, fn, counting)
 
-    for module, fn in ((hazards, "_bands"), (hazards, "_icon"), (html, "escape")):
+    for module, fn in ((hazards, "_bands"), (hazards, "_icon"), (layout, "_esc")):
         wrap(module, fn)
-    for fn in ("_plain_icon", "_svg_tail", "_html_tail"):
+    for fn in ("_svg_tail", "_html_tail"):
         wrap(layout, fn, lambda icon: icon.gust_annotation is None)
+
+    def plain_text(icon, _real=HazardIcon.plain_text.fget):
+        calls["plain_text"] += icon.gust_annotation is None
+        return _real(icon)
+    monkeypatch.setattr(HazardIcon, "plain_text", property(plain_text))
     return calls
 
 
@@ -302,8 +308,8 @@ def test_a_layout_looks_each_period_up_once_and_writes_each_line_once(
     render(first, LayoutCondition.BASELINE, tables=tables)
     bands = sum(len(table.bands) for table in tables.values())
     # Severe-day shows seven distinct unbadged icons, each written once.
-    assert {fn: n for fn, n in layout_work.items() if fn != "escape"} == {
-        "_bands": 4, "_icon": bands, "_plain_icon": 7, "_svg_tail": 7, "_html_tail": 7}
+    assert {fn: n for fn, n in layout_work.items() if fn != "_esc"} == {
+        "_bands": 4, "_icon": bands, "plain_text": 7, "_svg_tail": 7, "_html_tail": 7}
 
     layout_work.clear()
     payload = render(second, LayoutCondition.BASELINE, tables=tables).payload.decode()
@@ -311,7 +317,14 @@ def test_a_layout_looks_each_period_up_once_and_writes_each_line_once(
     assert len(set(text)) < len(text)  # two periods read "Temperatures: 0 to 10 F"
     # One escape per distinct line, the two icon row headings included.
     lines = {*text, "HAZARDS:", "HAZARDS (48 HOURS):"}
-    assert dict(layout_work) == {"_bands": 4, "escape": len(lines)}
+    assert dict(layout_work) == {"_bands": 4, "_esc": len(lines)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("&<>\"'%; #x27ampltgquot") | st.characters()))
+@example("Rime & <fog> on the \"knife\" edge's 100% &amp; &#x27; \u00e9\u2014\U0001f32c")
+def test_the_escaper_is_html_escape_with_quotes(text):
+    assert layout._esc(text) == html.escape(text, quote=True)
 
 
 def test_a_failing_call_leaves_the_last_calls_layouts(fixture_texts, goldens, layout_calls):
@@ -540,8 +553,27 @@ def test_render_icon_rejects_unknown_format_and_glyph(fixture_docs):
     (overall,) = derive_document_icons(fixture_docs["severe-day"], "overall")
     with pytest.raises(ValueError, match="svg"):
         render_icon(overall[0], "png")
-    with pytest.raises(ValueError, match="glyph"):
-        render_icon(replace(overall[0], glyph_id="missing"), "svg")
+    for fmt in FORMATS:
+        with pytest.raises(ValueError, match="glyph"):
+            render_icon(replace(overall[0], glyph_id="missing"), fmt)
+
+
+def _every_packaged_icon():
+    """Each band's icon of every packaged table, unbadged and gust-badged."""
+    for table in load_tables().values():
+        for band in table.bands:
+            icon = hazards._icon(table, band)
+            yield icon
+            yield replace(icon, gust_annotation=band.level * 10 + 0.5)
+
+
+@pytest.mark.parametrize("icon", list(_every_packaged_icon()),
+                         ids=lambda icon: f"{icon.glyph_id}-{icon.level}-"
+                                          f"{'badged' if icon.gust_annotation else 'plain'}")
+def test_the_plain_icon_text_has_one_definition(icon):
+    # The icon's own text, the renderer's plain icon and a classify line.
+    expected = oracle_render_icon(icon, "plain")
+    assert icon.plain_text == render_icon(icon, "plain") == cli._icon_line((icon,)) == expected
 
 
 def _wcag_luminance(color):
