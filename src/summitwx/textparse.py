@@ -41,6 +41,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+from itertools import chain
 
 from .model import (
     COMPASS_POINTS,
@@ -114,13 +115,23 @@ _COMPASS_RE = re.compile(  # the 16 points, longest first
     rf"\b({'|'.join(sorted(map(str.lower, COMPASS_POINTS), key=len, reverse=True))})\b(?!/)"
 )
 # The tokens of a period block. No two can overlap, so one left-to-right
-# pass finds every token the grammar knows. A sentence stops at whitespace
-# after ``.``, ``!`` or ``?`` and at the end of the block. Each pattern is
-# followed by an empty group named for its token, so that an alternative
-# still begins with its first character and is rejected on it. A
-# precipitation token is named for its PrecipKind, each phrase before any
-# phrase it starts with. A hazard keyword is matched as a word prefix, so
-# digits glued to it still read as a number.
+# pass finds every token the grammar knows. The scan tries the alternatives
+# at every character: one that begins with a character class is rejected on
+# that character, but one that begins with an assertion or an optional part
+# is entered there. So no alternative matches empty, and only the keywords
+# begin with an assertion (``\b``):
+# * a number begins with its sign or first digit and ends in a digit, so a
+#   lone hyphen is no number. It looks ahead for a ``below [zero]`` after it
+#   (_BELOW_RE) and keeps that in its ``below`` group;
+# * a sentence stop is ``.``, ``!`` or ``?`` with the whitespace after it,
+#   and stops at that whitespace. The block's last sentence stops at the
+#   block's end, which the loop reads after the scan as one more stop
+#   (_BLOCK_END_RE).
+# Each token holds an empty group named for it, which closes after any other
+# group of the token and so names the match. A precipitation token is named
+# for its PrecipKind, each phrase before any phrase it starts with. A hazard
+# keyword is matched as a word prefix, so digits glued to it still read as a
+# number.
 _WORD_TOKENS = (
     ("temp", r"temperatures?\s*:"),
     ("chill", r"wind\s+chills?\s*:"),
@@ -136,9 +147,11 @@ _WORD_TOKENS = (
     ("RAIN", r"(?:rain\s+showers|rain)\b"),
 )
 _TOKEN_RE = re.compile(
-    r"-?[0-9]+(?:\.[0-9]+)?(?P<number>)|(?:(?<=[.!?])\s+|\Z)(?P<stop>)|\b(?:"
+    rf"[-0-9][0-9]*(?<=[0-9])(?:\.[0-9]+)?(?=(?P<below>{_BELOW_RE.pattern}))?(?P<number>)"
+    r"|[.!?](?P<stop>)\s+|\b(?:"
     + "|".join(f"{pattern}(?P<{name}>)" for name, pattern in _WORD_TOKENS) + ")"
 )
+_BLOCK_END_RE = re.compile("(?P<stop>)")
 _LABELS = frozenset(("temp", "chill", "wind"))
 _FOLD = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b"abcdefghijklmnopqrstuvwxyz")
 _SPACE_RUN_RE = re.compile(r"\s+")
@@ -172,7 +185,13 @@ class _Scan:
 
 def _numbers(folded: str, numbers: list[re.Match], start: int, end: int) -> list[float]:
     """Values of the number tokens ``numbers``, all inside
-    ``folded[start:end]``, with the range-hyphen and below-zero rules."""
+    ``folded[start:end]``, with the range-hyphen and below-zero rules.
+
+    Whether ``below [zero]`` follows a number comes from its token's
+    ``below`` group, which the token scan fills as it reads the number. That
+    lookahead may reach past ``end`` to the block's end, but a phrase it
+    matches holds no stop, label or gust word, so no statement ends inside
+    it."""
     values: list[float] = []
     below = False
     right = end  # where the number to the right of ``m`` starts
@@ -181,16 +200,16 @@ def _numbers(folded: str, numbers: list[re.Match], start: int, end: int) -> list
     # its right is below zero and only a range separator lies between them.
     for m in reversed(numbers):
         token = m[0]
-        value = float(token)
-        if token.startswith("-"):
+        if token[0] == "-":
             # Hyphen between two complete numbers separates a range.
             k = m.start() - 1
             while k >= start and folded[k].isspace():
                 k -= 1
             if k >= start and "0" <= folded[k] <= "9":
-                value = float(token[1:])
-        below = bool(_BELOW_RE.match(folded, m.end(), end)
-                     or below and _RANGE_GAP_RE.fullmatch(folded, m.end(), right))
+                token = token[1:]
+        value = float(token)
+        below = (m["below"] is not None
+                 or bool(below and _RANGE_GAP_RE.fullmatch(folded, m.end(), right)))
         values.append(-abs(value) if below else value)
         right = m.start()
     values.reverse()
@@ -232,16 +251,18 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
     notes: list[str] = []
     s_start, narrative_end, kinds = start, None, []
     likely = chance = hazard = False
-    for m in _TOKEN_RE.finditer(folded, start, end):
+    block_end = _BLOCK_END_RE.match(folded, end)
+    for m in chain(_TOKEN_RE.finditer(folded, start, end), (block_end,)):
         token = m.lastgroup
         if token == "number":
             if statement is not None:
                 (numbers if gust is None else gusts).append(m)
         elif token == "stop" or token in _LABELS:
+            at = m.start("stop") if token == "stop" else m.start()
             if statement is not None:
-                name, seg_end = statement.lastgroup, m.start()
-                split = seg_end if gust is None else gust.start()
-                scan.mark(statement.start(), seg_end)
+                name = statement.lastgroup
+                split = at if gust is None else gust.start()
+                scan.mark(statement.start(), at)
                 values[name] += _numbers(folded, numbers, statement.end(), split)
                 if name == "wind" and direction is None:
                     dm = _COMPASS_RE.search(folded, statement.end(),
@@ -249,7 +270,7 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
                     if dm:
                         direction = dm[1].upper()
                 if gust is not None:
-                    post = _numbers(folded, gusts, gust.end(), seg_end)
+                    post = _numbers(folded, gusts, gust.end(), at)
                     if not post:
                         scan.diag(
                             Severity.WARNING, gust.span(),
@@ -261,7 +282,7 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
             if token != "stop":
                 statement, numbers, gust, gusts = m, [], None, []
                 if narrative_end is None:
-                    narrative_end = m.start()
+                    narrative_end = at
                 continue
             if kinds or hazard:
                 certainty = (Certainty.LIKELY if likely else Certainty.CHANCE if chance
@@ -269,7 +290,7 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
                 for kind in kinds:
                     if (kind, certainty) not in precip_events:
                         precip_events.append((kind, certainty))
-                note_end = m.start() if narrative_end is None else narrative_end
+                note_end = at if narrative_end is None else narrative_end
                 if hazard:
                     notes.append(_unwrap(text[s_start:note_end].strip()))
                 scan.mark(s_start, note_end)

@@ -1,3 +1,4 @@
+import re
 import sys
 import textwrap
 import time
@@ -290,6 +291,65 @@ def test_number_reader_matches_the_two_loop_reader(pieces):
                                                                   len(folded))))
 
 
+# The token pattern as it was while a sentence stop was a zero-width
+# alternative (a lookbehind, or the block's end) and each number's ``below``
+# was matched apart, kept verbatim as the oracle of the token scan.
+ORACLE_TOKEN_RE = re.compile(
+    r"-?[0-9]+(?:\.[0-9]+)?(?P<number>)|(?:(?<=[.!?])\s+|\Z)(?P<stop>)|\b(?:"
+    r"temperatures?\s*:(?P<temp>)|wind\s+chills?\s*:(?P<chill>)|winds?\s*:(?P<wind>)"
+    r"|gust(?:s|ing)?\b(?P<gust>)|likely\b(?P<likely>)|chance\b(?P<chance>)"
+    r"|(?:flood|fog|visibility\b|whiteout\b)(?P<hazard>)|freezing\s+rain\b(?P<FREEZING_RAIN>)"
+    r"|(?:wintry\s+mix|mixed\s+precipitation)\b(?P<MIXED>)"
+    r"|(?:snow\s+showers|snowfall|flurries|snow)\b(?P<SNOW>)|sleet\b(?P<SLEET>)"
+    r"|(?:rain\s+showers|rain)\b(?P<RAIN>))"
+)
+_BLOCK_PIECES = st.one_of(
+    st.from_regex(r"-?[0-9]{1,3}(?:\.[0-9]{1,2})?", fullmatch=True),
+    st.sampled_from([
+        "-", "--", ".", "!", "?", "...", "?!", "to", "or", "x", "nw", "mph", "f",
+        "below", "below zero", "degrees below zero", "degrees", "zero", "belowzero",
+        "temperatures:", "temperature :", "winds:", "wind:", "wind chills:", "wind chill :",
+        "gust", "gusts", "gusting", "gusty", "snow", "snow showers", "snowfall", "flurries",
+        "freezing rain", "wintry mix", "mixed precipitation", "rain", "rain showers", "sleet",
+        "likely", "chance", "fog", "flooding", "visibility", "whiteout",
+    ]),
+)
+_BLOCK_GAPS = st.sampled_from(["", " ", "  ", "\n", " \n ", "\t", "\x0b", "\n\n"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_BLOCK_PIECES, _BLOCK_GAPS), max_size=20),
+       st.sampled_from(["", ".", "!", "...", ". ", " ", "\n"]),
+       st.sampled_from(["", "\n", "\ntonight: 5 below. ", " below zero", "0", ". "]))
+def test_the_token_scan_reads_the_tokens_of_the_zero_width_stop_scan(pieces, last, after):
+    # A block as the parser scans it: after its header's colon, with text
+    # beyond its end that no token may reach into. Stops are compared at
+    # their whitespace, and each number's ``below`` with _BELOW_RE's match.
+    folded = "today:" + "".join(piece + gap for piece, gap in pieces) + last
+    start, end = len("today:"), len(folded)
+    folded += after
+
+    def oracle_below(m):
+        below = textparse._BELOW_RE.match(folded, m.end(), end)
+        return below.span() if below else (-1, -1)
+
+    want = [(m.lastgroup, m.start(), m.end(),
+             oracle_below(m) if m.lastgroup == "number" else (-1, -1))
+            for m in ORACLE_TOKEN_RE.finditer(folded, start, end)]
+    scanned = [*textparse._TOKEN_RE.finditer(folded, start, end),
+               textparse._BLOCK_END_RE.match(folded, end)]
+    got = [(m.lastgroup, m.start("stop") if m.lastgroup == "stop" else m.start(), m.end(),
+            m.span("below") if m.lastgroup == "number" else (-1, -1))
+           for m in scanned]
+    assert got == want
+
+
+def test_token_pattern_never_matches_empty():
+    # An alternative that can match empty is tried at every character of a
+    # block; the block's last stop is read after the scan instead.
+    assert textparse._TOKEN_RE.search("") is None
+
+
 def test_stated_wind_chill_extraction():
     doc = parse_ok(
         mini("Temperatures: 0-10F. Winds: NW 40-60 mph. Wind chills: 25-40 below zero.")
@@ -437,6 +497,29 @@ def test_a_long_whitespace_run_between_numbers_reads_in_linear_time():
     short = parse_ok(mini("Temperatures: 10 x 20 below. Winds: NW 10-20 mph.")).document
     started = time.perf_counter()
     long = parse_ok(mini(f"Temperatures: 10{' ' * 20_000}x 20 below. Winds: NW 10-20 mph.")).document
+    assert time.perf_counter() - started < 0.5
+    assert long.periods[0] == short.periods[0]
+    assert (short.periods[0].temperature.low, short.periods[0].temperature.high) == (-20, 10)
+
+
+def test_a_long_whitespace_run_after_a_stop_reads_in_linear_time():
+    # A sentence stop reads its punctuation and the whole whitespace run after it.
+    short = parse_ok(mini("Temperatures: 10-20. Fog likely. Winds: NW 10-20 mph.")).document
+    started = time.perf_counter()
+    run = " " * 20_000
+    long = parse_ok(mini(f"Temperatures: 10-20.{run}Fog likely. Winds: NW 10-20 mph.")).document
+    assert time.perf_counter() - started < 0.5
+    assert long.periods[0] == short.periods[0]
+    assert short.periods[0].extra_hazard_notes == ("Fog likely.",)
+
+
+def test_a_long_whitespace_run_after_degrees_reads_in_linear_time():
+    # A number looks ahead for ``degrees below``; a run that ends in anything
+    # else must be given up without trying every split of the run.
+    short = parse_ok(mini("Temperatures: 10 degrees x 20 below. Winds: NW 10-20 mph.")).document
+    started = time.perf_counter()
+    run = " " * 20_000
+    long = parse_ok(mini(f"Temperatures: 10 degrees{run}x 20 below. Winds: NW 10-20 mph.")).document
     assert time.perf_counter() - started < 0.5
     assert long.periods[0] == short.periods[0]
     assert (short.periods[0].temperature.low, short.periods[0].temperature.high) == (-20, 10)
