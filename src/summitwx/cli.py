@@ -43,7 +43,12 @@ def _read_text(path: str) -> str:
     try:
         return _read_input(Path(path), path, _CliError)
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise _cannot_read(path, exc) from None
+
+
+def _cannot_read(path, exc: OSError) -> _CliError:
+    """The one form of every reader's error for an input it could not read."""
+    return _CliError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _load_document(path: str, source_id: str | None = None) -> ForecastDocument:
@@ -71,7 +76,12 @@ def _load_document(path: str, source_id: str | None = None) -> ForecastDocument:
 def _load_tables_arg(args):
     from .hazards import load_tables
 
-    return load_tables(Path(args.tables)) if args.tables else load_tables()
+    if not args.tables:
+        return load_tables()
+    try:
+        return load_tables(Path(args.tables))
+    except OSError as exc:
+        raise _cannot_read(exc.filename, exc) from None
 
 
 def _write_or_print(payload: str, out: str | None) -> None:
@@ -182,7 +192,10 @@ def _cmd_stimuli(args) -> int:
 def _cmd_stats(args) -> int:
     from .stats import build_report, emit_plot_spec, emit_report, format_report, load_study
 
-    participants = load_study(Path(args.responses), Path(args.participants))
+    try:
+        participants = load_study(Path(args.responses), Path(args.participants))
+    except OSError as exc:
+        raise _cannot_read(exc.filename, exc) from None
     report = build_report(participants, correction_count=args.correction)
     sys.stdout.write(format_report(report))
     if args.out:

@@ -483,9 +483,28 @@ _RATINGS_RE = re.compile(",".join([_NUMBER_RE.pattern] * len(ACTIVITIES)))
 
 
 #: Most distinct rating spellings one load remembers: 4x the 1 001 spellings
-#: of 0-100 at one decimal. A spelling past it is read in full on every row,
-#: so a study whose every rating is distinct keeps no more than this many.
+#: of 0-100 at one decimal. Each is read and checked once, on its own; a row
+#: holding a spelling past it is read in full, so a study whose every rating
+#: is distinct keeps no more than this many.
 _KNOWN_RATINGS_MAX = 4096
+
+
+class _Ratings(dict):
+    """Rating spelling -> its value, for one load. A miss reads and
+    range-checks the spelling and keeps it while the memo has room; one that
+    fails, or one past a full memo, raises KeyError, so that its row is read
+    in full and gives the error the row alone would give."""
+
+    def __missing__(self, text: str) -> float:
+        if len(self) < _KNOWN_RATINGS_MAX:
+            try:
+                value = _read_number(text)
+            except ValueError:
+                raise KeyError(text) from None
+            if RATING_MIN <= value <= RATING_MAX:
+                self[text] = value
+                return value
+        raise KeyError(text)
 
 
 def _read_field(name: str, text: str) -> float:
@@ -502,9 +521,11 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
     the command-line tokens (baseline, summary-last, icons, per-day-icons).
     Unknown references, duplicates, malformed numbers, and out-of-range
     ratings are hard errors, each naming ``path:line``. Numbers follow the
-    model number grammar (:func:`summitwx.model._read_number`). A rating
-    spelling is read and checked in full in the first row it appears in;
-    once that row has passed, later rows take its value as read there.
+    model number grammar (:func:`summitwx.model._read_number`). Each distinct
+    rating spelling is read and checked once per load, on its own, where it
+    first appears; later rows take its value as read there. A row holding a
+    spelling that fails is read again in full, so its error, line and order
+    of precedence are those of a row read on its own.
 
     Returns one :class:`Participant` per participant, in the order of their
     first row in ``responses.csv``; that order fixes the regression sums.
@@ -534,9 +555,8 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
     if not participants:
         raise StudyDataError(f"{participants_path}: no records")
 
-    # Rating text -> its value, for texts whose row passed every check; a
-    # 0-100 slider writes few distinct spellings, so most rows skip the reading.
-    known: dict[str, float] = {}
+    # A 0-100 slider writes few distinct spellings, so most rows only look up.
+    known: dict[str, float] = _Ratings()
     row_sums: dict[str, dict[str, float]] = {}  # participant -> forecast -> sum
     for line, row in _csv_rows(responses_path, _RESPONSE_COLUMNS):
         pid, forecast_id = row[0], row[1]
@@ -550,7 +570,7 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
                     f"duplicate response for participant {pid!r}, forecast {forecast_id!r}")
             try:
                 sums[forecast_id] = sum(map(known.__getitem__, fields))
-            except KeyError:
+            except KeyError:  # a spelling that fails, or a new one past a full memo
                 if _RATINGS_RE.fullmatch(",".join(fields)):
                     ratings = tuple(map(float, fields))
                 else:
@@ -562,8 +582,10 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
                             f"{_fmt_num(value)} outside [{RATING_MIN:g}, {RATING_MAX:g}]"
                         )
                 sums[forecast_id] = sum(ratings)
-                if len(known) < _KNOWN_RATINGS_MAX:
-                    known.update(zip(fields, ratings))
+                if type(known) is _Ratings:
+                    # The row passed, so the memo is full; a plain dict's
+                    # miss goes straight here, without calling __missing__.
+                    known = dict(known)
         except StudyDataError as exc:
             raise StudyDataError(f"{responses_path}:{line}: {exc}") from None
     if not row_sums:

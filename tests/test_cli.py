@@ -166,10 +166,22 @@ def test_parse_reads_crlf_files_as_bare_newlines(tmp_path, capsys):
     assert run(capsys, "parse", str(crlf)) == run(capsys, "parse", CALM)
 
 
-def test_missing_input_file_exit_1(capsys):
-    code, out, err = run(capsys, "parse", "/nonexistent/forecast.txt")
-    assert code == 1
-    assert err.startswith("error: cannot read /nonexistent/forecast.txt")
+def test_missing_input_file_exit_1(tmp_path, capsys):
+    # Every reader names an input it cannot read in one form, whatever the
+    # operating system calls the reason.
+    r_path, p_path = write_csvs(tmp_path)
+    missing = tmp_path / "missing"
+    for argv, name in [
+        (("parse", "/nonexistent/forecast.txt"), "/nonexistent/forecast.txt"),
+        (("stats", "--responses", str(missing), "--participants", str(p_path)), missing),
+        (("stats", "--responses", str(r_path), "--participants", str(tmp_path)), tmp_path),
+        (("validate-tables", "--tables", str(missing)), missing / "beaufort.table"),
+        (("classify", SEVERE, "--tables", str(missing)), missing / "beaufort.table"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: cannot read {name}: ")
+        assert "Errno" not in err and err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ classify

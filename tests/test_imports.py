@@ -229,9 +229,10 @@ def test_input_readers_take_numbers_only_from_the_model_grammar():
 
 
 def test_study_reader_takes_numbers_only_from_the_model_grammar():
-    # grips_score goes through model._read_number, and a row's ratings are
-    # converted only after they match the model grammar as a whole; a known
-    # spelling's value was converted after the first row holding it matched.
+    # grips_score and each distinct rating spelling go through
+    # model._read_number; a row read in full, because one of its spellings
+    # failed or the memo is full, is converted only after its ratings match
+    # the model grammar as a whole.
     tree = ast.parse((SRC / "summitwx" / "stats.py").read_text(encoding="utf-8"))
     offenders = [f"stats.py:{node.lineno} calls {node.func.id}()" for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)

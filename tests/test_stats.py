@@ -580,6 +580,33 @@ def test_participants_are_checked_once(paper_study, monkeypatch):
     assert calls == [p.participant_id for p in participants]
 
 
+def test_each_rating_spelling_is_read_once_per_load(paper_study, tmp_path, monkeypatch):
+    # One read per grips score and per distinct rating spelling; every
+    # response row again, under new forecast ids, reads nothing more.
+    responses, participants = paper_study
+    reads = []
+    read = stats._read_number
+
+    def counting(text):
+        reads.append(text)
+        return read(text)
+
+    monkeypatch.setattr(stats, "_read_number", counting)
+    with open(responses, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    spellings = {field for row in rows for field in row[2:]}
+    assert len(spellings) < stats._KNOWN_RATINGS_MAX
+    load_study(*paper_study)
+    assert len(reads) == 128 + len(spellings)
+    doubled = tmp_path / "responses.csv"
+    with open(doubled, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header, *rows, *([pid, f"{fid}-again", *ratings] for pid, fid, *ratings in rows)])
+    reads.clear()
+    load_study(doubled, participants)
+    assert len(reads) == 128 + len(spellings)
+
+
 def oracle_load_responses(responses_path, participants_path, participants):
     """The response loop of ``load_study`` as it was before the loader kept
     each rating spelling's value, kept verbatim as the loader's oracle:
@@ -671,9 +698,19 @@ def response(pid, fid, *ratings):
         ([response("p1", "f1", "2", "3", "4", "5", "6", "7"),
           response("p2", "f1", "1", "2,3", "4", "5", "6", "7")],
          "responses.csv:3: day_hike is not a number: '2,3'"),
+        # New valid spellings before a bad one in the same row.
+        ([response("p1", "f1", "7", "8", "9", "10.5", "11", "six")],
+         "responses.csv:2: multi_night_camping is not a number: 'six'"),
         # Out of range before a non-number: the non-number is reported.
         ([response("p1", "f1", "101", "six", "5", "5", "5", "5")],
          "responses.csv:2: day_hike is not a number: 'six'"),
+        # Not finite before a non-number: the first unreadable field wins.
+        ([response("p1", "f1", "1e+999", "six", "5", "5", "5", "5")],
+         "responses.csv:2: car_trip is not finite: '1e+999'"),
+        # Among spellings that read, an overflowing one is out of range.
+        ([response("p1", "f1", "5", "5", "1e+999", "5", "5", "5")],
+         "responses.csv:2: participant 'p1', forecast 'f1': "
+         "mountaineering rating inf outside [0, 100]"),
         ([response("p1", "f1", *["5"] * 6), response("p1", "f1", *["5"] * 6)],
          "responses.csv:3: duplicate response for participant 'p1', forecast 'f1'"),
         ([response("p1", "f1", *["5"] * 6), response("p9", "f1", *["5"] * 6)],
@@ -681,7 +718,9 @@ def response(pid, fid, *ratings):
     ],
     ids=["equivalent-spellings", "non-number-after-known", "out-of-range-after-known",
          "padded-known-spelling",
-         "quoted-comma", "out-of-range-then-non-number", "duplicate", "unknown-participant"],
+         "quoted-comma", "new-spellings-then-non-number", "out-of-range-then-non-number",
+         "not-finite-then-non-number", "not-finite-among-numbers",
+         "duplicate", "unknown-participant"],
 )
 def test_load_study_matches_the_oracle(tmp_path, rows, message):
     assert assert_loads_as_the_oracle(tmp_path, rows) == message
