@@ -42,6 +42,9 @@ _PERIOD_SCALARS = {
     "chill_low_f", "chill_high_f",
 }
 _PERIOD_REQUIRED = ("label", "temp_low_f", "temp_high_f", "wind_low_mph", "wind_high_mph")
+#: Each valid ``precip:`` value, as the emitter spells it, and its event.
+_PRECIP_EVENTS = {f"{kind.value} | {certainty.value}": PrecipEvent(kind, certainty)
+                  for kind in PrecipKind for certainty in Certainty}
 
 
 def emit_canonical(doc: ForecastDocument) -> str:
@@ -91,86 +94,82 @@ def parse_canonical(text: str) -> ParseResult:
     summary_lines: list[str] = []
     drafts: list[_PeriodDraft] = []
     meaningful = 0
-    recognized = 0
 
     def err(span: tuple[int, int], message: str) -> None:
         diags.append(Diagnostic(Severity.ERROR, span, message))
 
-    def take(raw_line: str, span: tuple[int, int]) -> str | None:
-        """Record one meaningful line; return its problem, or None."""
-        if "\r" in raw_line:
-            return "carriage return in input; expected bare newlines"
-        in_period = raw_line.startswith("  ") and not raw_line[2:].startswith(" ")
-        content = raw_line[2:] if in_period else raw_line
-        key, colon, rest = content.partition(":")
-        if not (key and colon) or rest[:1] not in ("", " "):
-            return f"expected 'key: value', found {content!r}"
-        value = rest[1:]
-
-        if not top and (in_period or key != "schema"):
-            return "first entry must be the schema declaration"
-
-        if in_period:
-            if not drafts:
-                return f"period key {key!r} before any 'period:' marker"
-            draft = drafts[-1]
-            if key in _PERIOD_SCALARS:
-                if key in draft.scalars:
-                    return f"duplicate key {key!r} in period {len(drafts)}"
-                draft.scalars[key] = value
-                draft.spans[key] = span
-            elif key == "precip":
-                pieces = value.split(" | ")
-                if len(pieces) != 2:
-                    return f"expected 'kind | certainty', found {value!r}"
-                try:
-                    draft.precip.append(
-                        PrecipEvent(PrecipKind(pieces[0]), Certainty(pieces[1]))
-                    )
-                except ValueError:
-                    return f"unknown precipitation token in {value!r}"
-            elif key == "hazard_note":
-                draft.notes.append(value)
-            else:
-                return f"unknown key {key!r}"
-        elif key == "schema":
-            if top:
-                return "duplicate schema declaration"
-            if value != SCHEMA:
-                return f"unsupported schema {value!r}; expected {SCHEMA!r}"
-            top["schema"] = value
-        elif key in _TOP_SCALARS:
-            if key in top:
-                return f"duplicate key {key!r}"
-            top[key] = value
-            top_spans[key] = span
-        elif key == "summary":
-            # '|' alone is an empty line, and "|"[2:] == "".
-            if value[:2] not in ("|", "| "):
-                return (f"summary value must start with '|' and a space, or be '|' alone, "
-                        f"found {value!r}")
-            top_spans.setdefault("summary_text", span)
-            summary_lines.append(value[2:])
-        elif key == "period":
-            if value != "":
-                return f"'period:' takes no value, found {value!r}"
-            drafts.append(_PeriodDraft(span))
-        else:
-            return f"unknown key {key!r}"
-        return None
-
+    has_cr = "\r" in text
     offset = 0
     for raw_line in text.split("\n"):
-        span = (offset, offset + len(raw_line))
+        start = offset
         offset += len(raw_line) + 1
-        if not raw_line.strip() or raw_line.lstrip().startswith("#"):
+        stripped = raw_line.lstrip()
+        if not stripped or stripped[0] == "#":
             continue
         meaningful += 1
-        problem = take(raw_line, span)
-        if problem is None:
-            recognized += 1
+        problem = None
+        in_period = raw_line.startswith("  ") and raw_line[2] != " "
+        content = raw_line[2:] if in_period else raw_line
+        key, colon, rest = content.partition(":")
+        value = rest[1:]
+        if has_cr and "\r" in raw_line:
+            problem = "carriage return in input; expected bare newlines"
+        elif not (key and colon) or rest[:1] not in ("", " "):
+            problem = f"expected 'key: value', found {content!r}"
+        elif not top and (in_period or key != "schema"):
+            problem = "first entry must be the schema declaration"
+        elif in_period:
+            if not drafts:
+                problem = f"period key {key!r} before any 'period:' marker"
+            elif key in _PERIOD_SCALARS:
+                draft = drafts[-1]
+                if key in draft.scalars:
+                    problem = f"duplicate key {key!r} in period {len(drafts)}"
+                else:
+                    draft.scalars[key] = value
+                    draft.spans[key] = (start, offset - 1)
+            elif key == "precip":
+                event = _PRECIP_EVENTS.get(value)
+                if event is not None:
+                    drafts[-1].precip.append(event)
+                elif len(value.split(" | ")) != 2:
+                    problem = f"expected 'kind | certainty', found {value!r}"
+                else:
+                    problem = f"unknown precipitation token in {value!r}"
+            elif key == "hazard_note":
+                drafts[-1].notes.append(value)
+            else:
+                problem = f"unknown key {key!r}"
+        elif key == "schema":
+            if top:
+                problem = "duplicate schema declaration"
+            elif value != SCHEMA:
+                problem = f"unsupported schema {value!r}; expected {SCHEMA!r}"
+            else:
+                top["schema"] = value
+        elif key in _TOP_SCALARS:
+            if key in top:
+                problem = f"duplicate key {key!r}"
+            else:
+                top[key] = value
+                top_spans[key] = (start, offset - 1)
+        elif key == "summary" and value[:2] not in ("|", "| "):
+            problem = (f"summary value must start with '|' and a space, or be '|' alone, "
+                       f"found {value!r}")
+        elif key == "summary":
+            if not summary_lines:
+                top_spans["summary_text"] = (start, offset - 1)
+            # '|' alone is an empty line, and "|"[2:] == "".
+            summary_lines.append(value[2:])
+        elif key == "period" and value != "":
+            problem = f"'period:' takes no value, found {value!r}"
+        elif key == "period":
+            drafts.append(_PeriodDraft((start, offset - 1)))
         else:
-            err(span, problem)
+            problem = f"unknown key {key!r}"
+        if problem is not None:
+            err((start, offset - 1), problem)
+    recognized = meaningful - len(diags)  # each line problem is one diagnostic
 
     whole = (0, len(text))
     if "schema" not in top:

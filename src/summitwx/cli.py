@@ -9,6 +9,8 @@ flags and input files; no environment variables, clock, or network.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 from pathlib import Path
@@ -56,13 +58,31 @@ def _cannot_write(path, exc: OSError) -> _CliError:
     return _CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write(path, payload: str | bytes) -> None:
+def _write(*files: tuple[str | Path, str | bytes]) -> None:
+    """Write each ``(path, payload)`` whole, or none of them. Each payload goes
+    to a temporary file beside the file ``path`` names, through any link, and
+    only once all are written is each moved into place with ``os.replace``,
+    atomic within one filesystem; a device or a pipe is written in place. A
+    failure removes the temporary files and names the path it failed on."""
+    staged: list[tuple[Path, Path, str | Path]] = []
     try:
-        if isinstance(payload, bytes):
-            Path(path).write_bytes(payload)
-        else:
-            Path(path).write_text(payload, encoding="utf-8")
+        for i, (path, payload) in enumerate(files):
+            data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
+            if os.path.isdir(path):  # os.replace would refuse it only after the others moved
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if os.path.exists(path) and not os.path.isfile(path):
+                Path(path).write_bytes(data)
+                continue
+            target = Path(os.path.realpath(path))
+            temp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
+            with open(temp, "xb") as f:
+                staged.append((temp, target, path))
+                f.write(data)
+        for temp, target, path in staged:
+            os.replace(temp, target)
     except OSError as exc:
+        for temp, _, _ in staged:
+            temp.unlink(missing_ok=True)
         raise _cannot_write(path, exc) from None
 
 
@@ -103,7 +123,7 @@ def _write_or_print(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
     else:
-        _write(out, payload)
+        _write((out, payload))
 
 
 def _cmd_parse(args) -> int:
@@ -176,10 +196,9 @@ def _cmd_render(args) -> int:
     if args.out is None:
         sys.stdout.write(rendered.payload.decode("utf-8"))
     else:
-        _write(args.out, rendered.payload)
         manifest_path = Path(args.out).with_name(Path(args.out).name + ".manifest")
         manifest_text = "".join(f"{eid}\t{source}\n" for eid, source in rendered.manifest)
-        _write(manifest_path, manifest_text)
+        _write((args.out, rendered.payload), (manifest_path, manifest_text))
     return 0
 
 
@@ -196,14 +215,15 @@ def _cmd_stimuli(args) -> int:
     renders, index = render_stimulus_set(docs, condition, format=args.format, tables=tables)
     out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(exist_ok=True)  # its parent must exist, as every --out's must
     except OSError as exc:
         raise _cannot_write(out_dir, exc) from None
     ext = _EXTENSIONS[args.format]
+    files = []
     for i, (doc, rendered) in enumerate(zip(docs, renders)):
         slug = _SLUG_RE.sub("-", doc.source_id.lower()).strip("-") or f"doc-{i + 1}"
-        _write(out_dir / f"{i + 1:02d}-{slug}.{ext}", rendered.payload)
-    _write(out_dir / "index.tsv", index)
+        files.append((out_dir / f"{i + 1:02d}-{slug}.{ext}", rendered.payload))
+    _write(*files, (out_dir / "index.tsv", index))
     return 0
 
 
@@ -217,10 +237,12 @@ def _cmd_stats(args) -> int:
     report = build_report(participants, correction_count=args.correction)
     text = format_report(report)
     # The files first, so that a report on stdout means every file was written.
+    files = []
     if args.out:
-        _write(args.out, emit_report(report))
+        files.append((args.out, emit_report(report)))
     if args.plot_spec:
-        _write(args.plot_spec, emit_plot_spec(report))
+        files.append((args.plot_spec, emit_plot_spec(report)))
+    _write(*files)
     sys.stdout.write(text)
     return 0
 

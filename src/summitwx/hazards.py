@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -42,6 +43,7 @@ class HazardKind(Enum):
     WIND_CHILL = "wind_chill"
     FREEZING_TEMP = "freezing_temp"
     WINTER_PRECIP = "winter_precip"
+    __hash__ = object.__hash__  # by identity, as members compare; Enum's hash runs in Python
 
 
 #: Icon emission order within a set. Fixed; never reordered by content.
@@ -91,23 +93,20 @@ class ScaleTable:
     bands: tuple[ScaleBand, ...]
 
     def band_for(self, value: float) -> ScaleBand:
-        """Band containing ``value``; values beyond the domain take the end band."""
+        """Band containing ``value``, for bands contiguous and ascending across the
+        domain, as every loaded table's are; values beyond it take the end band."""
         return self.bands[self._position(value)]
 
     def _position(self, value: float) -> int:
         """Index in ``bands`` of the band containing ``value``."""
-        x = min(max(value, self.domain_low), self.domain_high)
-        bands = self.bands
         if self.closed_edge == "low":
-            for i, band in enumerate(bands[:-1]):
-                if band.low <= x < band.high:
-                    return i
-            return len(bands) - 1
-        for i in range(len(bands) - 1, 0, -1):
-            band = bands[i]
-            if band.low < x <= band.high:
-                return i
-        return 0
+            return bisect_right(self._edges, value)
+        return bisect_left(self._edges, value)
+
+    @cached_property
+    def _edges(self) -> tuple[float, ...]:
+        """The interior band edges, ascending: each band's ``high`` but the last's."""
+        return tuple(band.high for band in self.bands[:-1])
 
     @cached_property
     def _band_icons(self) -> tuple[HazardIcon, ...]:

@@ -35,6 +35,7 @@ class PrecipKind(Enum):
     FREEZING_RAIN = "freezing_rain"
     RAIN = "rain"
     MIXED = "mixed"
+    __hash__ = object.__hash__  # by identity, as members compare; Enum's hash runs in Python
 
 
 class Certainty(Enum):

@@ -5,7 +5,9 @@ a pre-build oracle and anchored against known cells (for example 0 F at
 15 mph is -19 F). Tests compare library output against it. The layout
 oracle at the end takes only the data model and the hazard kinds, glyph ids
 and wind-chill rules from the package. ``line_events`` counts a call's cost
-in one module's lines, for the cost gates.
+in one module's lines, for the cost gates. The band lookup and the canonical
+reader are kept as they were before they were tuned for speed, as their
+oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections import namedtuple
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 
+from summitwx.canonical import SCHEMA
 from summitwx.hazards import (
     GLYPH_IDS,
     KIND_ORDER,
@@ -38,8 +41,12 @@ from summitwx.model import (
     PrecipKind,
     ValueRange,
     WindPrediction,
+    _document,
     _fmt_num,
+    _period,
+    _read_number,
 )
+from summitwx.textparse import Diagnostic, ParseResult, Severity
 
 # Chart rows keyed by air temperature (F); columns are wind 5..60 step 5 mph.
 WIND_CHILL_CHART: dict[int, tuple[int, ...]] = {
@@ -668,3 +675,198 @@ def oracle_render(doc, condition, format, tables):
     groups = _oracle_groups(doc, condition, tables)
     write = {"plain": _render_plain, "svg": _render_svg, "html": _render_html}[format]
     return write(groups).encode("utf-8"), _manifest(groups)
+
+
+# ------------------------------------------------------------ band oracle
+
+
+def oracle_position(table, value):
+    """Index in ``table.bands`` of the band containing ``value``, found by the
+    linear scan ``ScaleTable._position`` made before it bisected, kept
+    verbatim as its oracle."""
+    self = table
+    x = min(max(value, self.domain_low), self.domain_high)
+    bands = self.bands
+    if self.closed_edge == "low":
+        for i, band in enumerate(bands[:-1]):
+            if band.low <= x < band.high:
+                return i
+        return len(bands) - 1
+    for i in range(len(bands) - 1, 0, -1):
+        band = bands[i]
+        if band.low < x <= band.high:
+            return i
+    return 0
+
+
+# -------------------------------------------------------- canonical oracle
+
+_ORACLE_TOP_SCALARS = {"schema", "issued_at", "source_id"}
+_ORACLE_PERIOD_SCALARS = {
+    "label", "temp_low_f", "temp_high_f", "wind_dir",
+    "wind_low_mph", "wind_high_mph", "gust_high_mph",
+    "chill_low_f", "chill_high_f",
+}
+_ORACLE_PERIOD_REQUIRED = ("label", "temp_low_f", "temp_high_f", "wind_low_mph", "wind_high_mph")
+
+
+class _OraclePeriodDraft:
+    def __init__(self, span: tuple[int, int]) -> None:
+        self.span = span  # of its 'period:' marker line
+        self.scalars: dict[str, str] = {}
+        self.spans: dict[str, tuple[int, int]] = {}
+        self.precip: list[PrecipEvent] = []
+        self.notes: list[str] = []
+
+
+def oracle_parse_canonical(text: str) -> ParseResult:
+    """``parse_canonical`` as it read a text through a ``take`` closure per
+    line, kept verbatim as its oracle."""
+    diags: list[Diagnostic] = []
+    top: dict[str, str] = {}
+    top_spans: dict[str, tuple[int, int]] = {}
+    summary_lines: list[str] = []
+    drafts: list[_OraclePeriodDraft] = []
+    meaningful = 0
+    recognized = 0
+
+    def err(span: tuple[int, int], message: str) -> None:
+        diags.append(Diagnostic(Severity.ERROR, span, message))
+
+    def take(raw_line: str, span: tuple[int, int]) -> str | None:
+        """Record one meaningful line; return its problem, or None."""
+        if "\r" in raw_line:
+            return "carriage return in input; expected bare newlines"
+        in_period = raw_line.startswith("  ") and not raw_line[2:].startswith(" ")
+        content = raw_line[2:] if in_period else raw_line
+        key, colon, rest = content.partition(":")
+        if not (key and colon) or rest[:1] not in ("", " "):
+            return f"expected 'key: value', found {content!r}"
+        value = rest[1:]
+
+        if not top and (in_period or key != "schema"):
+            return "first entry must be the schema declaration"
+
+        if in_period:
+            if not drafts:
+                return f"period key {key!r} before any 'period:' marker"
+            draft = drafts[-1]
+            if key in _ORACLE_PERIOD_SCALARS:
+                if key in draft.scalars:
+                    return f"duplicate key {key!r} in period {len(drafts)}"
+                draft.scalars[key] = value
+                draft.spans[key] = span
+            elif key == "precip":
+                pieces = value.split(" | ")
+                if len(pieces) != 2:
+                    return f"expected 'kind | certainty', found {value!r}"
+                try:
+                    draft.precip.append(
+                        PrecipEvent(PrecipKind(pieces[0]), Certainty(pieces[1]))
+                    )
+                except ValueError:
+                    return f"unknown precipitation token in {value!r}"
+            elif key == "hazard_note":
+                draft.notes.append(value)
+            else:
+                return f"unknown key {key!r}"
+        elif key == "schema":
+            if top:
+                return "duplicate schema declaration"
+            if value != SCHEMA:
+                return f"unsupported schema {value!r}; expected {SCHEMA!r}"
+            top["schema"] = value
+        elif key in _ORACLE_TOP_SCALARS:
+            if key in top:
+                return f"duplicate key {key!r}"
+            top[key] = value
+            top_spans[key] = span
+        elif key == "summary":
+            # '|' alone is an empty line, and "|"[2:] == "".
+            if value[:2] not in ("|", "| "):
+                return (f"summary value must start with '|' and a space, or be '|' alone, "
+                        f"found {value!r}")
+            top_spans.setdefault("summary_text", span)
+            summary_lines.append(value[2:])
+        elif key == "period":
+            if value != "":
+                return f"'period:' takes no value, found {value!r}"
+            drafts.append(_OraclePeriodDraft(span))
+        else:
+            return f"unknown key {key!r}"
+        return None
+
+    offset = 0
+    for raw_line in text.split("\n"):
+        span = (offset, offset + len(raw_line))
+        offset += len(raw_line) + 1
+        if not raw_line.strip() or raw_line.lstrip().startswith("#"):
+            continue
+        meaningful += 1
+        problem = take(raw_line, span)
+        if problem is None:
+            recognized += 1
+        else:
+            err(span, problem)
+
+    whole = (0, len(text))
+    if "schema" not in top:
+        err(whole, "missing schema declaration")
+    if "issued_at" not in top:
+        err(whole, "missing issued_at")
+    if len(drafts) != 4:
+        err(whole, f"expected 4 periods, found {len(drafts)}")
+
+    issued_at = None
+    if "issued_at" in top:
+        try:
+            issued_at = datetime.fromisoformat(top["issued_at"])
+        except ValueError:
+            err(top_spans["issued_at"], f"unreadable issued_at {top['issued_at']!r}")
+
+    periods = []
+    for i, draft in enumerate(drafts):
+        reported = len(diags)
+        for key in _ORACLE_PERIOD_REQUIRED:
+            if key not in draft.scalars:
+                err(draft.span, f"period {i + 1}: missing required key {key!r}")
+        nums: dict[str, float] = {}
+        for key, value in draft.scalars.items():
+            if key in ("label", "wind_dir"):
+                continue
+            try:
+                nums[key] = _read_number(value)
+            except ValueError as exc:
+                err(draft.spans[key], f"period {i + 1}: {key} {exc}")
+        if ("chill_low_f" in draft.scalars) != ("chill_high_f" in draft.scalars):
+            err(draft.span, f"period {i + 1}: chill_low_f and chill_high_f must appear together")
+        if len(diags) > reported:
+            continue
+        wind_chill = None
+        if "chill_low_f" in nums:
+            wind_chill = ValueRange(nums["chill_low_f"], nums["chill_high_f"], "F")
+        period = _period(
+            err, draft.span, f"period {i + 1}: ",
+            label=draft.scalars["label"],
+            temperature=ValueRange(nums["temp_low_f"], nums["temp_high_f"], "F"),
+            wind=WindPrediction(
+                sustained=ValueRange(nums["wind_low_mph"], nums["wind_high_mph"], "mph"),
+                direction=draft.scalars.get("wind_dir"),
+                gust_high=nums.get("gust_high_mph"),
+            ),
+            wind_chill=wind_chill,
+            precip_events=tuple(draft.precip),
+            extra_hazard_notes=tuple(draft.notes),
+        )
+        if period is not None:
+            periods.append(period)
+
+    doc = None
+    # Every diagnostic this parser makes is an error, so any diagnostic means no document.
+    if not diags:
+        doc = _document(
+            err, lambda field_name: top_spans.get(field_name, whole),
+            issued_at=issued_at, summary_text="\n".join(summary_lines), periods=tuple(periods),
+            source_id=top.get("source_id", ""),
+        )
+    return ParseResult(doc, tuple(diags), recognized / meaningful if meaningful else 0.0)

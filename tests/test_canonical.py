@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, documents
-from helpers import build_random_document, make_doc, make_period
+from helpers import (
+    build_random_document,
+    line_events,
+    make_doc,
+    make_period,
+    oracle_parse_canonical,
+)
+from summitwx import canonical
 from summitwx.canonical import SCHEMA, emit_canonical, parse_canonical
 from summitwx.model import (
     Certainty,
@@ -378,3 +385,76 @@ def test_parsers_never_raise(text):
         result = parse(text)
         assert (result.document is None) == bool(result.errors)
         assert 0.0 <= result.coverage <= 1.0
+
+
+# ------------------------------------------------------------- oracle
+
+
+#: Lines spliced into an emitted document: blanks, comments, odd indents,
+#: unknown keys, bad numbers, and precipitation values that are not one kind
+#: and one certainty joined by ' | '.
+_SPLICED_LINES = st.sampled_from([
+    "", "   ", "\t", "# a comment", "  # an indented comment", " label: one space",
+    "   label: three spaces", "unknown: 1", "  unknown_key: 2", "noColon", "key:value", ":",
+    "  temp_low_f: 1.", "  temp_high_f: +5", "  wind_low_mph: nan", "  wind_high_mph: 1e5",
+    "  gust_high_mph: abc", "  chill_low_f: 1e999", "  chill_high_f:", "  wind_dir: XX",
+    "  precip: snow|likely", "  precip: snow | likely | x", "  precip: hail | likely",
+    "  precip:  | ", "  precip: snow | likely", "  hazard_note: fog", "period:", "period: x",
+    "summary: |", "summary: | more", "summary: x", f"schema: {SCHEMA}", "schema: other",
+    "issued_at: soon", "source_id: again",
+])
+
+
+@st.composite
+def _mutated_canonical(draw):
+    """An emitted document with lines deleted, duplicated, swapped, re-indented,
+    cut by a carriage return, or spliced in. One document in four is drawn
+    field by field, the rest are built from a seed, which is much cheaper."""
+    if draw(st.integers(0, 3)):
+        doc = build_random_document(random.Random(draw(st.integers(0, 2**32))))
+    else:
+        doc = draw(documents())
+    lines = emit_canonical(doc).split("\n")
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["delete", "duplicate", "swap", "cr", "indent", "splice"]))
+        if how == "delete" and len(lines) > 1:
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        elif how == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif how == "cr":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + "\r" + lines[i][at:]
+        elif how == "indent":
+            lines[i] = draw(st.sampled_from(["", " ", "  ", "   "])) + lines[i].lstrip(" ")
+        else:
+            lines.insert(i, draw(_SPLICED_LINES))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_canonical())
+def test_parse_canonical_matches_the_oracle(text):
+    # Every field of the result: the document, each diagnostic's span and
+    # message in order, and the coverage.
+    assert repr(parse_canonical(text)) == repr(oracle_parse_canonical(text))
+
+
+def test_parse_cost_grows_linearly_with_lines():
+    # 4x the summary lines, notes and precipitation events; a pass over them
+    # per line would read ~16x.
+    def events(n):
+        combos = [(kind, certainty) for kind in PrecipKind for certainty in Certainty]
+        period = make_period(precip=tuple(PrecipEvent(*combos[i % len(combos)]) for i in range(n)),
+                             notes=tuple(f"note {i}" for i in range(n)))
+        doc = replace(make_doc((period,) * 4), summary_text="\n".join(f"line {i}" for i in range(n)))
+        text = emit_canonical(doc)
+        count, result = line_events(canonical, lambda: parse_canonical(text))
+        assert result.document == doc
+        return count
+
+    ratio = events(100) / events(25)
+    assert ratio <= 4.5, ratio

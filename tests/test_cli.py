@@ -6,6 +6,7 @@ driven here through ``main`` so the stderr line and the code are both
 checked; two subprocess tests prove the codes survive the entry point.
 """
 
+import os
 import subprocess
 import sys
 
@@ -188,7 +189,9 @@ def test_unwritable_output_exit_1(tmp_path, capsys):
     # Every writer names an output it cannot write in one form: a missing
     # directory, a directory where a file is expected, a file where a
     # directory is. stats writes its files before its report, so a failed
-    # file leaves stdout empty.
+    # file leaves stdout empty. Outputs are whole or absent: a failure leaves
+    # no new file, no temporary file and no new directory, and render's
+    # payload is not replaced when its manifest cannot be.
     r_path, p_path = write_csvs(tmp_path)
     missing = tmp_path / "missing" / "out"
     a_file = tmp_path / "a-file"
@@ -203,16 +206,45 @@ def test_unwritable_output_exit_1(tmp_path, capsys):
         (("render", CALM, "--condition", "icons", "--out", str(tmp_path / "taken.svg")),
          tmp_path / "taken.svg.manifest"),
         (("stimuli", CALM, "--condition", "icons", "--out", str(a_file / "set")), a_file / "set"),
+        (("stimuli", CALM, "--condition", "icons", "--out", str(missing)), missing),
         (("stimuli", CALM, "--condition", "icons", "--out", str(tmp_path / "set")),
          tmp_path / "set" / "index.tsv"),
         ((*stats, "--out", str(missing)), missing),
         ((*stats, "--out", str(tmp_path / "report.txt"), "--plot-spec", str(tmp_path)), tmp_path),
     ]:
+        before = sorted(tmp_path.rglob("*"))
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith(f"error: cannot write {name}: ")
         assert "Errno" not in err and err.count("\n") == 1
         assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_output_through_a_link_replaces_the_file_it_names(tmp_path, capsys):
+    real = tmp_path / "real.canon"
+    real.write_text("an earlier run\n", encoding="utf-8")
+    link = tmp_path / "link.canon"
+    link.symlink_to(real)
+    assert run(capsys, "parse", CALM, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == run(capsys, "parse", CALM)[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.canon", "real.canon"]
+
+
+def test_output_into_a_pipe_is_written_in_place(tmp_path, capsys):
+    # A pipe, like a device, is not replaced by a file. The canonical text
+    # fits the pipe's buffer, so nothing waits on the reader.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, "parse", CALM, "--out", str(pipe)) == (0, "", "")
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert data.decode("utf-8") == run(capsys, "parse", CALM)[1]
+    assert pipe.is_fifo() and list(tmp_path.iterdir()) == [pipe]
 
 
 # ------------------------------------------------------------------ classify

@@ -1,13 +1,14 @@
+import math
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import documents, periods
-from helpers import make_doc, make_period, oracle_icon_rows
+from helpers import make_doc, make_period, oracle_icon_rows, oracle_position
 from summitwx import hazards
 from summitwx.hazards import (
     KIND_ORDER,
@@ -33,6 +34,7 @@ from summitwx.model import (
     PrecipKind,
     ValueRange,
     WindPrediction,
+    _fmt_num,
     with_periods,
 )
 
@@ -475,6 +477,63 @@ def test_band_lookup_respects_closed_edge(tmp_path):
     beaufort = tables[HazardKind.WIND]
     assert beaufort.level_for(13) == 4
     assert beaufort.level_for(12.99) == 3
+
+
+def _probe_values(table, extra=()):
+    """Every band edge and the floats on either side of it, both infinities,
+    NaN, and values past each end of the domain."""
+    edges = [band.low for band in table.bands] + [table.bands[-1].high]
+    values = [math.inf, -math.inf, math.nan, table.domain_low - 1, table.domain_high + 1, *extra]
+    for edge in edges:
+        values += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    return values
+
+
+def _assert_bands_as_the_oracle(table, values):
+    for value in values:
+        expected = oracle_position(table, value)
+        assert table._position(value) == expected, (table.closed_edge, value)
+        assert table.band_for(value) is table.bands[expected]
+
+
+def test_packaged_band_lookup_matches_the_linear_scan():
+    for table in load_tables().values():
+        _assert_bands_as_the_oracle(table, _probe_values(table, range(-200, 201)))
+
+
+@st.composite
+def _table_files(draw):
+    """A scale table file of 1-13 contiguous bands with either closed edge,
+    levels rising or falling, and ``(its text, values inside its domain)``."""
+    edges = draw(st.lists(
+        st.one_of(st.integers(-1000, 1000).map(float),
+                  st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)),
+        min_size=2, max_size=14, unique=True,
+    ).map(sorted))
+    levels = list(range(len(edges) - 1))
+    if draw(st.booleans()):
+        levels.reverse()
+    lines = [
+        "schema: hazard-scale/1", "kind: wind", "scale_name: drawn", "unit: mph",
+        f"domain: {_fmt_num(edges[0])} | {_fmt_num(edges[-1])}",
+        f"closed_edge: {draw(st.sampled_from(['low', 'high']))}", "provenance: drawn",
+    ]
+    lines += [f"band: {level} | {_fmt_num(low)} | {_fmt_num(high)} | #123456 | L{level}"
+              for level, low, high in zip(levels, edges, edges[1:])]
+    inside = draw(st.lists(st.floats(edges[0], edges[-1]), max_size=10))
+    return "\n".join(lines) + "\n", inside
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_table_files())
+def test_band_lookup_matches_the_linear_scan_on_drawn_tables(tmp_path, drawn):
+    # The layout oracle asks band_for itself, so only this holds the bisection
+    # to the scan it replaced. Loading the file runs the integrity checks.
+    text, inside = drawn
+    path = tmp_path / "drawn.table"
+    path.write_text(text, encoding="utf-8")
+    table = load_scale_table(path)
+    _assert_bands_as_the_oracle(table, _probe_values(table, inside))
 
 
 def test_load_scale_table_single_file():
