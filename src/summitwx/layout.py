@@ -13,7 +13,7 @@ and the scale tables fully determine the output bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
@@ -64,13 +64,6 @@ class _Block(NamedTuple):
 _Groups = tuple[_Block, ...]
 
 
-def _accessible_label(icon: HazardIcon) -> str:
-    text = f"{icon.scale_name}: {icon.label}"
-    if icon.gust_annotation is not None:
-        text += f", gusts to {_fmt_num(icon.gust_annotation)} mph"
-    return text
-
-
 @lru_cache(maxsize=None)
 def _glyph_inner(glyph_id: str) -> str:
     """Inner markup of a packaged glyph, for inline embedding."""
@@ -106,41 +99,46 @@ class _Escaped(dict):
         return escaped
 
 
-def _svg_tail(icon: HazardIcon) -> str:
-    """The svg markup of ``icon`` after its ``<g`` and ``id`` attribute."""
+def _svg_tail(icon: HazardIcon) -> tuple[str, str, str, str]:
+    """The svg markup of the band of ``icon``, without a gust badge, after its
+    ``<g`` and ``id`` attribute, in four parts: a badge's label suffix goes
+    after each of the first two, and its element after the third."""
     inner = _glyph_inner(icon.glyph_id)
-    label = _esc(_accessible_label(icon))
-    color = _glyph_color(icon.color)
-    badge = ""
-    if icon.gust_annotation is not None:
-        badge = (f'<text class="icon-badge" x="37" y="37" text-anchor="end" '
-                 f'fill="{color}">{icon.badge}</text>')
+    label = _esc(f"{icon.scale_name}: {icon.label}")
     return (
-        f' class="icon" role="img" aria-label="{label}">'
-        f"<title>{label}</title>"
-        f'<rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>'
-        f'<g transform="translate(8 8)" style="color:{color}">{inner}</g>'
-        f"{badge}"
+        f' class="icon" role="img" aria-label="{label}', f'"><title>{label}',
+        f'</title><rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>'
+        f'<g transform="translate(8 8)" style="color:{_glyph_color(icon.color)}">{inner}</g>',
         f'<text class="icon-label" x="20" y="51" text-anchor="middle">{_esc(icon.short_label)}</text>'
-        "</g>"
+        "</g>",
     )
 
 
-def _html_tail(icon: HazardIcon) -> str:
-    """The html markup of ``icon`` after its ``<span`` and ``id`` attribute."""
+def _html_tail(icon: HazardIcon) -> tuple[str, str, str]:
+    """The html markup of the band of ``icon``, without a gust badge, after its
+    ``<span`` and ``id`` attribute, in three parts: a badge's label suffix goes
+    after the first, and its element after the second."""
     inner = _glyph_inner(icon.glyph_id)
-    label = _esc(_accessible_label(icon))
-    badge = ""
-    if icon.gust_annotation is not None:
-        badge = f'<span class="icon-badge">{icon.badge}</span>'
+    label = _esc(f"{icon.scale_name}: {icon.label}")
     return (
-        f' class="icon" role="img" aria-label="{label}" '
-        f'style="background:{icon.color};color:{_glyph_color(icon.color)}">'
-        f'<svg viewBox="0 0 24 24" width="28" height="28" aria-hidden="true">{inner}</svg>'
-        f"{badge}"
+        f' class="icon" role="img" aria-label="{label}',
+        f'" style="background:{icon.color};color:{_glyph_color(icon.color)}">'
+        f'<svg viewBox="0 0 24 24" width="28" height="28" aria-hidden="true">{inner}</svg>',
         f'<span class="icon-label">{_esc(icon.short_label)}</span>'
-        f"</span>"
+        f"</span>",
     )
+
+
+def _spliced(icon: HazardIcon, svg: tuple, html: tuple) -> tuple[str, str]:
+    """The svg and html markup of ``icon`` from the parts of its band's: a gust
+    badge adds ``, gusts to <gust> mph`` to the accessible label, and a badge
+    element. Neither holds a character that html escapes or a ``%``."""
+    if icon.gust_annotation is None:
+        return "".join(svg), "".join(html)
+    suffix, badge = f", gusts to {_fmt_num(icon.gust_annotation)} mph", icon.badge
+    return (f'{svg[0]}{suffix}{svg[1]}{suffix}{svg[2]}<text class="icon-badge" x="37" y="37" '
+            f'text-anchor="end" fill="{_glyph_color(icon.color)}">{badge}</text>{svg[3]}',
+            f'{html[0]}{suffix}{html[1]}<span class="icon-badge">{badge}</span>{html[2]}')
 
 
 def _writer(writers: dict, format: str):
@@ -151,8 +149,9 @@ def _writer(writers: dict, format: str):
 
 
 _ICON_WRITERS = {"plain": lambda icon: icon.plain_text,
-                 "svg": lambda icon: "<g" + _svg_tail(icon),
-                 "html": lambda icon: "<span" + _html_tail(icon)}
+                 "svg": lambda icon: "<g" + _spliced(icon, _svg_tail(icon), _html_tail(icon))[0],
+                 "html": lambda icon: "<span" + _spliced(icon, _svg_tail(icon),
+                                                          _html_tail(icon))[1]}
 
 
 def render_icon(icon: HazardIcon, format: str = "plain") -> str:
@@ -169,36 +168,54 @@ _ICON_PITCH = 48
 _GROUP_GAP = 12
 
 
-def _text(element_id: str, source: str, lines, escaped: _Escaped) -> _Block:
-    """A text element of ``lines``, one ``<text>`` each in svg."""
-    shown = [escaped[line] for line in lines]
+def _text(element_id: str, source: str, line: str, escaped: _Escaped) -> _Block:
+    """A text element of one ``line``."""
+    shown = escaped[line]
     css = ' class="title"' if element_id == "title" else ""
-    svg = "".join([f'<text{css} x="{_PAD}" y="%d">{line.replace("%", "%%")}</text>\n'
-                   for line in shown])
     # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``: a
     # document has some 30 text elements.
     return tuple.__new__(_Block, (
-        ((element_id, source),), "\n".join(lines),
-        f'<p id="{element_id}">{"<br>".join(shown)}</p>', f'<g id="{element_id}">\n{svg}</g>\n',
-        tuple(range(16, 16 + _LINE_H * len(shown), _LINE_H)), _LINE_H * len(shown)))
+        ((element_id, source),), line, f'<p id="{element_id}">{shown}</p>',
+        f'<g id="{element_id}">\n<text{css} x="{_PAD}" y="%d">'
+        f'{shown.replace("%", "%%")}</text>\n</g>\n',
+        (16,), _LINE_H))
+
+
+def _summary(text: str, escaped: _Escaped) -> _Block:
+    """The summary element, one ``<text>`` per line of ``text`` in svg."""
+    shown = [escaped[line] for line in text.split("\n")]
+    svg = "".join([f'<text x="{_PAD}" y="%d">{line.replace("%", "%%")}</text>\n' for line in shown])
+    return _Block((("summary", "summary_text"),), text, f'<p id="summary">{"<br>".join(shown)}</p>',
+                  f'<g id="summary">\n{svg}</g>\n',
+                  tuple(range(16, 16 + _LINE_H * len(shown), _LINE_H)), _LINE_H * len(shown))
 
 
 def _icon_markup(icon: HazardIcon, markup: dict) -> tuple[str, str, str]:
-    """The plain text of ``icon`` and its svg and html markup after the id
-    attribute. An unbadged icon's are kept in ``markup`` under its glyph and
-    level, which name one band of the tables ``markup`` is kept for."""
-    if icon.gust_annotation is not None:
-        return icon.plain_text, _svg_tail(icon), _html_tail(icon)
+    """The plain text of ``icon`` and its svg (each ``%`` doubled) and html
+    markup after the id attribute. Its band's, without a gust badge, are kept
+    whole and in parts in ``markup`` under its glyph and level, which name one
+    band of the tables ``markup`` is kept for; a gust badge is spliced in."""
     key = (icon.glyph_id, icon.level)
-    written = markup.get(key)
-    if written is None:
-        written = markup[key] = (icon.plain_text, _svg_tail(icon), _html_tail(icon))
-    return written
+    kept = markup.get(key)
+    if kept is None:
+        band = icon if icon.gust_annotation is None else replace(icon, gust_annotation=None)
+        svg = tuple([part.replace("%", "%%") for part in _svg_tail(band)])
+        html = _html_tail(band)
+        kept = markup[key] = (band.plain_text, *_spliced(band, svg, html), svg, html)
+    if icon.gust_annotation is None:
+        return kept[:3]
+    return (icon.plain_text, *_spliced(icon, *kept[3:]))
 
 
 def _icon_row(element_id: str, source: str, heading: str, icons, markup: dict,
               escaped: _Escaped) -> _Block:
-    """An icon row whose k-th icon (from 1) has the id ``<row>-icon-<k>``."""
+    """An icon row whose k-th icon (from 1) has the id ``<row>-icon-<k>``. A row
+    without a gust badge is kept in ``markup`` under its id and its icons'
+    identities: they are the tables' own band icons, which outlive ``markup``."""
+    key = (element_id, *map(id, icons))
+    row = markup.get(key)
+    if row is not None:
+        return row
     ids = [f"{element_id}-icon-{k}" for k in range(1, len(icons) + 1)]
     written = [_icon_markup(icon, markup) for icon in icons]
     heading_html = escaped[heading]
@@ -206,9 +223,9 @@ def _icon_row(element_id: str, source: str, heading: str, icons, markup: dict,
            f'{heading_html.replace("%", "%%")}</text>\n']
     for k, (icon_id, (_, svg_tail, _)) in enumerate(zip(ids, written)):
         svg.append(f'<g transform="translate({_PAD + k * _ICON_PITCH} %d)">\n'
-                   f'<g id="{icon_id}"{svg_tail.replace("%", "%%")}\n</g>\n')
+                   f'<g id="{icon_id}"{svg_tail}\n</g>\n')
     svg.append("</g>\n")
-    return _Block(
+    row = _Block(
         ((element_id, source), *[(icon_id, source) for icon_id in ids]),
         heading + "".join([f" {plain}" for plain, _, _ in written]),
         "\n".join([f'<div class="icon-row" id="{element_id}">',
@@ -218,19 +235,23 @@ def _icon_row(element_id: str, source: str, heading: str, icons, markup: dict,
                    "</div>"]),
         "".join(svg), (16, *[_LINE_H] * len(icons)),
         _LINE_H + (_ICON_CELL_H if icons else 0))
+    if all([icon.gust_annotation is None for icon in icons]):
+        markup[key] = row
+    return row
 
 
 def _group(elements) -> _Block:
     """The group of ``elements``, one ``<section>`` in html."""
-    ys, top = [], 0
-    for el in elements:
-        ys += [top + y for y in el.ys]
-        top += el.height
-    return _Block(
-        tuple([entry for el in elements for entry in el.manifest]),
-        "\n".join([el.plain for el in elements]),
-        '<section class="group">\n' + "\n".join([el.html for el in elements]) + "\n</section>",
-        "".join([el.svg for el in elements]), tuple(ys), top)
+    manifest, plain, html, svg, ys, top = [], [], ['<section class="group">'], [], [], 0
+    for el_manifest, el_plain, el_html, el_svg, el_ys, height in elements:
+        manifest += el_manifest
+        plain.append(el_plain)
+        html.append(el_html)
+        svg.append(el_svg)
+        ys += [top + y for y in el_ys]
+        top += height
+    html.append("</section>")
+    return _Block(tuple(manifest), "\n".join(plain), "\n".join(html), "".join(svg), tuple(ys), top)
 
 
 def _period_elements(index: int, period: ForecastPeriod, escaped: _Escaped) -> list[_Block]:
@@ -255,25 +276,25 @@ def _period_elements(index: int, period: ForecastPeriod, escaped: _Escaped) -> l
     for k, note in enumerate(period.extra_hazard_notes):
         rows.append((f"note-{k + 1}", f"extra_hazard_notes[{k}]", f"  Note: {note}"))
     n = index + 1
-    return [_text(f"period-{n}-{suffix}", f"periods[{index}].{field}", (line,), escaped)
+    return [_text(f"period-{n}-{suffix}", f"periods[{index}].{field}", line, escaped)
             for suffix, field, line in rows]
 
 
 def _layouts(doc: ForecastDocument, tables, markup: dict) -> dict:
     """Each condition's ``(groups, manifest)``: one masthead, summary and set of
     period blocks, arranged four ways, two with icon rows added. Each line of
-    text is escaped once, each group written once, and each unbadged icon's
-    markup is taken from or kept in ``markup``."""
+    text is escaped once, each group written once, and each band's icon markup
+    and each icon row without a gust badge is taken from or kept in ``markup``."""
     overall, per_period = derive_icon_rows(doc, tables)  # validates
     escaped = _Escaped()
     masthead = [
-        _text("title", "constant", ("HIGHER SUMMITS FORECAST",), escaped),
-        _text("issued", "issued_at", (f"Issued: {doc.issued_at.isoformat()}",), escaped),
+        _text("title", "constant", "HIGHER SUMMITS FORECAST", escaped),
+        _text("issued", "issued_at", f"Issued: {doc.issued_at.isoformat()}", escaped),
     ]
     if doc.source_id:
-        masthead.append(_text("source", "source_id", (f"Source: {doc.source_id}",), escaped))
+        masthead.append(_text("source", "source_id", f"Source: {doc.source_id}", escaped))
     masthead = _group(masthead)
-    summary = _group([_text("summary", "summary_text", doc.summary_text.split("\n"), escaped)])
+    summary = _group([_summary(doc.summary_text, escaped)])
     periods, per_day = [], []
     for i, (period, icons) in enumerate(zip(doc.periods, per_period)):
         label, *rest = _period_elements(i, period, escaped)
@@ -293,10 +314,12 @@ def _layouts(doc: ForecastDocument, tables, markup: dict) -> dict:
 
 #: The layouts of the documents the last call rendered (``render`` a call with
 #: one document, ``render_stimulus_set`` one with its whole set), and the
-#: markup of each band's unbadged icon that they show: ``(tables, {id(doc):
-#: (doc, _layouts(doc, tables, markup))}, markup)``. The markup is kept for as
-#: long as the tables are, so it holds one entry per band at most, and a
-#: document laid out later takes its icons' markup from it. A document is
+#: markup of each band's icon and of each icon row without a gust badge that
+#: they show: ``(tables, {id(doc): (doc, _layouts(doc, tables, markup))},
+#: markup)``. The markup is kept for as long as the tables are, so it holds
+#: one entry per band, and per row id (five) one row per combination of shown
+#: bands, at most (640 rows for the packaged tables); a document laid out
+#: later takes its icons' and rows' markup from it. A document is
 #: validated only as it is laid out, so every held layout is of a valid one. A
 #: hit needs the very same objects: equal documents may print differently
 #: (``issued_at`` 12:00+00:00 equals 07:00-05:00). A call replaces the memo in

@@ -337,21 +337,22 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
     )
 
 
+def _gaps(scan: _Scan) -> list[tuple[int, int]]:
+    """Each span of the text that no recognized span reaches, in order."""
+    gaps, end, n = [], 0, len(scan.text)
+    for a, b in sorted([*scan.recognized, (n, n)]):
+        if a > end:
+            gaps.append((end, a))
+        end = b if b > end else end
+    return gaps
+
+
 def _coverage(scan: _Scan) -> float:
     # str.split() and str.isspace() share one whitespace table, so joining
     # the split pieces counts the non-whitespace characters.
-    text = scan.text
-    total = len("".join(text.split()))
-    if total == 0:
-        return 0.0
-    merged: list[list[int]] = []
-    for a, b in sorted(scan.recognized):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    covered = sum(len("".join(text[a:b].split())) for a, b in merged)
-    return covered / total
+    total = len("".join(scan.text.split()))
+    missed = sum(len("".join(scan.text[a:b].split())) for a, b in _gaps(scan))
+    return (total - missed) / total if total else 0.0
 
 
 def parse_forecast(text: str, source_id: str = "") -> ParseResult:

@@ -177,6 +177,67 @@ def test_each_tables_object_renders_its_own_colours(fixture_docs, tmp_path):
                 assert other not in rendered.payload.decode()
 
 
+#: Gusts that are integral, fractional and far beyond the Beaufort domain.
+_GUSTS = (80, 61.5, 1e16)
+
+
+@pytest.mark.parametrize("label", ["", ' & "Co" 100%'], ids=["packaged", "markup-in-labels"])
+def test_every_badged_icon_row_matches_the_element_by_element_writers(tmp_path, label):
+    # Fresh tables, so that a band's markup is first kept from a badged icon
+    # (period 1's row is laid out first) and later spliced from kept parts.
+    tables = load_tables(_tamper(tmp_path, "beaufort.table",
+                                 lambda s: re.sub(r"(?m)^(band: .*)$", rf"\g<1>{label}", s)))
+    badged = set()
+    for band in tables[hazards.HazardKind.WIND].bands:
+        for gust in _GUSTS:
+            if gust < band.low:
+                continue
+            doc = make_doc((make_period("Today", wind=(band.low, band.low), gust=gust),
+                            make_period("Tonight", temp=(-5, 5), wind=(30, 40), gust=47),
+                            make_period("Tomorrow"), make_period("Tomorrow night")))
+            for condition in (LayoutCondition.ICONS, LayoutCondition.PER_DAY_ICONS):
+                for fmt in FORMATS:
+                    rendered = render(doc, condition, format=fmt, tables=tables)
+                    assert ((rendered.payload, rendered.manifest)
+                            == oracle_render(doc, condition, fmt, tables))
+            overall, per_period = derive_icon_rows(doc, tables)
+            for icon in (*overall, *per_period[0]):
+                if icon.gust_annotation is not None:
+                    badged.add(icon.level)
+                for fmt in FORMATS:
+                    assert render_icon(icon, fmt) == oracle_render_icon(icon, fmt)
+    assert badged == set(range(hazards.WIND_DISPLAY_FLOOR, 12))  # each shown force below 12
+
+
+def test_the_rows_kept_for_one_tables_object_are_bounded(tmp_path):
+    # Each period of the 128 documents below takes each combination of shown
+    # bands (wind force 6-12 or none, chill 1-3 or none, freezing, winter
+    # precipitation) once; badged, and then again without gusts.
+    tables = load_tables(_tamper(tmp_path, "beaufort.table", lambda s: s))
+    shown = [sum(band.level >= (hazards.WIND_DISPLAY_FLOOR if kind is hazards.HazardKind.WIND
+                                else 1) for band in table.bands) + 1
+             for kind, table in tables.items()]
+    bound = 5 * shown[0] * shown[1] * shown[2] * shown[3]
+    assert bound == 640
+    snow = (model.PrecipEvent(model.PrecipKind.SNOW, model.Certainty.LIKELY),)
+    combos = [(wind, chill, temp, precip) for wind in (10, 25, 32, 39, 47, 55, 64, 73)
+              for chill in (None, (-20, -20), (-40, -40), (-70, -70))
+              for temp in ((40, 50), (20, 30)) for precip in ((), snow)]
+    for gust in (200, None):
+        for k in range(len(combos)):
+            periods = []
+            for i, label in enumerate(("Today", "Tonight", "Tomorrow", "Tomorrow night")):
+                wind, chill, temp, precip = combos[(k + 32 * i) % len(combos)]
+                periods.append(make_period(label, temp=temp, wind=(wind, wind), chill=chill,
+                                           precip=precip, gust=gust))
+            render(make_doc(tuple(periods)), LayoutCondition.BASELINE, tables=tables)
+    kept_tables, _, markup = layout._last
+    assert kept_tables is tables
+    rows = [value for value in markup.values() if isinstance(value, layout._Block)]
+    assert 4 * len(combos) < len(rows) <= bound
+    assert not any("icon-badge" in row.svg for row in rows)
+
+
 def _custom_cases(tmp_path):
     """``(fixture, render keywords)`` pairs whose icons differ from the defaults'."""
     # Force 12 moved out of reach, so severe-day's winds read force 11.
@@ -315,9 +376,9 @@ def test_a_layout_looks_each_period_up_once_and_writes_each_line_once(
     payload = render(second, LayoutCondition.BASELINE, tables=tables).payload.decode()
     text = [line for line in payload.split("\n") if line]
     assert len(set(text)) < len(text)  # two periods read "Temperatures: 0 to 10 F"
-    # One escape per distinct line, the two icon row headings included.
-    lines = {*text, "HAZARDS:", "HAZARDS (48 HOURS):"}
-    assert dict(layout_work) == {"_bands": 4, "_esc": len(lines)}
+    # One escape per distinct line. Both icon rows are unbadged and kept for
+    # these tables, so their headings are not escaped again.
+    assert dict(layout_work) == {"_bands": 4, "_esc": len(set(text))}
 
 
 @settings(max_examples=300, deadline=None)
