@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .distributions import f_sf, t_ppf, t_two_sided_p
 from .model import (_NUMBER_RE, LayoutCondition, _fmt_num, _read_input, _read_number,
@@ -76,7 +76,7 @@ class Participant:
                 f"outside [{RATING_MIN:g}, {_RISK_MAX:g}]")
 
 
-def _mean(values: Sequence[float]) -> float:
+def _mean(values: Collection[float]) -> float:
     return sum(values) / len(values)
 
 
@@ -530,7 +530,8 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
     Returns one :class:`Participant` per participant, in the order of their
     first row in ``responses.csv``; that order fixes the regression sums.
     """
-    participants: dict[str, tuple[LayoutCondition, float, bool, bool]] = {}
+    # Each value leads with its key, so the records keep this file's string.
+    participants: dict[str, tuple[str, LayoutCondition, float, bool, bool]] = {}
     grips: dict[str, float] = {}  # grips spelling -> its value; at most one per row
     for line, row in _csv_rows(participants_path, _PARTICIPANT_COLUMNS):
         pid, condition_token, grips_text, flag_a, flag_b = row
@@ -551,7 +552,7 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
                 raise StudyDataError(f"{name} must be true/false, found {text!r}")
             if grips_text not in grips:
                 grips[grips_text] = _read_field("grips_score", grips_text)
-            participants[pid] = (condition, grips[grips_text], per_day, summary_only)
+            participants[pid] = (pid, condition, grips[grips_text], per_day, summary_only)
         except StudyDataError as exc:
             raise StudyDataError(f"{participants_path}:{line}: {exc}") from None
     if not participants:
@@ -559,6 +560,7 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
 
     # A 0-100 slider writes few distinct spellings, so most rows only look up.
     known: dict[str, float] = _Ratings()
+    forecasts: dict[str, str] = {}  # forecast id -> the one string all rows share
     row_sums: dict[str, dict[str, float]] = {}  # participant -> forecast -> sum
     for line, row in _csv_rows(responses_path, _RESPONSE_COLUMNS):
         pid, forecast_id, a, b, c, d, e, f = row  # _csv_rows checked the width
@@ -567,7 +569,8 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
             if sums is None:
                 if pid not in participants:
                     raise StudyDataError(f"unknown participant {pid!r}")
-                sums = row_sums[pid] = {}
+                sums = row_sums[participants[pid][0]] = {}
+            forecast_id = forecasts.setdefault(forecast_id, forecast_id)
             if forecast_id in sums:
                 raise StudyDataError(
                     f"duplicate response for participant {pid!r}, forecast {forecast_id!r}")
@@ -594,11 +597,11 @@ def load_study(responses_path: Path, participants_path: Path) -> tuple[Participa
             raise StudyDataError(f"{responses_path}:{line}: {exc}") from None
     if not row_sums:
         raise StudyDataError(f"{responses_path}: no records")
-    silent = sorted(set(participants) - row_sums.keys())
-    if silent:
+    if len(row_sums) != len(participants):  # every key of row_sums is a participant
+        silent = sorted(participants.keys() - row_sums.keys())
         raise StudyDataError(
             f"{participants_path}: participants with no responses: {', '.join(silent)}"
         )
-    return tuple(Participant(pid, *participants[pid],
-                             mean_risk=sum(sums.values()) / len(sums))
-                 for pid, sums in row_sums.items())
+    # Each participant's sums go as its record is made, so both are never all kept.
+    return tuple(Participant(*participants[pid], mean_risk=_mean(row_sums.pop(pid).values()))
+                 for pid in list(row_sums))

@@ -5,7 +5,8 @@ a pre-build oracle and anchored against known cells (for example 0 F at
 15 mph is -19 F). Tests compare library output against it. The layout
 oracle at the end takes only the data model and the hazard kinds, glyph ids
 and wind-chill rules from the package. ``line_events`` counts a call's cost
-in one module's lines, for the cost gates. The band lookup and the canonical
+in one module's lines, for the cost gates, and ``traced_peak`` its peak of
+traced memory, for the memory gates. The band lookup and the canonical
 reader are kept as they were before they were tuned for speed, as their
 oracles.
 """
@@ -17,6 +18,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from collections import namedtuple
 from datetime import datetime, timedelta, timezone
 from importlib import resources
@@ -342,6 +344,26 @@ def line_events(module, call):
     finally:
         sys.settrace(previous)
     return count, result
+
+
+def traced_peak(call):
+    """``(peak, result)``: the most memory ``call()`` held at once, in bytes
+    that ``tracemalloc`` traced above what was traced when it began, and what
+    it returns. Tracing that was already running goes on afterwards, with its
+    peak reset. Unlike a time, the peak does not swing with the machine's
+    load, so a gate can bound what one input costs."""
+    running = tracemalloc.is_tracing()
+    if not running:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not running:
+            tracemalloc.stop()
+    return peak, result
 
 
 # ---------------------------------------------------------------- layout oracle

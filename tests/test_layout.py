@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, GOLDEN_DIR, documents
 from helpers import (
+    line_events,
     make_doc,
     make_period,
     oracle_icon_rows,
@@ -379,6 +380,30 @@ def test_a_layout_looks_each_period_up_once_and_writes_each_line_once(
     # One escape per distinct line. Both icon rows are unbadged and kept for
     # these tables, so their headings are not escaped again.
     assert dict(layout_work) == {"_bands": 4, "_esc": len(set(text))}
+
+
+def test_render_cost_grows_linearly_with_lines(tmp_path):
+    # 4x the summary lines, notes and precipitation events; a pass over them
+    # per line would grow with their square. Line events in layout's own
+    # frames do not swing with the machine's load. Each size has tables of
+    # its own, so both lay out and write every icon afresh.
+    def events(n):
+        combos = [(kind, certainty) for kind in model.PrecipKind for certainty in model.Certainty]
+        period = make_period(precip=tuple(model.PrecipEvent(*combos[i % len(combos)])
+                                          for i in range(n)),
+                             notes=tuple(f"note {i}" for i in range(n)))
+        doc = replace(make_doc((period,) * 4),
+                      summary_text="\n".join(f"line {i}" for i in range(n)))
+        tables = load_tables(_tamper(tmp_path / str(n), "beaufort.table", lambda s: s))
+        cases = list(zip(LayoutCondition, ("plain", "svg", "html", "svg")))
+        count, renders = line_events(layout, lambda: [
+            render(doc, condition, format=fmt, tables=tables) for condition, fmt in cases])
+        assert [(r.payload, r.manifest) for r in renders] == [
+            oracle_render(doc, condition, fmt, tables) for condition, fmt in cases]
+        return count
+
+    ratio = events(200) / events(50)
+    assert ratio <= 4.5, ratio
 
 
 @settings(max_examples=300, deadline=None)

@@ -52,7 +52,7 @@ from summitwx.stats import (
     _RESPONSE_COLUMNS,
 )
 
-from helpers import line_events
+from helpers import line_events, traced_peak
 
 TOL = 1e-9
 
@@ -569,6 +569,16 @@ def test_load_study_error_messages_carry_file_and_line(tmp_path):
     assert "participants.csv:3" in str(err.value)
 
 
+def test_load_study_names_every_silent_participant_in_order(tmp_path):
+    participants = ["p3,baseline,3.0,true,false", "p10,icons,2.0,true,false",
+                    "p2,icons,2.5,false,true", "p1,baseline,1.0,true,true"]
+    paths = write_study(tmp_path, participants=participants,
+                        responses=["p10,f1,1,2,3,4,5,6", "p10,f2,1,2,3,4,5,6"])
+    with pytest.raises(StudyDataError) as err:
+        load_study(*paths)
+    assert str(err.value) == f"{paths[1]}: participants with no responses: p1, p2, p3"
+
+
 def test_participants_are_checked_once(paper_study, monkeypatch):
     calls = []
     check = Participant.__post_init__
@@ -725,12 +735,25 @@ def response(pid, fid, *ratings):
          "responses.csv:3: duplicate response for participant 'p1', forecast 'f1'"),
         ([response("p1", "f1", *["5"] * 6), response("p9", "f1", *["5"] * 6)],
          "responses.csv:3: unknown participant 'p9'"),
+        # A forecast id repeated after its first row and other participants'
+        # rows, which share its string, is still a duplicate of its own line.
+        ([response("p1", "f1", *["5"] * 6), response("p2", "f1", *["6"] * 6),
+          response("p2", "f2", *["7"] * 6), response("p1", "f2", *["8"] * 6),
+          response("p1", "f1", *["9"] * 6)],
+         "responses.csv:6: duplicate response for participant 'p1', forecast 'f1'"),
+        # Interleaved rows: p2 answered first, so it comes first.
+        ([response("p2", "f1", *["5"] * 6), response("p1", "f1", *["6"] * 6),
+          response("p2", "f2", *["7"] * 6), response("p1", "f2", *["8"] * 6),
+          response("p2", "f3", *["9"] * 6)], None),
+        ([response("p1", "f1", *["5"] * 6), response("p1", "f2", *["6"] * 6)],
+         "participants.csv: participants with no responses: p2"),
     ],
     ids=["equivalent-spellings", "all-negative-zero", "non-number-after-known", "out-of-range-after-known",
          "padded-known-spelling",
          "quoted-comma", "new-spellings-then-non-number", "out-of-range-then-non-number",
          "not-finite-then-non-number", "not-finite-among-numbers",
-         "duplicate", "unknown-participant"],
+         "duplicate", "unknown-participant", "duplicate-of-a-shared-forecast-id",
+         "interleaved-participants", "one-silent-participant"],
 )
 def test_load_study_matches_the_oracle(tmp_path, rows, message):
     assert assert_loads_as_the_oracle(tmp_path, rows) == message
@@ -887,6 +910,47 @@ def test_load_study_cost_grows_linearly_with_rows(tmp_path):
 
     ratio = events(400) / events(100)
     assert ratio <= 4.5, ratio
+
+
+# The memory gates: a load keeps one string per distinct forecast id and one
+# per participant id, however many rows repeat it, so ids 200 characters long
+# cost next to nothing per row.
+
+
+def load_peak(directory, pid_width=2, fid_width=2, n=400):
+    """The traced peak of loading ``n`` participants x 5 forecasts, each id
+    padded with zeros to its width, and the participants loaded."""
+    pids = [f"p{k}".rjust(pid_width, "0") for k in range(n)]
+    fids = [f"f{j}".rjust(fid_width, "0") for j in range(5)]
+    participants = [f"{pid},{CONDITIONS[k % 4]},{k % 50 / 10},true,false"
+                    for k, pid in enumerate(pids)]
+    responses = [f"{pid},{fid}," + ",".join(str((7 * k + 13 * j + m) % 101) for m in range(6))
+                 for k, pid in enumerate(pids) for j, fid in enumerate(fids)]
+    directory.mkdir()
+    paths = write_study(directory, participants=participants, responses=responses)
+    load_study(*paths)  # a process makes some things once; the peak is the load's own
+    return traced_peak(lambda: load_study(*paths))
+
+
+def test_a_load_holds_one_string_per_forecast_id(tmp_path):
+    # A copy per row would cost about 200 B a row more.
+    short, loaded = load_peak(tmp_path / "short")
+    long, padded = load_peak(tmp_path / "long", fid_width=200)
+    assert padded == loaded
+    per_row = (long - short) / (5 * len(loaded))
+    assert per_row <= 20, per_row
+
+
+def test_a_load_holds_one_string_per_participant_id(tmp_path):
+    # The records keep the participant file's string: one copy each, where a
+    # copy from the response file as well would cost two.
+    short, loaded = load_peak(tmp_path / "short")
+    long, padded = load_peak(tmp_path / "long", pid_width=200)
+    assert [p.participant_id.lstrip("0") for p in padded] == [
+        p.participant_id.lstrip("0") for p in loaded]
+    one_copy = sys.getsizeof(padded[0].participant_id) - sys.getsizeof(loaded[0].participant_id)
+    per_participant = (long - short) / len(loaded)
+    assert per_participant <= 1.25 * one_copy, (per_participant, one_copy)
 
 
 def test_build_report_cost_grows_linearly_with_participants():
