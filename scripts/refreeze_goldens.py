@@ -13,8 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+from summitwx.cli import _load_document
 from summitwx.layout import CONDITION_TOKENS, FORMATS, condition_from_token, render
-from summitwx.textparse import format_diagnostic, parse_forecast
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO / "tests" / "fixtures"
@@ -38,18 +38,17 @@ def main(argv: list[str] | None = None) -> int:
     stale = set(p.name for p in args.golden.iterdir())
     written = 0
     for path in paths:
-        text = path.read_text(encoding="utf-8")
-        result = parse_forecast(text, source_id=path.stem)
-        if result.document is None:
-            for diag in result.errors:
-                print(f"{path.name}: {format_diagnostic(diag, text)}", file=sys.stderr)
+        try:  # as `summitwx render` loads it: diagnostics on stderr, named by its stem
+            doc = _load_document(str(path))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
         for token in sorted(CONDITION_TOKENS):
             condition = condition_from_token(token)
             for fmt in FORMATS:
                 name = f"{path.stem}__{token}.{EXTENSIONS[fmt]}"
                 out = args.golden / name
-                out.write_bytes(render(result.document, condition, format=fmt).payload)
+                out.write_bytes(render(doc, condition, format=fmt).payload)
                 stale.discard(name)
                 written += 1
     for name in sorted(stale):

@@ -31,7 +31,7 @@ _EXPORTS = {
         "WORST_CASE_LABEL", "Certainty", "ForecastDocument", "ForecastPeriod",
         "InvalidDocument", "LayoutCondition", "PrecipEvent", "PrecipKind", "ValueRange",
         "Violation", "WindPrediction", "condition_from_token", "require_valid", "validate",
-        "validate_period", "with_periods",
+        "validate_period",
     ),
     "stats": (
         "ACTIVITIES", "AnovaResult", "CodingCell", "CodingTable", "GroupSummary",

@@ -62,9 +62,11 @@ def _write(*files: tuple[str | Path, str | bytes]) -> None:
     """Write each ``(path, payload)`` whole, or none of them. Each payload goes
     to a temporary file beside the file ``path`` names, through any link, and
     only once all are written is each moved into place with ``os.replace``,
-    atomic within one filesystem; a device or a pipe is written in place. A
-    failure removes the temporary files and names the path it failed on."""
-    staged: list[tuple[Path, Path, str | Path]] = []
+    atomic within one filesystem; a device or a pipe is written in place. Two
+    paths that name one file are refused, as the later would silently replace
+    the earlier. A failure removes the temporary files and names the path it
+    failed on."""
+    staged: dict[Path, tuple[Path, str | Path]] = {}  # target: (temporary file, path)
     try:
         for i, (path, payload) in enumerate(files):
             data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
@@ -74,14 +76,16 @@ def _write(*files: tuple[str | Path, str | bytes]) -> None:
                 Path(path).write_bytes(data)
                 continue
             target = Path(os.path.realpath(path))
+            if target in staged:
+                raise OSError(errno.EEXIST, "the same file as an earlier output")
             temp = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
             with open(temp, "xb") as f:
-                staged.append((temp, target, path))
+                staged[target] = (temp, path)
                 f.write(data)
-        for temp, target, path in staged:
+        for target, (temp, path) in staged.items():
             os.replace(temp, target)
     except OSError as exc:
-        for temp, _, _ in staged:
+        for temp, _ in staged.values():
             temp.unlink(missing_ok=True)
         raise _cannot_write(path, exc) from None
 
@@ -160,21 +164,18 @@ def _load_thresholds(path: str):
 
 
 def _cmd_classify(args) -> int:
-    from .hazards import derive_document_icons, derive_icons, triad_advisory
+    from .hazards import derive_icon_rows, triad_advisory
 
     doc = _load_document(args.input)
-    tables = _load_tables_arg(args)
+    overall, per_period = derive_icon_rows(doc, _load_tables_arg(args))
     lines: list[str] = []
     mode = args.mode or "both"
     if mode in ("per-period", "both"):
         lines.append("per-period:")
-        for i, period in enumerate(doc.periods):
-            icons = derive_icons(period, tables)
+        for i, (period, icons) in enumerate(zip(doc.periods, per_period)):
             lines.append(f"  {i + 1}. {period.label}: {_icon_line(icons)}")
     if mode in ("overall", "both"):
-        (icons,) = derive_document_icons(doc, "overall", tables)
-        lines.append("overall:")
-        lines.append(f"  {WORST_CASE_LABEL}: {_icon_line(icons)}")
+        lines += ["overall:", f"  {WORST_CASE_LABEL}: {_icon_line(overall)}"]
     if args.triad_thresholds:
         thresholds = _load_thresholds(args.triad_thresholds)
         lines.append("triad advisory:")

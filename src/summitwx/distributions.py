@@ -96,10 +96,6 @@ def t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
-def t_sf(t: float, df: float) -> float:
-    return t_cdf(-t, df)
-
-
 def t_two_sided_p(t: float, df: float) -> float:
     """P(|T| >= |t|), computed in one tail to avoid cancellation."""
     if df <= 0:

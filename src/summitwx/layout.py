@@ -99,34 +99,21 @@ class _Escaped(dict):
         return escaped
 
 
-def _svg_tail(icon: HazardIcon) -> tuple[str, str, str, str]:
-    """The svg markup of the band of ``icon``, without a gust badge, after its
-    ``<g`` and ``id`` attribute, in four parts: a badge's label suffix goes
-    after each of the first two, and its element after the third."""
-    inner = _glyph_inner(icon.glyph_id)
-    label = _esc(f"{icon.scale_name}: {icon.label}")
-    return (
-        f' class="icon" role="img" aria-label="{label}', f'"><title>{label}',
-        f'</title><rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>'
-        f'<g transform="translate(8 8)" style="color:{_glyph_color(icon.color)}">{inner}</g>',
-        f'<text class="icon-label" x="20" y="51" text-anchor="middle">{_esc(icon.short_label)}</text>'
-        "</g>",
-    )
-
-
-def _html_tail(icon: HazardIcon) -> tuple[str, str, str]:
-    """The html markup of the band of ``icon``, without a gust badge, after its
-    ``<span`` and ``id`` attribute, in three parts: a badge's label suffix goes
-    after the first, and its element after the second."""
-    inner = _glyph_inner(icon.glyph_id)
-    label = _esc(f"{icon.scale_name}: {icon.label}")
-    return (
-        f' class="icon" role="img" aria-label="{label}',
-        f'" style="background:{icon.color};color:{_glyph_color(icon.color)}">'
-        f'<svg viewBox="0 0 24 24" width="28" height="28" aria-hidden="true">{inner}</svg>',
-        f'<span class="icon-label">{_esc(icon.short_label)}</span>'
-        f"</span>",
-    )
+def _band_markup(icon: HazardIcon) -> tuple[tuple[str, str, str, str], tuple[str, str, str]]:
+    """The svg and html markup of the band of ``icon``, without a gust badge,
+    after its ``<g`` or ``<span`` and ``id`` attribute, in parts: a badge's
+    label suffix goes after svg parts 1 and 2 and html part 1, and its element
+    after svg part 3 and html part 2."""
+    inner, ink = _glyph_inner(icon.glyph_id), _glyph_color(icon.color)
+    label, short = _esc(f"{icon.scale_name}: {icon.label}"), _esc(icon.short_label)
+    head = f' class="icon" role="img" aria-label="{label}'
+    return ((head, f'"><title>{label}',
+             f'</title><rect class="icon-bg" width="40" height="40" rx="6" fill="{icon.color}"/>'
+             f'<g transform="translate(8 8)" style="color:{ink}">{inner}</g>',
+             f'<text class="icon-label" x="20" y="51" text-anchor="middle">{short}</text></g>'),
+            (head, f'" style="background:{icon.color};color:{ink}"><svg viewBox="0 0 24 24" '
+             f'width="28" height="28" aria-hidden="true">{inner}</svg>',
+             f'<span class="icon-label">{short}</span></span>'))
 
 
 def _spliced(icon: HazardIcon, svg: tuple, html: tuple) -> tuple[str, str]:
@@ -141,24 +128,19 @@ def _spliced(icon: HazardIcon, svg: tuple, html: tuple) -> tuple[str, str]:
             f'{html[0]}{suffix}{html[1]}<span class="icon-badge">{badge}</span>{html[2]}')
 
 
-def _writer(writers: dict, format: str):
-    """The writer of ``format`` in ``writers``, keyed by every name in FORMATS."""
+def _check_format(format: str) -> None:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {'|'.join(FORMATS)}")
-    return writers[format]
-
-
-_ICON_WRITERS = {"plain": lambda icon: icon.plain_text,
-                 "svg": lambda icon: "<g" + _spliced(icon, _svg_tail(icon), _html_tail(icon))[0],
-                 "html": lambda icon: "<span" + _spliced(icon, _svg_tail(icon),
-                                                          _html_tail(icon))[1]}
 
 
 def render_icon(icon: HazardIcon, format: str = "plain") -> str:
     """Standalone graphic fragment for one icon."""
-    write = _writer(_ICON_WRITERS, format)
+    _check_format(format)
     _glyph_inner(icon.glyph_id)
-    return write(icon)
+    if format == "plain":
+        return icon.plain_text
+    svg, html = _spliced(icon, *_band_markup(icon))
+    return "<g" + svg if format == "svg" else "<span" + html
 
 
 _PAD = 16
@@ -199,8 +181,8 @@ def _icon_markup(icon: HazardIcon, markup: dict) -> tuple[str, str, str]:
     kept = markup.get(key)
     if kept is None:
         band = icon if icon.gust_annotation is None else replace(icon, gust_annotation=None)
-        svg = tuple([part.replace("%", "%%") for part in _svg_tail(band)])
-        html = _html_tail(band)
+        svg, html = _band_markup(band)
+        svg = tuple([part.replace("%", "%%") for part in svg])
         kept = markup[key] = (band.plain_text, *_spliced(band, svg, html), svg, html)
     if icon.gust_annotation is None:
         return kept[:3]
@@ -332,7 +314,7 @@ def _render_all(docs: tuple, condition: LayoutCondition, format: str,
                 tables) -> tuple[RenderedDocument, ...]:
     """Render each of ``docs`` under one condition and format, in order."""
     global _last
-    write = _writer(_DOCUMENT_WRITERS, format)
+    _check_format(format)
     if not isinstance(condition, LayoutCondition):
         raise ValueError(f"unknown condition {condition!r}")
     tables = tables or load_tables()
@@ -345,6 +327,7 @@ def _render_all(docs: tuple, condition: LayoutCondition, format: str,
         key = id(doc)
         layouts[key] = layouts.get(key) or held.get(key) or (doc, _layouts(doc, tables, markup))
     _last = (tables, layouts, markup)
+    write = _DOCUMENT_WRITERS[format]
     return tuple([RenderedDocument(format, write(groups).encode("utf-8"), manifest)
                   for groups, manifest in [layouts[id(doc)][1][condition] for doc in docs]])
 

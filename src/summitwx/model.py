@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
@@ -294,7 +294,3 @@ def _document(report, span_of, **fields) -> ForecastDocument | None:
     for v in violations:
         report(span_of(v.field_name), f"{v.field_name}: {v.rule}")
     return None if violations else doc
-
-
-def with_periods(doc: ForecastDocument, periods) -> ForecastDocument:
-    return replace(doc, periods=tuple(periods))

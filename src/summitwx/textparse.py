@@ -108,7 +108,11 @@ _HEADER_RE = re.compile(
     rf"|(?:{_WEEKDAYS})(?: night)?)[ \t]*:",
     re.MULTILINE,
 )
-_ISSUED_RE = re.compile(r"^[ \t]*issued[ \t]*:[ \t]*(.+?)[ \t]*$", re.MULTILINE)
+# The stamp runs from the line's first non-blank to its last, or is the last
+# blank of a line of blanks; a bare ``issued:`` does not match. The greedy
+# ``.*`` finds the last non-blank by backing off from the line's end once, so
+# a blank run inside the line is read in linear time.
+_ISSUED_RE = re.compile(r"^[ \t]*issued[ \t]*:[ \t]*(.*[^ \t\n]|[ \t])[ \t]*$", re.MULTILINE)
 _BELOW_RE = re.compile(r"\s*(?:degrees\s+)?below(?:\s+zero)?\b")
 _RANGE_GAP_RE = re.compile(r"\s*(?:(?:-|to|or|through)\s*)?")
 _COMPASS_RE = re.compile(  # the 16 points, longest first

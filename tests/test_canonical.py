@@ -20,7 +20,6 @@ from summitwx.model import (
     InvalidDocument,
     PrecipEvent,
     PrecipKind,
-    with_periods,
 )
 from summitwx.textparse import format_diagnostic, parse_forecast
 
@@ -68,7 +67,7 @@ def test_numbers_integral_when_whole_and_repr_otherwise():
 
 
 def test_emit_rejects_invalid_document():
-    bad = with_periods(make_doc(), make_doc().periods[:2])
+    bad = replace(make_doc(), periods=make_doc().periods[:2])
     with pytest.raises(InvalidDocument):
         emit_canonical(bad)
 
@@ -109,7 +108,7 @@ def test_round_trip_is_identity(doc):
 
 def test_whitespace_in_values_survives():
     period = replace(make_doc().periods[0], label="  padded label  ")
-    doc = with_periods(make_doc(), (period,) + make_doc().periods[1:])
+    doc = replace(make_doc(), periods=(period,) + make_doc().periods[1:])
     doc = replace(doc, summary_text="  indented line\n\ntrailing space  ")
     result = parse_canonical(emit_canonical(doc))
     assert result.errors == ()

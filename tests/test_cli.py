@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
+from summitwx import hazards
 from summitwx.canonical import parse_canonical
 from summitwx.cli import main
 from summitwx.layout import condition_from_token, render
@@ -188,10 +189,11 @@ def test_missing_input_file_exit_1(tmp_path, capsys):
 def test_unwritable_output_exit_1(tmp_path, capsys):
     # Every writer names an output it cannot write in one form: a missing
     # directory, a directory where a file is expected, a file where a
-    # directory is. stats writes its files before its report, so a failed
-    # file leaves stdout empty. Outputs are whole or absent: a failure leaves
-    # no new file, no temporary file and no new directory, and render's
-    # payload is not replaced when its manifest cannot be.
+    # directory is, a file that an earlier output names too. stats writes its
+    # files before its report, so a failed file leaves stdout empty. Outputs
+    # are whole or absent: a failure leaves no new file, no temporary file and
+    # no new directory, and render's payload is not replaced when its manifest
+    # cannot be.
     r_path, p_path = write_csvs(tmp_path)
     missing = tmp_path / "missing" / "out"
     a_file = tmp_path / "a-file"
@@ -211,6 +213,8 @@ def test_unwritable_output_exit_1(tmp_path, capsys):
          tmp_path / "set" / "index.tsv"),
         ((*stats, "--out", str(missing)), missing),
         ((*stats, "--out", str(tmp_path / "report.txt"), "--plot-spec", str(tmp_path)), tmp_path),
+        ((*stats, "--out", str(tmp_path / "twice.txt"), "--plot-spec", str(tmp_path / "twice.txt")),
+         tmp_path / "twice.txt"),
     ]:
         before = sorted(tmp_path.rglob("*"))
         code, out, err = run(capsys, *argv)
@@ -272,6 +276,17 @@ def test_classify_mode_flags_select_sections(capsys):
     assert code == 0
     assert out.startswith("per-period:\n")
     assert "overall:" not in out
+
+
+def test_classify_looks_each_period_up_once(capsys, monkeypatch):
+    # Both sections come from one band lookup per period, in every mode.
+    calls = []
+    real = hazards._bands
+    monkeypatch.setattr(hazards, "_bands", lambda *args: calls.append(args) or real(*args))
+    for mode in ((), ("--mode", "overall"), ("--mode", "per-period")):
+        calls.clear()
+        assert run(capsys, "classify", SEVERE, *mode)[0] == 0
+        assert len(calls) == 4, mode
 
 
 def test_classify_accepts_canonical_input(tmp_path, capsys):

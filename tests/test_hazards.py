@@ -35,7 +35,6 @@ from summitwx.model import (
     ValueRange,
     WindPrediction,
     _fmt_num,
-    with_periods,
 )
 
 SCALES = Path(__file__).parent.parent / "src" / "summitwx" / "scales"

@@ -40,7 +40,7 @@ EAGER_EXPORTS = {
         condition_from_token render render_icon render_stimulus_set""",
     "model": """COMPASS_POINTS WINTER_PRECIP_KINDS WORST_CASE_LABEL Certainty ForecastDocument
         ForecastPeriod InvalidDocument PrecipEvent PrecipKind ValueRange Violation
-        WindPrediction require_valid validate validate_period with_periods""",
+        WindPrediction require_valid validate validate_period""",
     "stats": """ACTIVITIES AnovaResult CodingCell CodingTable GroupSummary PairwiseResult
         Participant RegressionResult StatsReport StudyDataError build_report emit_plot_spec
         emit_report format_report grips_regression load_study one_way_anova pairwise_t_tests

@@ -46,7 +46,7 @@ from summitwx.layout import (
     render_icon,
     render_stimulus_set,
 )
-from summitwx.model import InvalidDocument, with_periods
+from summitwx.model import InvalidDocument
 from summitwx.textparse import parse_forecast
 
 EXTENSIONS = {"plain": "txt", "svg": "svg", "html": "html"}
@@ -350,8 +350,7 @@ def layout_work(monkeypatch):
 
     for module, fn in ((hazards, "_bands"), (hazards, "_icon"), (layout, "_esc")):
         wrap(module, fn)
-    for fn in ("_svg_tail", "_html_tail"):
-        wrap(layout, fn, lambda icon: icon.gust_annotation is None)
+    wrap(layout, "_band_markup", lambda icon: icon.gust_annotation is None)
 
     def plain_text(icon, _real=HazardIcon.plain_text.fget):
         calls["plain_text"] += icon.gust_annotation is None
@@ -371,7 +370,7 @@ def test_a_layout_looks_each_period_up_once_and_writes_each_line_once(
     bands = sum(len(table.bands) for table in tables.values())
     # Severe-day shows seven distinct unbadged icons, each written once.
     assert {fn: n for fn, n in layout_work.items() if fn != "_esc"} == {
-        "_bands": 4, "_icon": bands, "plain_text": 7, "_svg_tail": 7, "_html_tail": 7}
+        "_bands": 4, "_icon": bands, "plain_text": 7, "_band_markup": 7}
 
     layout_work.clear()
     payload = render(second, LayoutCondition.BASELINE, tables=tables).payload.decode()
@@ -419,7 +418,7 @@ def test_a_failing_call_leaves_the_last_calls_layouts(fixture_texts, goldens, la
     render_stimulus_set(docs, LayoutCondition.ICONS)
     held = [weakref.ref(doc) for doc in docs]
     fresh = parse_forecast(fixture_texts["calm-day"], source_id="calm-day").document
-    bad = with_periods(docs[0], docs[0].periods[:3])
+    bad = replace(docs[0], periods=docs[0].periods[:3])
     with pytest.raises(InvalidDocument, match="expected exactly 4 periods, found 3"):
         render_stimulus_set([*docs, fresh, bad], LayoutCondition.BASELINE)
     fresh_ref = weakref.ref(fresh)
@@ -702,7 +701,7 @@ def test_render_rejects_bad_inputs(fixture_docs):
     with pytest.raises(ValueError, match="condition"):
         render(doc, "baseline")
     with pytest.raises(InvalidDocument):
-        render(with_periods(doc, doc.periods[:1]), LayoutCondition.BASELINE)
+        render(replace(doc, periods=doc.periods[:1]), LayoutCondition.BASELINE)
 
 
 def test_stimulus_set_index_and_digests(fixture_docs):
@@ -794,7 +793,7 @@ def test_document_entry_points_validate_each_period_once(fixture_docs, period_ch
 def test_document_entry_points_reject_a_three_period_document(fixture_docs, entry_point):
     doc = fixture_docs["severe-day"]
     with pytest.raises(InvalidDocument, match="expected exactly 4 periods, found 3"):
-        entry_point(with_periods(doc, doc.periods[:3]))
+        entry_point(replace(doc, periods=doc.periods[:3]))
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from summitwx.model import (
     _period,
     require_valid,
     validate,
-    with_periods,
 )
 
 
@@ -27,7 +26,7 @@ def test_valid_document_has_no_violations():
 
 
 def test_wrong_period_count_is_a_violation():
-    doc = with_periods(make_doc(), make_doc().periods[:3])
+    doc = replace(make_doc(), periods=make_doc().periods[:3])
     rules = [v.rule for v in validate(doc)]
     assert any("expected exactly 4 periods, found 3" in r for r in rules)
 
@@ -105,7 +104,7 @@ def test_document_violations(mutate):
 
 
 def test_require_valid_raises_with_every_violation_listed():
-    doc = with_periods(make_doc(), make_doc().periods[:2])
+    doc = replace(make_doc(), periods=make_doc().periods[:2])
     doc = replace(doc, summary_text="")
     with pytest.raises(InvalidDocument) as exc:
         require_valid(doc)
@@ -131,13 +130,6 @@ def test_the_parse_boundary_reports_each_broken_rule_and_builds_nothing():
         ((3, 9), "p1: temperature: low 9 must be <= high 1"),
         ("SUMMARY_TEXT", "summary_text: summary must be non-empty"),
     ]
-
-
-def test_with_periods_replaces_only_periods():
-    doc = make_doc()
-    swapped = with_periods(doc, tuple(reversed(doc.periods)))
-    assert swapped.summary_text == doc.summary_text
-    assert swapped.periods == tuple(reversed(doc.periods))
 
 
 def test_frozen_dataclasses_reject_mutation():

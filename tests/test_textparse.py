@@ -525,6 +525,20 @@ def test_a_long_whitespace_run_after_degrees_reads_in_linear_time():
     assert (short.periods[0].temperature.low, short.periods[0].temperature.high) == (-20, 10)
 
 
+def test_a_long_whitespace_run_inside_the_issued_line_reads_in_linear_time():
+    # The stamp ends at the line's last non-blank; a blank run with more text
+    # after it must be read once, not once per character of the run.
+    body = mini("Temperatures: 10-20. Winds: NW 10-20 mph.").removeprefix(MINI_HEADER)
+    short = parse_ok(f"Issued: 2026-01-01T00:00 x\nQuiet pattern overall.\n\n{body}")
+    started = time.perf_counter()
+    run = " \t" * 10_000
+    long = parse_ok(f"Issued: 2026-01-01T00:00{run}x\nQuiet pattern overall.\n\n{body}")
+    assert time.perf_counter() - started < 0.5
+    assert long.document == short.document
+    assert short.document.issued_at == EPOCH
+    assert [d.severity for d in long.diagnostics] == [d.severity for d in short.diagnostics]
+
+
 def test_expected_period_count_error():
     text = f"{MINI_HEADER}Today: Temperatures: 20-30F. Winds: NW 10-20 mph.\nTonight: Temperatures: 20-30F. Winds: NW 10-20 mph.\n"
     result = parse_forecast(text)
