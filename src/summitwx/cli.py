@@ -62,18 +62,19 @@ def _write(*files: tuple[str | Path, str | bytes]) -> None:
     """Write each ``(path, payload)`` whole, or none of them. Each payload goes
     to a temporary file beside the file ``path`` names, through any link, and
     only once all are written is each moved into place with ``os.replace``,
-    atomic within one filesystem; a device or a pipe is written in place. Two
-    paths that name one file are refused, as the later would silently replace
-    the earlier. A failure removes the temporary files and names the path it
-    failed on."""
+    atomic within one filesystem; a device or a pipe is written in place, but
+    only once every file is staged. Two paths that name one file are refused,
+    as the later would silently replace the earlier. A failure removes the
+    temporary files and names the path it failed on."""
     staged: dict[Path, tuple[Path, str | Path]] = {}  # target: (temporary file, path)
+    in_place = []  # (path, data) of each device or pipe
     try:
         for i, (path, payload) in enumerate(files):
             data = payload if isinstance(payload, bytes) else payload.encode("utf-8")
             if os.path.isdir(path):  # os.replace would refuse it only after the others moved
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             if os.path.exists(path) and not os.path.isfile(path):
-                Path(path).write_bytes(data)
+                in_place.append((path, data))
                 continue
             target = Path(os.path.realpath(path))
             if target in staged:
@@ -82,6 +83,8 @@ def _write(*files: tuple[str | Path, str | bytes]) -> None:
             with open(temp, "xb") as f:
                 staged[target] = (temp, path)
                 f.write(data)
+        for path, data in in_place:
+            Path(path).write_bytes(data)
         for target, (temp, path) in staged.items():
             os.replace(temp, target)
     except OSError as exc:

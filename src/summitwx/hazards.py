@@ -256,6 +256,12 @@ def round_half_away(x: float) -> int:
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
 
 
+def _chill_degrees(wc_f: float) -> float:
+    """A wind chill rounded to the chart's whole degree; an infinite one (a
+    computed chill too cold for a float) stays so, and takes an end band."""
+    return round_half_away(wc_f) if math.isfinite(wc_f) else wc_f
+
+
 def wind_chill(temperature_f: float, wind_mph: float) -> float:
     """Wind chill in degrees F per the national weather service model.
 
@@ -289,8 +295,7 @@ def wind_chill_category(wc_f: float, tables=None) -> int:
     if math.isnan(wc_f):
         raise ValueError(f"wind chill must be a number, got {wc_f}")
     tables = tables or load_tables()
-    degrees = round_half_away(wc_f) if math.isfinite(wc_f) else wc_f
-    return tables[HazardKind.WIND_CHILL].level_for(degrees)
+    return tables[HazardKind.WIND_CHILL].level_for(_chill_degrees(wc_f))
 
 
 @dataclass(frozen=True)
@@ -406,7 +411,7 @@ def _bands(period: ForecastPeriod, scales) -> tuple[HazardIcon, ...]:
     winter_kinds = {ev.kind for ev in period.precip_events if ev.kind in WINTER_PRECIP_KINDS}
     return (
         wind._band_icons[wind._position(period.wind.sustained.high)],
-        chill._band_icons[chill._position(round_half_away(period_wind_chill(period)))],
+        chill._band_icons[chill._position(_chill_degrees(period_wind_chill(period)))],
         freezing._band_icons[freezing._position(period.temperature.low)],
         winter._band_icons[winter._position(len(winter_kinds))],
     )

@@ -90,15 +90,6 @@ def _esc(text: str) -> str:
             .replace('"', "&quot;").replace("'", "&#x27;"))
 
 
-class _Escaped(dict):
-    """Each line of text of one layout, html-escaped on first use, so that a
-    line is escaped once however often the layout shows it."""
-
-    def __missing__(self, line: str) -> str:
-        self[line] = escaped = _esc(line)
-        return escaped
-
-
 def _band_markup(icon: HazardIcon) -> tuple[tuple[str, str, str, str], tuple[str, str, str]]:
     """The svg and html markup of the band of ``icon``, without a gust badge,
     after its ``<g`` or ``<span`` and ``id`` attribute, in parts: a badge's
@@ -150,9 +141,9 @@ _ICON_PITCH = 48
 _GROUP_GAP = 12
 
 
-def _text(element_id: str, source: str, line: str, escaped: _Escaped) -> _Block:
+def _text(element_id: str, source: str, line: str) -> _Block:
     """A text element of one ``line``."""
-    shown = escaped[line]
+    shown = _esc(line)
     css = ' class="title"' if element_id == "title" else ""
     # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``: a
     # document has some 30 text elements.
@@ -163,9 +154,9 @@ def _text(element_id: str, source: str, line: str, escaped: _Escaped) -> _Block:
         (16,), _LINE_H))
 
 
-def _summary(text: str, escaped: _Escaped) -> _Block:
+def _summary(text: str) -> _Block:
     """The summary element, one ``<text>`` per line of ``text`` in svg."""
-    shown = [escaped[line] for line in text.split("\n")]
+    shown = [_esc(line) for line in text.split("\n")]
     svg = "".join([f'<text x="{_PAD}" y="%d">{line.replace("%", "%%")}</text>\n' for line in shown])
     return _Block((("summary", "summary_text"),), text, f'<p id="summary">{"<br>".join(shown)}</p>',
                   f'<g id="summary">\n{svg}</g>\n',
@@ -189,8 +180,7 @@ def _icon_markup(icon: HazardIcon, markup: dict) -> tuple[str, str, str]:
     return (icon.plain_text, *_spliced(icon, *kept[3:]))
 
 
-def _icon_row(element_id: str, source: str, heading: str, icons, markup: dict,
-              escaped: _Escaped) -> _Block:
+def _icon_row(element_id: str, source: str, heading: str, icons, markup: dict) -> _Block:
     """An icon row whose k-th icon (from 1) has the id ``<row>-icon-<k>``. A row
     without a gust badge is kept in ``markup`` under its id and its icons'
     identities: they are the tables' own band icons, which outlive ``markup``."""
@@ -200,7 +190,7 @@ def _icon_row(element_id: str, source: str, heading: str, icons, markup: dict,
         return row
     ids = [f"{element_id}-icon-{k}" for k in range(1, len(icons) + 1)]
     written = [_icon_markup(icon, markup) for icon in icons]
-    heading_html = escaped[heading]
+    heading_html = _esc(heading)
     svg = [f'<g id="{element_id}">\n<text class="row-heading" x="{_PAD}" y="%d">'
            f'{heading_html.replace("%", "%%")}</text>\n']
     for k, (icon_id, (_, svg_tail, _)) in enumerate(zip(ids, written)):
@@ -236,7 +226,7 @@ def _group(elements) -> _Block:
     return _Block(tuple(manifest), "\n".join(plain), "\n".join(html), "".join(svg), tuple(ys), top)
 
 
-def _period_elements(index: int, period: ForecastPeriod, escaped: _Escaped) -> list[_Block]:
+def _period_elements(index: int, period: ForecastPeriod) -> list[_Block]:
     t, wind, chill = period.temperature, period.wind, period.wind_chill
     direction = f"{wind.direction} " if wind.direction else ""
     wind_line = (f"  Winds: {direction}{_fmt_num(wind.sustained.low)} to "
@@ -258,33 +248,33 @@ def _period_elements(index: int, period: ForecastPeriod, escaped: _Escaped) -> l
     for k, note in enumerate(period.extra_hazard_notes):
         rows.append((f"note-{k + 1}", f"extra_hazard_notes[{k}]", f"  Note: {note}"))
     n = index + 1
-    return [_text(f"period-{n}-{suffix}", f"periods[{index}].{field}", line, escaped)
+    return [_text(f"period-{n}-{suffix}", f"periods[{index}].{field}", line)
             for suffix, field, line in rows]
 
 
 def _layouts(doc: ForecastDocument, tables, markup: dict) -> dict:
     """Each condition's ``(groups, manifest)``: one masthead, summary and set of
-    period blocks, arranged four ways, two with icon rows added. Each line of
-    text is escaped once, each group written once, and each band's icon markup
-    and each icon row without a gust badge is taken from or kept in ``markup``."""
+    period blocks, arranged four ways, two with icon rows added. Each group is
+    written once, each line of text escaped as its element is written, and each
+    band's icon markup and each icon row without a gust badge is taken from or
+    kept in ``markup``."""
     overall, per_period = derive_icon_rows(doc, tables)  # validates
-    escaped = _Escaped()
     masthead = [
-        _text("title", "constant", "HIGHER SUMMITS FORECAST", escaped),
-        _text("issued", "issued_at", f"Issued: {doc.issued_at.isoformat()}", escaped),
+        _text("title", "constant", "HIGHER SUMMITS FORECAST"),
+        _text("issued", "issued_at", f"Issued: {doc.issued_at.isoformat()}"),
     ]
     if doc.source_id:
-        masthead.append(_text("source", "source_id", f"Source: {doc.source_id}", escaped))
+        masthead.append(_text("source", "source_id", f"Source: {doc.source_id}"))
     masthead = _group(masthead)
-    summary = _group([_summary(doc.summary_text, escaped)])
+    summary = _group([_summary(doc.summary_text)])
     periods, per_day = [], []
     for i, (period, icons) in enumerate(zip(doc.periods, per_period)):
-        label, *rest = _period_elements(i, period, escaped)
+        label, *rest = _period_elements(i, period)
         periods.append(_group([label, *rest]))
         per_day.append(_group([label, _icon_row(f"icons-period-{i + 1}", f"derived:periods[{i}]",
-                                                "HAZARDS:", icons, markup, escaped), *rest]))
+                                                "HAZARDS:", icons, markup), *rest]))
     overall = _group([_icon_row("icons-overall", "derived:worst_case", "HAZARDS (48 HOURS):",
-                                overall, markup, escaped)])
+                                overall, markup)])
     return {condition: (groups, tuple([entry for group in groups for entry in group.manifest]))
             for condition, groups in (
                 (LayoutCondition.BASELINE, (masthead, summary, *periods)),

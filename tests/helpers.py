@@ -396,9 +396,11 @@ def _icon(table, band, gust=None):
 
 def _bands(period, tables):
     winter_kinds = {ev.kind for ev in period.precip_events if ev.kind in WINTER_PRECIP_KINDS}
+    chill = period_wind_chill(period)  # -inf when too cold for a float
     return (
         tables[HazardKind.WIND].band_for(period.wind.sustained.high),
-        tables[HazardKind.WIND_CHILL].band_for(round_half_away(period_wind_chill(period))),
+        tables[HazardKind.WIND_CHILL].band_for(
+            round_half_away(chill) if math.isfinite(chill) else chill),
         tables[HazardKind.FREEZING_TEMP].band_for(period.temperature.low),
         tables[HazardKind.WINTER_PRECIP].band_for(len(winter_kinds)),
     )

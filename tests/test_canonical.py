@@ -442,17 +442,35 @@ def test_parse_canonical_matches_the_oracle(text):
     assert repr(parse_canonical(text)) == repr(oracle_parse_canonical(text))
 
 
+def _lined_doc(n):
+    """A document with ``n`` summary lines, and ``n`` notes and precipitation
+    events in each period."""
+    combos = [(kind, certainty) for kind in PrecipKind for certainty in Certainty]
+    period = make_period(precip=tuple(PrecipEvent(*combos[i % len(combos)]) for i in range(n)),
+                         notes=tuple(f"note {i}" for i in range(n)))
+    return replace(make_doc((period,) * 4), summary_text="\n".join(f"line {i}" for i in range(n)))
+
+
 def test_parse_cost_grows_linearly_with_lines():
     # 4x the summary lines, notes and precipitation events; a pass over them
     # per line would read ~16x.
     def events(n):
-        combos = [(kind, certainty) for kind in PrecipKind for certainty in Certainty]
-        period = make_period(precip=tuple(PrecipEvent(*combos[i % len(combos)]) for i in range(n)),
-                             notes=tuple(f"note {i}" for i in range(n)))
-        doc = replace(make_doc((period,) * 4), summary_text="\n".join(f"line {i}" for i in range(n)))
+        doc = _lined_doc(n)
         text = emit_canonical(doc)
         count, result = line_events(canonical, lambda: parse_canonical(text))
         assert result.document == doc
+        return count
+
+    ratio = events(100) / events(25)
+    assert ratio <= 4.5, ratio
+
+
+def test_emit_cost_grows_linearly_with_lines():
+    # 4x the summary lines, notes and precipitation events, as for the reader.
+    def events(n):
+        doc = _lined_doc(n)
+        count, text = line_events(canonical, lambda: emit_canonical(doc))
+        assert parse_canonical(text).document == doc
         return count
 
     ratio = events(100) / events(25)

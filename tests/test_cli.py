@@ -193,8 +193,10 @@ def test_unwritable_output_exit_1(tmp_path, capsys):
     # files before its report, so a failed file leaves stdout empty. Outputs
     # are whole or absent: a failure leaves no new file, no temporary file and
     # no new directory, and render's payload is not replaced when its manifest
-    # cannot be.
+    # cannot be. A pipe takes nothing, as it is written only after every file.
     r_path, p_path = write_csvs(tmp_path)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
     missing = tmp_path / "missing" / "out"
     a_file = tmp_path / "a-file"
     a_file.write_text("", encoding="utf-8")
@@ -215,9 +217,15 @@ def test_unwritable_output_exit_1(tmp_path, capsys):
         ((*stats, "--out", str(tmp_path / "report.txt"), "--plot-spec", str(tmp_path)), tmp_path),
         ((*stats, "--out", str(tmp_path / "twice.txt"), "--plot-spec", str(tmp_path / "twice.txt")),
          tmp_path / "twice.txt"),
+        ((*stats, "--out", str(pipe), "--plot-spec", str(missing)), missing),
     ]:
         before = sorted(tmp_path.rglob("*"))
-        code, out, err = run(capsys, *argv)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run(capsys, *argv)
+            assert os.read(reader, 1 << 16) == b""
+        finally:
+            os.close(reader)
         assert code == 1
         assert err.startswith(f"error: cannot write {name}: ")
         assert "Errno" not in err and err.count("\n") == 1
@@ -287,6 +295,22 @@ def test_classify_looks_each_period_up_once(capsys, monkeypatch):
         calls.clear()
         assert run(capsys, "classify", SEVERE, *mode)[0] == 0
         assert len(calls) == 4, mode
+
+
+def test_classify_and_render_take_a_chill_too_cold_for_a_float(tmp_path, capsys):
+    # -1e300 F in a 1e300 mph wind is valid, and its computed chill is -inf:
+    # the coldest band, not an internal error.
+    canon = tmp_path / "extreme.canon"
+    text = run(capsys, "parse", CALM)[1]
+    canon.write_text(text.replace("temp_low_f: 48", "temp_low_f: -1e+300", 1)
+                     .replace("wind_high_mph: 15", "wind_high_mph: 1e+300", 1), encoding="utf-8")
+    assert run(capsys, "parse", str(canon))[0] == 0
+    code, out, err = run(capsys, "classify", str(canon))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "  1. Today: [WIND F12] [WIND CHILL 5MIN] [FREEZING]"
+    code, out, err = run(capsys, "render", str(canon), "--condition", "icons")
+    assert (code, err) == (0, "")
+    assert "HAZARDS (48 HOURS): [WIND F12] [WIND CHILL 5MIN] [FREEZING]\n" in out
 
 
 def test_classify_accepts_canonical_input(tmp_path, capsys):

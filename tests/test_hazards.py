@@ -4,7 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import documents, periods
@@ -211,6 +211,33 @@ def test_icon_levels_monotone_under_worse_conditions(period, colder, windier):
     after_wind = level_map(windier_period)
     for kind in HazardKind:
         assert after_wind[kind] >= before[kind]
+
+
+_any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _extreme_periods(draw, label):
+    """A period over the whole finite range of temperature and wind."""
+    temp = sorted(draw(st.tuples(_any_finite, _any_finite)))
+    wind = sorted(draw(st.tuples(*[st.floats(0, allow_infinity=False)] * 2)))
+    gust = draw(st.none() | st.floats(wind[1], allow_infinity=False))
+    chill = draw(st.none() | st.tuples(_any_finite, _any_finite).map(sorted))
+    return make_period(label, temp=temp, wind=wind, gust=gust, chill=chill)
+
+
+@settings(max_examples=200)
+@given(st.tuples(*[_extreme_periods(label) for label in
+                   ("Today", "Tonight", "Tomorrow", "Tomorrow night")]))
+@example((make_period(temp=(-1e300, 30), wind=(0, 1e300)),) * 4)
+def test_icon_rows_hold_over_every_finite_temperature_and_wind(periods):
+    # A computed chill too cold for a float is -inf: it takes the coldest band.
+    doc = make_doc(periods)
+    overall, per_period = derive_icon_rows(doc)
+    assert (overall, per_period) == oracle_icon_rows(doc, load_tables())
+    for period, icons in zip(periods, per_period):
+        assert _kind_levels(icons).get(HazardKind.WIND_CHILL, 0) == wind_chill_category(
+            period_wind_chill(period))
 
 
 def test_overall_wind_chill_pairs_each_period_with_its_own_wind():

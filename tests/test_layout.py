@@ -376,9 +376,9 @@ def test_a_layout_looks_each_period_up_once_and_writes_each_line_once(
     payload = render(second, LayoutCondition.BASELINE, tables=tables).payload.decode()
     text = [line for line in payload.split("\n") if line]
     assert len(set(text)) < len(text)  # two periods read "Temperatures: 0 to 10 F"
-    # One escape per distinct line. Both icon rows are unbadged and kept for
-    # these tables, so their headings are not escaped again.
-    assert dict(layout_work) == {"_bands": 4, "_esc": len(set(text))}
+    # One escape per line, a repeated one included. Both icon rows are unbadged
+    # and kept for these tables, so their headings are not escaped again.
+    assert dict(layout_work) == {"_bands": 4, "_esc": len(text)}
 
 
 def test_render_cost_grows_linearly_with_lines(tmp_path):
@@ -402,6 +402,30 @@ def test_render_cost_grows_linearly_with_lines(tmp_path):
         return count
 
     ratio = events(200) / events(50)
+    assert ratio <= 4.5, ratio
+
+
+def test_stimulus_set_cost_grows_linearly_with_documents(tmp_path):
+    # 4x the distinct documents, each rendered in every condition; a pass over
+    # the set per document would grow with its square. Each size has tables of
+    # its own, so both lay out every document and write every icon afresh.
+    def events(n):
+        docs = [replace(make_doc(tuple(
+            make_period(label, temp=(k * 7 % 90 - 60, k * 7 % 90 - 50), wind=(k % 50, k % 50 + 30))
+            for k, label in enumerate(("Today", "Tonight", "Tomorrow", "Tomorrow night"), i))),
+            source_id=f"stimulus-{i}") for i in range(n)]
+        tables = load_tables(_tamper(tmp_path / str(n), "beaufort.table", lambda s: s))
+        cases = list(zip(LayoutCondition, ("plain", "svg", "html", "svg")))
+        count, sets = line_events(layout, lambda: [
+            render_stimulus_set(docs, condition, format=fmt, tables=tables)
+            for condition, fmt in cases])
+        for (renders, index), (condition, fmt) in zip(sets, cases):
+            assert index.count("\n") == n
+            assert [(r.payload, r.manifest) for r in renders[::7]] == [
+                oracle_render(doc, condition, fmt, tables) for doc in docs[::7]]
+        return count
+
+    ratio = events(256) / events(64)
     assert ratio <= 4.5, ratio
 
 
