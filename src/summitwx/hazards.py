@@ -74,6 +74,8 @@ class ScaleTableError(ValueError):
 
 @dataclass(frozen=True)
 class ScaleBand:
+    """One band of a scale: its level, its ``low``-``high`` edges, color and label."""
+
     level: int
     low: float
     high: float
@@ -83,6 +85,8 @@ class ScaleBand:
 
 @dataclass(frozen=True)
 class ScaleTable:
+    """One hazard's scale: contiguous bands across ``domain_low``-``domain_high``."""
+
     kind: HazardKind
     scale_name: str
     unit: str
@@ -132,6 +136,7 @@ def _read_scale_table(source, origin: str) -> ScaleTable:
     at: dict[str, str] = {}  # where each key sits, as origin:line
     provenance: list[str] = []
     bands: list[ScaleBand] = []
+    band_at: list[str] = []  # where each band sits, as origin:line
     for lineno, key, value in _key_values(_read_input(source, origin, ScaleTableError)):
         if value is None:
             raise ScaleTableError(f"{origin}:{lineno}: expected 'key: value', got {key!r}")
@@ -149,6 +154,7 @@ def _read_scale_table(source, origin: str) -> ScaleTable:
                 level=round(level), low=_number(parts[1], "low", where),
                 high=_number(parts[2], "high", where), color=parts[3], label=parts[4],
             ))
+            band_at.append(where)
         elif key in _HEADER_KEYS:
             if key in fields:
                 raise ScaleTableError(f"{origin}:{lineno}: duplicate key {key!r}")
@@ -186,34 +192,38 @@ def _read_scale_table(source, origin: str) -> ScaleTable:
         provenance=" ".join(provenance),
         bands=tuple(bands),
     )
-    _check_integrity(table, origin)
+    _check_integrity(table, origin, at["domain"], band_at)
     return table
 
 
-def _check_integrity(table: ScaleTable, origin: str) -> None:
+def _check_integrity(table: ScaleTable, origin: str, domain_at: str, band_at: list[str]) -> None:
+    """Raise ScaleTableError for the first broken rule. A band's error names
+    its line in ``band_at``; a rule over two bands names the later band's."""
     if not table.bands:
         raise ScaleTableError(f"{origin}: no bands")
     if not table.domain_low < table.domain_high:
-        raise ScaleTableError(f"{origin}: empty domain")
+        raise ScaleTableError(f"{domain_at}: empty domain")
     if table.bands[0].low != table.domain_low or table.bands[-1].high != table.domain_high:
         raise ScaleTableError(f"{origin}: bands do not cover the declared domain")
-    for band in table.bands:
+    for band, where in zip(table.bands, band_at):
         if not band.low < band.high:
-            raise ScaleTableError(f"{origin}: level {band.level} band is empty or inverted")
+            raise ScaleTableError(f"{where}: level {band.level} band is empty or inverted")
         if not _COLOR_RE.match(band.color):
-            raise ScaleTableError(f"{origin}: level {band.level} color {band.color!r} is not #RRGGBB")
-    for a, b in zip(table.bands, table.bands[1:]):
+            raise ScaleTableError(f"{where}: level {band.level} color {band.color!r} is not #RRGGBB")
+    pairs = list(zip(table.bands, table.bands[1:], band_at[1:]))
+    for a, b, where in pairs:
         if a.high != b.low:
-            raise ScaleTableError(
-                f"{origin}: gap or overlap between levels {a.level} and {b.level}"
-            )
-    levels = [band.level for band in table.bands]
-    if len(set(levels)) != len(levels):
-        raise ScaleTableError(f"{origin}: duplicate levels")
-    ascending = all(a < b for a, b in zip(levels, levels[1:]))
-    descending = all(a > b for a, b in zip(levels, levels[1:]))
-    if not (ascending or descending):
-        raise ScaleTableError(f"{origin}: levels must be strictly monotone across the domain")
+            raise ScaleTableError(f"{where}: gap or overlap between levels {a.level} and {b.level}")
+    seen = set()
+    for band, where in zip(table.bands, band_at):
+        if band.level in seen:
+            raise ScaleTableError(f"{where}: duplicate levels: level {band.level} is repeated")
+        seen.add(band.level)
+    rising = table.bands[0].level < table.bands[-1].level  # distinct levels, so not equal
+    for a, b, where in pairs:
+        if (a.level < b.level) is not rising:
+            raise ScaleTableError(f"{where}: level {b.level} is out of order; levels must be "
+                                  "strictly monotone across the domain")
 
 
 def load_scale_table(path: Path) -> ScaleTable:
@@ -497,6 +507,8 @@ class TriadThresholds:
 
 @dataclass(frozen=True)
 class TriadAdvisory:
+    """The triad factors at a dangerous level, and the verdict they give."""
+
     factors_dangerous: frozenset[str]
     verdict: TriadVerdict
 

@@ -40,6 +40,8 @@ STYLESHEET_VERSION = "hsf-layout/1"
 
 @dataclass(frozen=True)
 class RenderedDocument:
+    """One render: its format, its payload bytes and its element manifest."""
+
     format: str
     payload: bytes
     manifest: tuple[tuple[str, str], ...]

@@ -25,8 +25,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from datetime import datetime  # only annotates ForecastDocument.issued_at
 
 
 class PrecipKind(Enum):
@@ -153,12 +156,16 @@ class ValueRange:
 
 @dataclass(frozen=True)
 class PrecipEvent:
+    """One precipitation kind a period mentions, with its wording's certainty."""
+
     kind: PrecipKind
     certainty: Certainty = Certainty.MENTIONED
 
 
 @dataclass(frozen=True)
 class WindPrediction:
+    """Sustained wind range in mph, compass direction and highest gust, if stated."""
+
     sustained: ValueRange
     direction: str | None = None
     gust_high: float | None = None
@@ -166,6 +173,8 @@ class WindPrediction:
 
 @dataclass(frozen=True)
 class ForecastPeriod:
+    """One 12-hour period: valid once constructed, or InvalidDocument is raised."""
+
     label: str
     temperature: ValueRange
     wind: WindPrediction
@@ -181,6 +190,8 @@ class ForecastPeriod:
 
 @dataclass(frozen=True)
 class ForecastDocument:
+    """A bulletin: when it was issued, its narrative summary and its periods."""
+
     issued_at: datetime
     summary_text: str
     periods: tuple[ForecastPeriod, ...]

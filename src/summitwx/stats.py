@@ -93,6 +93,8 @@ def _describe(values: Sequence[float], t975: float) -> tuple[float, float, float
 
 @dataclass(frozen=True)
 class AnovaResult:
+    """A one-way ANOVA: F, its two degrees of freedom, and p."""
+
     f_statistic: float
     df_between: int
     df_within: int
@@ -124,6 +126,8 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
 
 @dataclass(frozen=True)
 class PairwiseResult:
+    """One pooled-variance t test of two groups, p raw and Bonferroni-adjusted."""
+
     group_a: str
     group_b: str
     t_statistic: float
@@ -190,6 +194,8 @@ def t_ci95(values: Sequence[float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RegressionResult:
+    """Mean risk regressed on risk propensity: the line, R squared and the slope's p."""
+
     slope: float
     intercept: float
     r_squared: float
@@ -237,6 +243,8 @@ def percentage(count: int, total: int) -> str:
 
 @dataclass(frozen=True)
 class CodingCell:
+    """Participants who mentioned a kind of information: count of total, as a percent."""
+
     scope: str  # "overall" or a condition value
     count: int
     total: int
@@ -245,12 +253,16 @@ class CodingCell:
 
 @dataclass(frozen=True)
 class CodingTable:
+    """The coding cells for per-day and for summary-only information."""
+
     per_day: tuple[CodingCell, ...]
     summary_only: tuple[CodingCell, ...]
 
 
 @dataclass(frozen=True)
 class GroupSummary:
+    """One layout condition's mean risk: n, mean, sd and 95% interval."""
+
     condition: LayoutCondition
     n: int
     mean: float
@@ -261,6 +273,8 @@ class GroupSummary:
 
 @dataclass(frozen=True)
 class StatsReport:
+    """Every analysis of one study, in report order."""
+
     groups: tuple[GroupSummary, ...]
     anova: AnovaResult
     pairwise: tuple[PairwiseResult, ...]

@@ -38,7 +38,7 @@ error at the first one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from itertools import chain
@@ -67,6 +67,8 @@ class Severity(Enum):
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One finding of a parser: its severity, its span of the text, and why."""
+
     severity: Severity
     span: tuple[int, int]
     message: str
@@ -170,11 +172,15 @@ def _fold(text: str) -> str:
     return raw.decode("utf-8", "surrogatepass")
 
 
-@dataclass
 class _Scan:
-    text: str
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    recognized: list[tuple[int, int]] = field(default_factory=list)
+    """One parse's text, with the diagnostics and recognized spans found so far."""
+
+    __slots__ = ("text", "diagnostics", "recognized")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.diagnostics: list[Diagnostic] = []
+        self.recognized: list[tuple[int, int]] = []
 
     def diag(self, severity: Severity, span: tuple[int, int], message: str) -> None:
         self.diagnostics.append(Diagnostic(severity, span, message))

@@ -6,11 +6,16 @@ driven here through ``main`` so the stderr line and the code are both
 checked; two subprocess tests prove the codes survive the entry point.
 """
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
 from summitwx import hazards
@@ -643,6 +648,22 @@ def test_validate_tables_rejects_band_gap(tmp_path, capsys):
     assert "gap or overlap between levels" in err
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("#6FF46F", "#6FF46G", "17: level 4 color '#6FF46G' is not #RRGGBB"),
+    ("band: 4 | 13 | 19", "band: 4 | 14 | 19", "17: gap or overlap between levels 3 and 4"),
+    ("band: 4 | 13 | 19", "band: 4 | 19 | 13", "17: level 4 band is empty or inverted"),
+    ("band: 5 | 19 | 25", "band: 4 | 19 | 25", "18: duplicate levels: level 4 is repeated"),
+], ids=["color", "gap", "inverted", "duplicate"])
+def test_validate_tables_names_the_line_of_a_bad_band(tmp_path, capsys, old, new, error):
+    table_dir = copy_tables(tmp_path)
+    path = table_dir / "beaufort.table"
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert run(capsys, "validate-tables", "--tables", str(table_dir)) == (
+        1, "", f"error: {path}:{error}\n")
+
+
 def test_validate_tables_rejects_kind_mismatch(tmp_path, capsys):
     table_dir = copy_tables(tmp_path)
     beaufort = (table_dir / "beaufort.table").read_text(encoding="utf-8")
@@ -792,3 +813,94 @@ def test_entry_point_failure_exit_code():
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot read")
+
+
+# ------------------------------------------------ one property over every input
+
+#: Tokens a mutation splices into a line: numbers no reader may take, a
+#: byte-order mark, a carriage return, an Arabic-Indic digit, separators, a
+#: long run.
+_TOKENS = ("nan", "1e309", "-1e309", "inf", "\ufeff", "\r", "\u0661", "|", ":", "-", "#",
+           " ", "0", "x" * 300)
+#: The texts of the checks that a scale table's bands fail one band at a time.
+_BAND_ERRORS = ("band is empty or inverted", "is not #RRGGBB", "gap or overlap",
+                "duplicate levels", "is out of order")
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """One copy of each kind of input in a directory of its own, and each
+    subcommand that reads it, with ``{path}`` for the file a mutation spoils."""
+    root = tmp_path_factory.mktemp("cli-inputs")
+    (root / "calm.txt").write_bytes((FIXTURE_DIR / "calm-day.txt").read_bytes())
+    (root / "severe.txt").write_bytes((FIXTURE_DIR / "severe-day.txt").read_bytes())
+    assert main(["parse", SEVERE, "--out", str(root / "severe.canon")]) == 0
+    (root / "thresholds.txt").write_text(GOOD_THRESHOLDS, encoding="utf-8")
+    tables = copy_tables(root)
+    responses, participants = write_csvs(root)
+    good = str(root / "thresholds.txt")
+    out = str(root / "set")
+    documents = [["parse", "{path}"], ["classify", "{path}", "--triad-thresholds", good],
+                 ["classify", "{path}", "--mode", "overall"],
+                 ["render", "{path}", "--condition", "per-day-icons", "--format", "svg"],
+                 ["render", "{path}", "--condition", "icons", "--format", "html"],
+                 ["stimuli", "{path}", CALM, "--condition", "icons", "--out", out]]
+    with_tables = [["validate-tables", "--tables", str(tables)],
+                   ["classify", SEVERE, "--tables", str(tables)],
+                   ["render", SEVERE, "--condition", "icons", "--format", "plain",
+                    "--tables", str(tables)]]
+    stats = [["stats", "--responses", str(responses), "--participants", str(participants)]]
+    inputs = {root / "calm.txt": documents, root / "severe.txt": documents,
+              root / "severe.canon": documents,
+              root / "thresholds.txt": [["classify", SEVERE, "--triad-thresholds", "{path}"]],
+              responses: stats, participants: stats}
+    inputs.update((path, with_tables) for path in sorted(tables.iterdir()))
+    return [(path, path.read_text(encoding="utf-8"), commands)
+            for path, commands in inputs.items()]
+
+
+def _mutate(text, mutations):
+    lines = text.split("\n")
+    for op, i, j, token in mutations:
+        i, j = i % len(lines), j % len(lines)
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "splice":
+            at = j % (len(lines[i]) + 1)
+            lines[i] = lines[i][:at] + token + lines[i][at:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_subcommand_fails_on_a_mutated_input_with_one_error_line(cli_inputs, data):
+    # cli.main maps every ValueError to exit 1, so one escaping from the math
+    # would pass as an input error: each failure must name an input it was
+    # given, and a scale table's band error the band's line.
+    path, text, commands = data.draw(st.sampled_from(cli_inputs))
+    mutations = data.draw(st.lists(st.tuples(
+        st.sampled_from(("delete", "duplicate", "swap", "splice")),
+        st.integers(0, 1 << 16), st.integers(0, 1 << 16), st.sampled_from(_TOKENS)),
+        min_size=1, max_size=3))
+    argv = [arg.format(path=path) for arg in data.draw(st.sampled_from(commands))]
+    path.write_text(_mutate(text, mutations), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        path.write_text(text, encoding="utf-8")
+    lines = err.getvalue().split("\n")
+    errors = [line for line in lines if line.startswith("error:")]
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        assert errors == []
+        return
+    assert lines[-1] == "" and errors == [lines[-2]], err.getvalue()
+    assert any(arg in errors[0] for arg in argv if os.path.exists(arg)), errors[0]
+    if path.suffix == ".table" and any(words in errors[0] for words in _BAND_ERRORS):
+        assert re.match(rf"error: {re.escape(str(path))}:\d+: ", errors[0]), errors[0]

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import documents, periods
-from helpers import make_doc, make_period, oracle_icon_rows, oracle_position
-from summitwx import hazards
+from helpers import line_events, make_doc, make_period, oracle_icon_rows, oracle_position
+from summitwx import hazards, model
 from summitwx.hazards import (
     KIND_ORDER,
     WIND_DISPLAY_FLOOR,
@@ -395,14 +395,12 @@ def _tamper(tmp_path: Path, name: str, transform) -> Path:
          r"wind_chill\.table:20: band needs 5 fields, got 4"),
         (lambda s: s.replace("domain: -120 | 50", "domain: 5"),
          r"wind_chill\.table:6: domain needs 'low \| high'"),
-        # Integrity errors of the table as a whole.
+        # Integrity errors of the table as a whole, and of the domain line.
         (lambda s: "\n".join(line for line in s.splitlines()
                              if not line.startswith("band:")) + "\n",
          r"wind_chill\.table: no bands$"),
         (lambda s: s.replace("domain: -120 | 50", "domain: 5 | 5"),
-         r"wind_chill\.table: empty domain$"),
-        (lambda s: s.replace("band: 1 | -36 | -16", "band: 1 | -16 | -36"),
-         r"wind_chill\.table: level 1 band is empty or inverted$"),
+         r"wind_chill\.table:6: empty domain$"),
         # A line ends at "\n" only: a comment with a form feed (or any other
         # character str.splitlines() breaks at) is one line, line 8.
         *[(lambda s, c=c: s.replace("closed_edge: high\n", f"closed_edge: high\n# a{c}b\n")
@@ -415,6 +413,37 @@ def test_tampered_table_fails_integrity(tmp_path, transform, message):
     directory = _tamper(tmp_path, "wind_chill.table", transform)
     with pytest.raises(ScaleTableError, match=message):
         load_tables(directory)
+
+
+@pytest.mark.parametrize(
+    "transform, message",
+    [
+        (lambda s: s.replace("band: 1 | -36 | -16", "band: 1 | -16 | -36"),
+         "21: level 1 band is empty or inverted"),
+        (lambda s: s.replace("#6FA8DC", "blue"), "20: level 2 color 'blue' is not #RRGGBB"),
+        # A rule over two bands names the later band's line.
+        (lambda s: s.replace("band: 2 | -60 | -36", "band: 2 | -58 | -36"),
+         "20: gap or overlap between levels 3 and 2"),
+        (lambda s: s.replace("band: 1 | -36 | -16", "band: 1 | -40 | -16"),
+         "21: gap or overlap between levels 2 and 1"),
+        (lambda s: s.replace("band: 2 | -60 | -36 | #6FA8DC | Frostbite in 10 minutes\n", ""),
+         "20: gap or overlap between levels 3 and 1"),
+        # A duplicate or out-of-order level names the first band that breaks the rule.
+        (lambda s: s.replace("band: 1 |", "band: 2 |"),
+         "21: duplicate levels: level 2 is repeated"),
+        (lambda s: s.replace("band: 1 |", "band: 0 |"),
+         "22: duplicate levels: level 0 is repeated"),
+        (lambda s: s.replace("band: 2 |", "band: 5 |"),
+         "20: level 5 is out of order; levels must be strictly monotone across the domain"),
+        (lambda s: s.replace("band: 2 |", "band: -1 |"),
+         "21: level 1 is out of order; levels must be strictly monotone across the domain"),
+    ],
+)
+def test_band_error_names_its_line(tmp_path, transform, message):
+    directory = _tamper(tmp_path, "wind_chill.table", transform)
+    with pytest.raises(ScaleTableError) as err:
+        load_tables(directory)
+    assert str(err.value) == f"{directory / 'wind_chill.table'}:{message}"
 
 
 def _levels_by_kind(icons):
@@ -567,6 +596,25 @@ def test_load_scale_table_single_file():
     assert table.kind is HazardKind.FREEZING_TEMP
     assert table.level_for(31.9) == 1
     assert table.level_for(32) == 0
+
+
+def test_table_reader_cost_grows_linearly_with_bands(tmp_path):
+    # 4x the bands; a pass over the bands read so far, per band, would read
+    # ~16x. The reader's lines run in hazards, and its line splitting in model.
+    def events(n, module):
+        path = tmp_path / f"{n}.table"
+        path.write_text("\n".join([
+            "schema: hazard-scale/1", "kind: wind", "scale_name: long", "unit: mph",
+            f"domain: 0 | {n}", "closed_edge: low", "provenance: drawn",
+            *(f"band: {i} | {i} | {i + 1} | #123456 | L{i}" for i in range(n))]) + "\n",
+            encoding="utf-8")
+        count, table = line_events(module, lambda: load_scale_table(path))
+        assert len(table.bands) == n
+        return count
+
+    for module in (hazards, model):
+        ratio = events(400, module) / events(100, module)
+        assert ratio <= 4.5, (module.__name__, ratio)
 
 
 def test_icons_require_valid_period():

@@ -7,6 +7,7 @@ from ``sys.modules`` in a fresh interpreter; nothing here is timed.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -140,6 +141,38 @@ def test_no_subcommand_loads_the_html_module(tmp_path, argv):
     # The renderer escapes with five replacements of its own; the html
     # module would load its entity table, which escaping does not use.
     run_fresh_without(argv, {"html", "html.entities"}, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "--responses", "{tmp}/responses.csv", "--participants", "{tmp}/participants.csv"],
+     ["validate-tables"]],
+    ids=["stats", "validate-tables"],
+)
+def test_subcommands_without_a_bulletin_do_not_load_datetime(tmp_path, argv):
+    # Only the parsers read a time stamp; model names datetime for type
+    # checkers alone, so a call that parses no bulletin does not import it.
+    write_csvs(tmp_path)
+    run_fresh_without(argv, {"datetime", "_datetime"}, tmp_path)
+
+
+def test_loading_the_tables_does_not_load_datetime():
+    proc = fresh_python("-c", "import sys, summitwx\nsummitwx.load_tables()\n"
+                              "assert 'datetime' not in sys.modules, 'datetime loaded'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_dataclass_has_a_docstring_of_its_own():
+    # Without one, dataclasses writes "Name(field: type, ...)" through
+    # inspect.signature as the class is defined, on every import.
+    undocumented = []
+    for stem in SUBMODULES:
+        module = importlib.import_module(f"summitwx.{stem}")
+        undocumented += [f"{stem}.{name}" for name, obj in vars(module).items()
+                         if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                         and obj.__module__ == module.__name__
+                         and (obj.__doc__ or f"{name}(").startswith(f"{name}(")]
+    assert undocumented == []
 
 
 def test_import_summitwx_loads_no_submodule():
