@@ -232,7 +232,8 @@ def _cmd_stimuli(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .stats import build_report, emit_plot_spec, emit_report, format_report, load_study
+    from .stats import (build_report, degenerate_notes, emit_plot_spec, emit_report,
+                        format_report, load_study)
 
     try:
         participants = load_study(Path(args.responses), Path(args.participants))
@@ -247,6 +248,8 @@ def _cmd_stats(args) -> int:
     if args.plot_spec:
         files.append((args.plot_spec, emit_plot_spec(report)))
     _write(*files)
+    for note in degenerate_notes(report):
+        print(f"note: {note}", file=sys.stderr)
     sys.stdout.write(text)
     return 0
 

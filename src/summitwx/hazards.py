@@ -31,6 +31,7 @@ from .model import (
     ForecastDocument,
     ForecastPeriod,
     _fmt_num,
+    _fold,
     _key_values,
     _read_input,
     _read_number,
@@ -513,15 +514,18 @@ class TriadAdvisory:
     verdict: TriadVerdict
 
 
-_VISIBILITY_NOTE_RE = re.compile(r"\b(fog|visibility|whiteout)\b", re.IGNORECASE)
+# The parser's hazard words without ``flood``, matched on the folded note as
+# the parser matches them: ``fog`` as a word prefix, the others whole.
+_VISIBILITY_NOTE_RE = re.compile(r"\b(?:fog|visibility\b|whiteout\b)")
 
 
 def triad_advisory(period: ForecastPeriod, thresholds: TriadThresholds) -> TriadAdvisory:
     """Go / caution / no-go verdict from the wind-visibility-temperature triad.
 
     One factor at a dangerous level means caution; two or more mean no-go.
-    Visibility counts as dangerous when a fog/visibility hazard note was
-    parsed out of the forecast text.
+    Visibility counts as dangerous when a hazard note holds a word starting
+    ``fog`` or the word ``visibility`` or ``whiteout``, its ASCII letters in
+    any case.
     """
     if thresholds is None:
         raise ValueError("triad thresholds must be supplied explicitly")
@@ -530,7 +534,7 @@ def triad_advisory(period: ForecastPeriod, thresholds: TriadThresholds) -> Triad
         dangerous.add("wind")
     if period.temperature.low <= thresholds.temperature_low_f:
         dangerous.add("temperature")
-    if any(_VISIBILITY_NOTE_RE.search(note) for note in period.extra_hazard_notes):
+    if any(_VISIBILITY_NOTE_RE.search(_fold(note)) for note in period.extra_hazard_notes):
         dangerous.add("visibility")
     verdict = (
         TriadVerdict.GO if not dangerous

@@ -16,8 +16,10 @@ broken rule as a diagnostic instead of raising.
 The study layout conditions, their command-line tokens, the render formats
 and the canonical number grammar and formatter live here too, so that the
 statistics lane can name a condition without importing the renderer, and
-the renderer can print a number without importing a parser. So does the
-one reader that turns an input file into text and numbered lines.
+the renderer can print a number without importing a parser. So do the
+one reader that turns an input file into text and numbered lines, and the
+one ASCII case fold that the parser's and the triad's keywords are matched
+on.
 """
 
 from __future__ import annotations
@@ -126,6 +128,21 @@ def _key_values(text: str):
         if line and not line.startswith("#"):
             key, sep, value = line.partition(":")
             yield lineno, key.strip(), value.strip() if sep else None
+
+
+_FOLD = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b"abcdefghijklmnopqrstuvwxyz")
+
+
+def _fold(text: str) -> str:
+    """``text`` with ASCII ``A-Z`` mapped to ``a-z`` and every other
+    character kept, so the fold has the same length and every span indexes
+    both strings. A keyword is matched case-sensitively on the fold, so a
+    letter that only Unicode case folding equates with an ASCII one (``ſ``,
+    ``K``, ``ı``) is not a keyword letter. UTF-8 keeps ASCII bytes for ASCII
+    characters only, and ``str.translate`` would take a per-character path
+    on non-ASCII text."""
+    raw = text.encode("utf-8", "surrogatepass").translate(_FOLD)
+    return raw.decode("utf-8", "surrogatepass")
 
 
 def _fmt_num(x: float) -> str:

@@ -400,6 +400,27 @@ def format_report(report: StatsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def degenerate_notes(report: StatsReport) -> Iterator[str]:
+    """One line for each statistic of ``report`` that a degenerate study
+    gives by a shortcut instead of its formula, in report order: a group
+    whose SD is 0, an infinite F or t, and an R^2 of exactly 0 with p 1 or
+    exactly 1 with p 0."""
+    for g in report.groups:
+        if g.sd == 0.0:
+            yield f"{g.condition.value}: SD is 0, so the 95% CI is the mean"
+    if math.isinf(report.anova.f_statistic):
+        yield "ANOVA: every group is constant and the means differ, so F is inf and p is 0"
+    for pw in report.pairwise:
+        if math.isinf(pw.t_statistic):
+            yield (f"{pw.group_a} vs {pw.group_b}: both groups are constant and the means "
+                   f"differ, so t is {_fixed(pw.t_statistic, 3)} and p is 0")
+    r = report.regression
+    if (r.r_squared, r.p_value) == (0.0, 1.0):
+        yield "regression: the line explains none of the variance, so R^2 is 0 and p is 1"
+    elif (r.r_squared, r.p_value) == (1.0, 0.0):
+        yield "regression: every participant lies on the line, so R^2 is 1 and p is 0"
+
+
 def emit_report(report: StatsReport) -> str:
     """Machine-readable report, schema ``hsf-stats/1``, full float precision."""
     lines = ["schema: hsf-stats/1"]

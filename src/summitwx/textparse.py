@@ -10,7 +10,10 @@ Each period block is read in one left-to-right pass over its tokens:
 sentence breaks, field labels, numbers, gust words, precipitation and
 certainty keywords, and hazard keywords. A labelled statement is read
 where it ends, its numbers right to left, so that a trailing ``below
-zero`` reaches back across a range.
+zero`` reaches back across a range. The token scan begins with one class
+of every character a token can start with, so it skips every other
+character without entering the regex matcher; only then does it decide
+which token it is, a keyword's phrases in the order they are listed.
 
 Grammar token sets. Keywords are ASCII letters in any case: the text is
 folded once, ``A-Z`` to ``a-z``, and matched case-sensitively, so a
@@ -53,6 +56,7 @@ from .model import (
     WindPrediction,
     _document,
     _fmt_num,
+    _fold,
     _period,
 )
 
@@ -121,55 +125,56 @@ _COMPASS_RE = re.compile(  # the 16 points, longest first
     rf"\b({'|'.join(sorted(map(str.lower, COMPASS_POINTS), key=len, reverse=True))})\b(?!/)"
 )
 # The tokens of a period block. No two can overlap, so one left-to-right
-# pass finds every token the grammar knows. The scan tries the alternatives
-# at every character: one that begins with a character class is rejected on
-# that character, but one that begins with an assertion or an optional part
-# is entered there. So no alternative matches empty, and only the keywords
-# begin with an assertion (``\b``):
+# pass finds every token the grammar knows:
 # * a number begins with its sign or first digit and ends in a digit, so a
 #   lone hyphen is no number. It looks ahead for a ``below [zero]`` after it
 #   (_BELOW_RE) and keeps that in its ``below`` group;
 # * a sentence stop is ``.``, ``!`` or ``?`` with the whitespace after it,
 #   and stops at that whitespace. The block's last sentence stops at the
 #   block's end, which the loop reads after the scan as one more stop
-#   (_BLOCK_END_RE).
+#   (_BLOCK_END_RE);
+# * a keyword is one of its token's phrases, tried in the order listed, so
+#   a precipitation phrase comes before any phrase it starts with. A label
+#   ends at its colon and any other phrase at a word boundary, except
+#   ``flood`` and ``fog``, which are word prefixes, so that digits glued to
+#   one still read as a number.
 # Each token holds an empty group named for it, which closes after any other
-# group of the token and so names the match. A precipitation token is named
-# for its PrecipKind, each phrase before any phrase it starts with. A hazard
-# keyword is matched as a word prefix, so digits glued to it still read as a
-# number.
+# group of the token and so names the match; a precipitation token is named
+# for its PrecipKind.
+#
+# The pattern begins with one class of every character a token can start
+# with, so the scan skips every other character without entering the
+# matcher; an alternative that began with an assertion, such as a keyword's
+# leading ``\b``, would be entered at every character. Each alternative then
+# checks the consumed character with a lookbehind. A keyword's ``(?<!\w.)``,
+# read after its first letter, is the ``\b`` before that letter; each phrase
+# is written from its second letter, its first two checked behind it, so
+# that it is rejected on one character. No alternative matches empty.
 _WORD_TOKENS = (
-    ("temp", r"temperatures?\s*:"),
-    ("chill", r"wind\s+chills?\s*:"),
-    ("wind", r"winds?\s*:"),
-    ("gust", r"gust(?:s|ing)?\b"),
-    ("likely", r"likely\b"),
-    ("chance", r"chance\b"),
-    ("hazard", r"(?:flood|fog|visibility\b|whiteout\b)"),
-    ("FREEZING_RAIN", r"freezing\s+rain\b"),
-    ("MIXED", r"(?:wintry\s+mix|mixed\s+precipitation)\b"),
-    ("SNOW", r"(?:snow\s+showers|snowfall|flurries|snow)\b"),
-    ("SLEET", r"sleet\b"),
-    ("RAIN", r"(?:rain\s+showers|rain)\b"),
+    ("temp", (r"temperatures?\s*:",)),
+    ("chill", (r"wind\s+chills?\s*:",)),
+    ("wind", (r"winds?\s*:",)),
+    ("gust", (r"gust(?:s|ing)?\b",)),
+    ("likely", (r"likely\b",)),
+    ("chance", (r"chance\b",)),
+    ("hazard", ("flood", "fog", r"visibility\b", r"whiteout\b")),
+    ("FREEZING_RAIN", (r"freezing\s+rain\b",)),
+    ("MIXED", (r"wintry\s+mix\b", r"mixed\s+precipitation\b")),
+    ("SNOW", (r"snow\s+showers\b", r"snowfall\b", r"flurries\b", r"snow\b")),
+    ("SLEET", (r"sleet\b",)),
+    ("RAIN", (r"rain\s+showers\b", r"rain\b")),
 )
+_TOKEN_FIRST = "-0-9.!?" + "".join(sorted({p[0] for _, ps in _WORD_TOKENS for p in ps}))
 _TOKEN_RE = re.compile(
-    rf"[-0-9][0-9]*(?<=[0-9])(?:\.[0-9]+)?(?=(?P<below>{_BELOW_RE.pattern}))?(?P<number>)"
-    r"|[.!?](?P<stop>)\s+|\b(?:"
-    + "|".join(f"{pattern}(?P<{name}>)" for name, pattern in _WORD_TOKENS) + ")"
+    rf"[{_TOKEN_FIRST}](?:(?<=[-0-9])[0-9]*(?<=[0-9])(?:\.[0-9]+)?"
+    rf"(?=(?P<below>{_BELOW_RE.pattern}))?(?P<number>)"
+    r"|(?<=[.!?])(?P<stop>)\s+|(?<!\w.)(?:"
+    + "|".join(f"(?:{'|'.join(f'{p[1]}(?<={p[:2]}){p[2:]}' for p in phrases)})(?P<{name}>)"
+               for name, phrases in _WORD_TOKENS) + "))"
 )
 _BLOCK_END_RE = re.compile("(?P<stop>)")
 _LABELS = frozenset(("temp", "chill", "wind"))
-_FOLD = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b"abcdefghijklmnopqrstuvwxyz")
 _SPACE_RUN_RE = re.compile(r"\s+")
-
-
-def _fold(text: str) -> str:
-    """``text`` with ASCII ``A-Z`` mapped to ``a-z`` and every other
-    character kept, so the fold has the same length and every span indexes
-    both strings. UTF-8 keeps ASCII bytes for ASCII characters only, and
-    ``str.translate`` would take a per-character path on non-ASCII text."""
-    raw = text.encode("utf-8", "surrogatepass").translate(_FOLD)
-    return raw.decode("utf-8", "surrogatepass")
 
 
 class _Scan:

@@ -22,6 +22,7 @@ from summitwx import hazards
 from summitwx.canonical import parse_canonical
 from summitwx.cli import main
 from summitwx.layout import condition_from_token, render
+from summitwx.stats import build_report, emit_plot_spec, emit_report, format_report, load_study
 from summitwx.textparse import parse_forecast
 
 SEVERE = str(FIXTURE_DIR / "severe-day.txt")
@@ -345,6 +346,29 @@ def test_classify_triad_advisory_section(tmp_path, capsys):
     ]
 
 
+def test_classify_triad_reads_a_fog_word_the_parser_kept(tmp_path, capsys):
+    # The parser keeps a note holding any word starting ``fog``, and the
+    # triad counts it as visibility.
+    bulletin = tmp_path / "foggy-day.txt"
+    text = (FIXTURE_DIR / "calm-day.txt").read_text(encoding="utf-8")
+    bulletin.write_text(text.replace("Today: Mostly sunny.", "Today: Foggy at times.", 1),
+                        encoding="utf-8")
+    thresholds = tmp_path / "thresholds.txt"
+    thresholds.write_text("wind_high_mph: 200\ntemperature_low_f: -100\n", encoding="utf-8")
+    code, out, _ = run(capsys, "parse", str(bulletin))
+    assert code == 0
+    assert "hazard_note: Foggy at times.\n" in out
+    code, out, _ = run(capsys, "classify", str(bulletin), "--triad-thresholds", str(thresholds))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("triad advisory:") + 1:] == [
+        "  1. Today: caution (visibility)",
+        "  2. Tonight: go (none)",
+        "  3. Tomorrow: go (none)",
+        "  4. Tomorrow night: go (none)",
+    ]
+
+
 def test_classify_writes_out_file(tmp_path, capsys):
     out_path = tmp_path / "icons.txt"
     code, out, _ = run(capsys, "classify", CALM, "--out", str(out_path))
@@ -540,6 +564,37 @@ def test_stats_correction_names_the_multiplier_it_applied(tmp_path, capsys):
     assert code == 0
     assert "Pairwise comparisons (Bonferroni multiplier 3):\n" in out
     assert "raw p = 0.1056, adjusted p = 0.3167\n" in out
+
+
+def test_stats_notes_each_degenerate_statistic_on_stderr(tmp_path, capsys):
+    # Every group is constant: 3 participants per condition, with grips 1, 2
+    # and 3, and every rating of the k-th condition 10 * k. So each SD is 0,
+    # F and every t are infinite, and the flat line's R^2 is 0 with p 1.
+    tokens = ("baseline", "summary-last", "icons", "per-day-icons")
+    participants = PARTICIPANTS_CSV.splitlines()[0] + "\n"
+    responses = RESPONSES_CSV.splitlines()[0] + "\n"
+    for k, token in enumerate(tokens, start=1):
+        for grips in (1, 2, 3):
+            participants += f"p{k}{grips},{token},{grips},true,false\n"
+            responses += f"p{k}{grips},f1," + ",".join([str(10 * k)] * 6) + "\n"
+    r_path, p_path = write_csvs(tmp_path, participants, responses)
+    report_path, plot_path = tmp_path / "report.txt", tmp_path / "plot.tsv"
+    argv = ("stats", "--responses", str(r_path), "--participants", str(p_path))
+    code, out, err = run(capsys, *argv, "--out", str(report_path), "--plot-spec", str(plot_path))
+    assert code == 0
+    report = build_report(load_study(r_path, p_path))
+    assert out == format_report(report)
+    assert report_path.read_text(encoding="utf-8") == emit_report(report)
+    assert plot_path.read_text(encoding="utf-8") == emit_plot_spec(report)
+    groups = [c.value for c in map(condition_from_token, tokens)]
+    pairs = [(a, b) for i, a in enumerate(groups) for b in groups[i + 1:]]
+    assert err.splitlines() == [
+        *(f"note: {g}: SD is 0, so the 95% CI is the mean" for g in groups),
+        "note: ANOVA: every group is constant and the means differ, so F is inf and p is 0",
+        *(f"note: {a} vs {b}: both groups are constant and the means differ, "
+          "so t is -inf and p is 0" for a, b in pairs),
+        "note: regression: the line explains none of the variance, so R^2 is 0 and p is 1",
+    ]
 
 
 def test_stats_empty_data_exit_1(tmp_path, capsys):

@@ -327,6 +327,26 @@ def test_triad_advisory_counts_dangerous_factors():
     )
 
 
+@pytest.mark.parametrize("note, visibility", [
+    ("Foggy at times.", True),
+    ("FOG in the notches.", True),
+    ("The summit stays fogbound.", True),
+    ("Whiteout conditions above treeline.", True),
+    ("Low visibility in snow.", True),
+    # A letter that only Unicode case folding equates with an ASCII one.
+    ("V\u0131s\u0131b\u0131l\u0131ty near zero.", False),
+    ("V\u0130S\u0130B\u0130L\u0130TY near zero.", False),
+    # Not a word starting ``fog``, and the parser's ``flood`` is no visibility word.
+    ("The col is befogged.", False),
+    ("A flood watch is in effect.", False),
+])
+def test_triad_visibility_reads_the_parsers_hazard_words(note, visibility):
+    thresholds = TriadThresholds(wind_high_mph=200, temperature_low_f=-100)
+    period = make_period(wind=(5, 10), temp=(40, 50), notes=(note,))
+    advisory = triad_advisory(period, thresholds)
+    assert advisory.factors_dangerous == (frozenset({"visibility"}) if visibility else frozenset())
+
+
 def test_triad_advisory_needs_explicit_thresholds():
     with pytest.raises(ValueError, match="triad thresholds must be supplied explicitly"):
         triad_advisory(make_period(), None)

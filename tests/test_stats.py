@@ -35,6 +35,7 @@ from summitwx.stats import (
     Participant,
     StudyDataError,
     build_report,
+    degenerate_notes,
     emit_plot_spec,
     emit_report,
     format_report,
@@ -1072,6 +1073,18 @@ def test_build_report_reads_one_t_quantile_per_group_size(monkeypatch, sizes, df
 
 def test_build_report_is_deterministic():
     assert build_report(study_records()) == build_report(study_records())
+
+
+def test_degenerate_notes_name_an_exact_line_and_nothing_in_a_study_without_shortcuts():
+    # Risk is exactly ten times the propensity score, and the two groups vary.
+    on_line = [record(f"p{i}", LayoutCondition.BASELINE if i % 2 else LayoutCondition.ICONS,
+                      mean_risk=10.0 * i, grips=float(i)) for i in range(1, 9)]
+    report = build_report(on_line)
+    assert (report.regression.r_squared, report.regression.p_value) == (1.0, 0.0)
+    assert list(degenerate_notes(report)) == [
+        "regression: every participant lies on the line, so R^2 is 1 and p is 0",
+    ]
+    assert list(degenerate_notes(build_report(study_records()))) == []
 
 
 def test_build_report_passes_correction_count_through():

@@ -4,14 +4,19 @@ import textwrap
 import time
 from datetime import datetime
 
+try:
+    from re import _parser as sre_parse  # the pattern parser re compiles from (3.11+)
+except ImportError:
+    import sre_parse
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summitwx import textparse
-from summitwx.model import Certainty, PrecipEvent, PrecipKind
+from summitwx.model import Certainty, PrecipEvent, PrecipKind, _fold
 from summitwx.textparse import (
-    EPOCH, Severity, _coverage, _fold, _Scan, format_diagnostic, parse_forecast,
+    EPOCH, Severity, _coverage, _Scan, format_diagnostic, parse_forecast,
 )
 
 from conftest import FIXTURE_NAMES, spellable_documents
@@ -312,6 +317,8 @@ _BLOCK_PIECES = st.one_of(
         "gust", "gusts", "gusting", "gusty", "snow", "snow showers", "snowfall", "flurries",
         "freezing rain", "wintry mix", "mixed precipitation", "rain", "rain showers", "sleet",
         "likely", "chance", "fog", "flooding", "visibility", "whiteout",
+        # Word characters that, glued to a keyword, leave no word boundary.
+        "_", "\u00e9", "\u0663", "\u017f", "\u212a", "x3",
     ]),
 )
 _BLOCK_GAPS = st.sampled_from(["", " ", "  ", "\n", " \n ", "\t", "\x0b", "\n\n"])
@@ -342,6 +349,21 @@ def test_the_token_scan_reads_the_tokens_of_the_zero_width_stop_scan(pieces, las
             m.span("below") if m.lastgroup == "number" else (-1, -1))
            for m in scanned]
     assert got == want
+
+
+def test_token_pattern_begins_with_the_class_of_token_first_characters():
+    # A pattern that begins with a character class lets the scan skip every
+    # other character without entering the matcher; an assertion or a branch
+    # put first would lose that skip without changing a token.
+    first, *_ = sre_parse.parse(textparse._TOKEN_RE.pattern).data
+    assert first[0] is sre_parse.IN
+    chars = set()
+    for op, value in first[1]:
+        assert op in (sre_parse.LITERAL, sre_parse.RANGE)
+        low, high = (value, value) if op is sre_parse.LITERAL else value
+        chars.update(map(chr, range(low, high + 1)))
+    letters = {phrase[0] for _, phrases in textparse._WORD_TOKENS for phrase in phrases}
+    assert chars == set("-0123456789.!?") | letters
 
 
 def test_token_pattern_never_matches_empty():
@@ -523,6 +545,18 @@ def test_a_long_whitespace_run_after_degrees_reads_in_linear_time():
     assert time.perf_counter() - started < 0.5
     assert long.periods[0] == short.periods[0]
     assert (short.periods[0].temperature.low, short.periods[0].temperature.high) == (-20, 10)
+
+
+@pytest.mark.parametrize("piece", ["t", "w ", "-", "1-", ". ", "sn", "1 below "])
+def test_a_long_run_of_token_first_characters_reads_in_linear_time(piece):
+    # Every character of the run enters the matcher, and each must be given
+    # up, or read as one short token, without reading on through the run.
+    short = parse_ok(mini("Temperatures: 10-20. Winds: NW 10-20 mph.")).document
+    run = piece * (200_000 // len(piece))
+    started = time.perf_counter()
+    long = parse_ok(mini(f"Temperatures: 10-20. Winds: NW 10-20 mph. {run}")).document
+    assert time.perf_counter() - started < 0.5
+    assert long.periods[0] == short.periods[0]
 
 
 def test_a_long_whitespace_run_inside_the_issued_line_reads_in_linear_time():
