@@ -403,17 +403,25 @@ def format_report(report: StatsReport) -> str:
 def degenerate_notes(report: StatsReport) -> Iterator[str]:
     """One line for each statistic of ``report`` that a degenerate study
     gives by a shortcut instead of its formula, in report order: a group
-    whose SD is 0, an infinite F or t, and an R^2 of exactly 0 with p 1 or
-    exactly 1 with p 0."""
+    whose SD is 0, an infinite F or t, an F or t of 0 where the formula is
+    0/0 (the groups constant, their means equal), and an R^2 of exactly 0
+    with p 1 or exactly 1 with p 0."""
+    constant = {g.condition.value for g in report.groups if g.sd == 0.0}
     for g in report.groups:
         if g.sd == 0.0:
             yield f"{g.condition.value}: SD is 0, so the 95% CI is the mean"
-    if math.isinf(report.anova.f_statistic):
+    f = report.anova.f_statistic
+    if math.isinf(f):
         yield "ANOVA: every group is constant and the means differ, so F is inf and p is 0"
+    elif f == 0.0 and len(constant) == len(report.groups):
+        yield "ANOVA: every group is constant and the means are equal, so F is 0 and p is 1"
     for pw in report.pairwise:
         if math.isinf(pw.t_statistic):
             yield (f"{pw.group_a} vs {pw.group_b}: both groups are constant and the means "
                    f"differ, so t is {_fixed(pw.t_statistic, 3)} and p is 0")
+        elif pw.t_statistic == 0.0 and {pw.group_a, pw.group_b} <= constant:
+            yield (f"{pw.group_a} vs {pw.group_b}: both groups are constant and the means "
+                   "are equal, so t is 0 and p is 1")
     r = report.regression
     if (r.r_squared, r.p_value) == (0.0, 1.0):
         yield "regression: the line explains none of the variance, so R^2 is 0 and p is 1"

@@ -109,11 +109,12 @@ def format_diagnostic(diag: Diagnostic, text: str) -> str:
 _WEEKDAYS = "monday|tuesday|wednesday|thursday|friday|saturday|sunday"
 # Every pattern below is matched against the folded text (see _fold), so its
 # keywords are spelled in lower case and match ASCII letters in any case.
-_HEADER_RE = re.compile(
-    rf"^[ \t]*(today|tonight|this afternoon|overnight|tomorrow(?: night)?"
-    rf"|(?:{_WEEKDAYS})(?: night)?)[ \t]*:",
-    re.MULTILINE,
+_HEADER_BODY = (
+    rf"[ \t]*(today|tonight|this afternoon|overnight|tomorrow(?: night)?"
+    rf"|(?:{_WEEKDAYS})(?: night)?)[ \t]*:"
 )
+_HEADER_RE = re.compile("^" + _HEADER_BODY, re.MULTILINE)
+_HEADER_LINE_RE = re.compile(rf"\n(?={_HEADER_BODY})")  # see _headers
 # The stamp runs from the line's first non-blank to its last, or is the last
 # blank of a line of blanks; a bare ``issued:`` does not match. The greedy
 # ``.*`` finds the last non-blank by backing off from the line's end once, so
@@ -352,6 +353,19 @@ def _parse_period(scan: _Scan, folded: str, header: re.Match, block: tuple[int, 
     )
 
 
+def _headers(folded: str) -> list[re.Match]:
+    """The matches of ``_HEADER_RE.finditer(folded)``, the same spans and groups.
+
+    CPython's regex search skips to a pattern's leading literal without
+    entering the matcher, but enters it at every character for a leading
+    ``^``. So the first line is matched on its own, and each later header is
+    searched for from the newline before it and then read by ``_HEADER_RE``."""
+    first = _HEADER_RE.match(folded)
+    headers = [first] if first else []
+    headers += [_HEADER_RE.match(folded, m.end()) for m in _HEADER_LINE_RE.finditer(folded)]
+    return headers
+
+
 def _gaps(scan: _Scan) -> list[tuple[int, int]]:
     """Each span of the text that no recognized span reaches, in order."""
     gaps, end, n = [], 0, len(scan.text)
@@ -362,11 +376,25 @@ def _gaps(scan: _Scan) -> list[tuple[int, int]]:
     return gaps
 
 
+# 1 for each byte that is not whitespace, by str.isspace(), else 0.
+_NON_SPACE = bytes(0 if chr(b).isspace() else 1 for b in range(256))
+
+
 def _coverage(scan: _Scan) -> float:
-    # str.split() and str.isspace() share one whitespace table, so joining
-    # the split pieces counts the non-whitespace characters.
-    total = len("".join(scan.text.split()))
-    missed = sum(len("".join(scan.text[a:b].split())) for a, b in _gaps(scan))
+    text = scan.text
+    if text.isascii():
+        # In ASCII text a byte offset is a character offset, so each span's
+        # non-whitespace characters are counted on one byte mask of the text,
+        # in C and with no copy of the span. In other text a UTF-8 byte
+        # offset is not a character offset, so it keeps the split count.
+        mask = text.encode("ascii").translate(_NON_SPACE)
+        total = mask.count(1)
+        missed = sum(mask.count(1, a, b) for a, b in _gaps(scan))
+    else:
+        # str.split() and str.isspace() share one whitespace table, so
+        # joining the split pieces counts the non-whitespace characters.
+        total = len("".join(text.split()))
+        missed = sum(len("".join(text[a:b].split())) for a, b in _gaps(scan))
     return (total - missed) / total if total else 0.0
 
 
@@ -381,7 +409,7 @@ def parse_forecast(text: str, source_id: str = "") -> ParseResult:
     scan = _Scan(text=text)
     folded = _fold(text)
 
-    headers = list(_HEADER_RE.finditer(folded))
+    headers = _headers(folded)
     if len(headers) != 4:
         scan.error((0, min(len(text), 1)), f"expected 4 periods, found {len(headers)}")
         return ParseResult(None, tuple(scan.diagnostics), _coverage(scan))

@@ -597,6 +597,39 @@ def test_stats_notes_each_degenerate_statistic_on_stderr(tmp_path, capsys):
     ]
 
 
+def test_stats_notes_an_f_and_a_t_of_zero_over_zero_on_stderr(tmp_path, capsys):
+    # Every rating is 10: 3 participants per condition, with grips 1, 2 and
+    # 3, so every group is constant with one shared mean, and F and every t
+    # are 0/0, given as 0 with p 1.
+    tokens = ("baseline", "summary-last", "icons", "per-day-icons")
+    participants = PARTICIPANTS_CSV.splitlines()[0] + "\n"
+    responses = RESPONSES_CSV.splitlines()[0] + "\n"
+    for k, token in enumerate(tokens, start=1):
+        for grips in (1, 2, 3):
+            participants += f"p{k}{grips},{token},{grips},true,false\n"
+            responses += f"p{k}{grips},f1," + ",".join(["10"] * 6) + "\n"
+    r_path, p_path = write_csvs(tmp_path, participants, responses)
+    report_path, plot_path = tmp_path / "report.txt", tmp_path / "plot.tsv"
+    argv = ("stats", "--responses", str(r_path), "--participants", str(p_path))
+    code, out, err = run(capsys, *argv, "--out", str(report_path), "--plot-spec", str(plot_path))
+    assert code == 0
+    report = build_report(load_study(r_path, p_path))
+    assert out == format_report(report)
+    assert report_path.read_text(encoding="utf-8") == emit_report(report)
+    assert plot_path.read_text(encoding="utf-8") == emit_plot_spec(report)
+    assert (report.anova.f_statistic, report.anova.p_value) == (0.0, 1.0)
+    assert {(pw.t_statistic, pw.p_raw) for pw in report.pairwise} == {(0.0, 1.0)}
+    groups = [c.value for c in map(condition_from_token, tokens)]
+    pairs = [(a, b) for i, a in enumerate(groups) for b in groups[i + 1:]]
+    assert err.splitlines() == [
+        *(f"note: {g}: SD is 0, so the 95% CI is the mean" for g in groups),
+        "note: ANOVA: every group is constant and the means are equal, so F is 0 and p is 1",
+        *(f"note: {a} vs {b}: both groups are constant and the means are equal, "
+          "so t is 0 and p is 1" for a, b in pairs),
+        "note: regression: the line explains none of the variance, so R^2 is 0 and p is 1",
+    ]
+
+
 def test_stats_empty_data_exit_1(tmp_path, capsys):
     r_path, p_path = write_csvs(
         tmp_path, participants=PARTICIPANTS_CSV.splitlines()[0] + "\n",

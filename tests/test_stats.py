@@ -1087,6 +1087,31 @@ def test_degenerate_notes_name_an_exact_line_and_nothing_in_a_study_without_shor
     assert list(degenerate_notes(build_report(study_records()))) == []
 
 
+def test_degenerate_notes_name_an_f_and_a_t_of_zero_only_where_the_formula_is_zero_over_zero():
+    # Constant groups with one shared mean: F and t are 0/0, given as 0 with p 1.
+    flat = [record(f"{c.value}{g}", c, mean_risk=50.0, grips=float(g))
+            for c in (LayoutCondition.BASELINE, LayoutCondition.ICONS) for g in (1, 2, 3)]
+    report = build_report(flat)
+    (pair,) = report.pairwise
+    assert (report.anova.f_statistic, report.anova.p_value) == (0.0, 1.0)
+    assert (pair.t_statistic, pair.p_raw) == (0.0, 1.0)
+    assert list(degenerate_notes(report)) == [
+        "baseline: SD is 0, so the 95% CI is the mean",
+        "icons: SD is 0, so the 95% CI is the mean",
+        "ANOVA: every group is constant and the means are equal, so F is 0 and p is 1",
+        "baseline vs icons: both groups are constant and the means are equal, "
+        "so t is 0 and p is 1",
+        "regression: the line explains none of the variance, so R^2 is 0 and p is 1",
+    ]
+    # Equal means with spread inside the groups: 0 is the formula's own value.
+    spread = [record(f"{c.value}{g}", c, mean_risk=40.0 + 10 * g, grips=float(g % 3))
+              for c in (LayoutCondition.BASELINE, LayoutCondition.ICONS) for g in (1, 2, 3)]
+    report = build_report(spread)
+    (pair,) = report.pairwise
+    assert (report.anova.f_statistic, pair.t_statistic) == (0.0, 0.0)
+    assert list(degenerate_notes(report)) == []
+
+
 def test_build_report_passes_correction_count_through():
     report = build_report(study_records(), correction_count=6)
     (pair,) = report.pairwise

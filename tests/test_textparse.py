@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from summitwx import textparse
 from summitwx.model import Certainty, PrecipEvent, PrecipKind, _fold
 from summitwx.textparse import (
-    EPOCH, Severity, _coverage, _Scan, format_diagnostic, parse_forecast,
+    _HEADER_RE, EPOCH, Severity, _coverage, _headers, _Scan, format_diagnostic, parse_forecast,
 )
 
 from conftest import FIXTURE_NAMES, spellable_documents
@@ -559,6 +559,23 @@ def test_a_long_run_of_token_first_characters_reads_in_linear_time(piece):
     assert long.periods[0] == short.periods[0]
 
 
+@pytest.mark.parametrize("run", [
+    "\n" + " \t" * 100_000,  # blanks and tabs after a newline
+    "\n" * 200_000,  # every position follows a newline
+    "x" * 200_000,  # one line with no newline
+    "\nTonight " * 25_000,  # lines that are headers but for the colon
+])
+def test_a_long_run_after_the_last_header_reads_in_linear_time(run):
+    # Each newline is a candidate header line, which must be given up on the
+    # line's first character that no header can have.
+    text = mini("Temperatures: 10-20. Winds: NW 10-20 mph.")
+    short = parse_ok(text)
+    started = time.perf_counter()
+    long = parse_ok(text + run)
+    assert time.perf_counter() - started < 0.5
+    assert long.document == short.document
+
+
 def test_a_long_whitespace_run_inside_the_issued_line_reads_in_linear_time():
     # The stamp ends at the line's last non-blank; a blank run with more text
     # after it must be read once, not once per character of the run.
@@ -642,6 +659,27 @@ def test_unreadable_issued_line_is_warning_and_epoch():
     warnings = [d for d in result.diagnostics if d.severity is Severity.WARNING]
     assert any("unreadable issue timestamp" in d.message for d in warnings)
     assert result.document.issued_at == EPOCH
+
+
+# Header words in mixed case, the characters a header may hold, the line
+# breaks of str.splitlines(), of which ``^`` treats only ``\n`` as one, and
+# other letters.
+_HEADER_PIECES = (
+    "Today", "TONIGHT", "this Afternoon", "overnight", "Tomorrow", "tomorrow night",
+    "Monday", "SUNDAY night", "friday", " night", "night", " ", "\t", "\n", "\x0b", "\x0c",
+    "\x1c", "\u2028", ":", "x", "é", "\u212a",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_HEADER_PIECES), max_size=40).map("".join))
+def test_the_header_search_finds_the_matches_of_a_whole_text_scan(text):
+    folded = _fold(text)
+    expected = list(_HEADER_RE.finditer(folded))
+    found = _headers(folded)
+    assert [(m.span(), m.groups()) for m in found] == [(m.span(), m.groups()) for m in expected]
+    if text and len(expected) != 4:
+        assert parse_forecast(text).errors[0].message == f"expected 4 periods, found {len(expected)}"
 
 
 def test_period_headers_must_start_a_line():
@@ -749,9 +787,20 @@ def _coverage_by_character(scan: _Scan) -> float:
     return covered / total
 
 
+# ASCII text, which is counted on a byte mask: the ten ASCII whitespace
+# characters, NUL, letters and punctuation.
+_ASCII_TEXT = st.text(alphabet=st.sampled_from("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x00aZ.9-"),
+                      max_size=80)
+# Text with one character at or above U+0100, which is counted by splitting.
+_WIDE_TEXT = st.tuples(
+    st.text(alphabet=st.sampled_from(_WHITESPACE + "aZé.9-"), max_size=80),
+    st.characters(min_codepoint=0x100), st.integers(0, 80),
+).map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+
+
 @st.composite
 def _scans(draw):
-    text = draw(st.text(alphabet=st.sampled_from(_WHITESPACE + "aZé.9-"), max_size=80))
+    text = draw(st.one_of(_ASCII_TEXT, _WIDE_TEXT))
     spans = draw(st.lists(
         st.tuples(st.integers(0, len(text)), st.integers(0, len(text))), max_size=8,
     ))
