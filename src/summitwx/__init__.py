@@ -19,9 +19,9 @@ _EXPORTS = {
     "hazards": (
         "KIND_ORDER", "WIND_DISPLAY_FLOOR", "HazardIcon", "HazardKind", "ScaleBand",
         "ScaleTable", "ScaleTableError", "TriadAdvisory", "TriadThresholds", "TriadVerdict",
-        "beaufort_force", "derive_document_icons", "derive_icon_rows", "derive_icons",
-        "load_scale_table", "load_tables", "period_wind_chill", "round_half_away",
-        "triad_advisory", "wind_chill", "wind_chill_category",
+        "beaufort_force", "derive_document_icons", "derive_icon_rows", "load_scale_table",
+        "load_tables", "period_wind_chill", "round_half_away", "triad_advisory", "wind_chill",
+        "wind_chill_category",
     ),
     "layout": (
         "STYLESHEET_VERSION", "RenderedDocument", "render", "render_icon", "render_stimulus_set",

@@ -1,10 +1,11 @@
 """Cold-weather hazard classification driven by shipped scale tables.
 
-Derives at most one icon per hazard kind (wind, wind chill, freezing
-temperature, winter precipitation) from a forecast period, in a fixed
-order, using only the period's own fields plus the packaged scale tables.
-Nothing else -- no clock, network, or ambient configuration -- can affect
-the result.
+Every icon comes from :func:`derive_icon_rows`, which gives a document's
+two rows: one per period, with at most one icon per hazard kind (wind,
+wind chill, freezing temperature, winter precipitation) in a fixed order,
+from that period's own fields and the scale tables; and the overall row,
+the 48-hour worst case over the periods. Nothing else -- no clock,
+network, or ambient configuration -- can affect the result.
 
 The scale tables ship as data files under ``summitwx/scales`` so the band
 edges and colors can be audited or re-transcribed against the published
@@ -394,28 +395,6 @@ def period_wind_chill(period: ForecastPeriod) -> float:
     return wind_chill(period.temperature.low, period.wind.sustained.high)
 
 
-def derive_icons(
-    period: ForecastPeriod,
-    tables=None,
-) -> tuple[HazardIcon, ...]:
-    """Derive the icon set for one period, in fixed kind order.
-
-    Consumes only the period's fields and the scale tables: wind icon at or
-    above Beaufort force :data:`WIND_DISPLAY_FLOOR`; wind-chill icon for any
-    frostbite-time category; freezing icon for a low strictly below 32 F;
-    winter-precipitation icon for any snow, sleet, or freezing-rain event.
-    At most one icon per kind. A period is valid by construction.
-    """
-    scales = _scales(tables or load_tables())
-    return _icons(_bands(period, scales), period.wind.gust_high, scales[0])
-
-
-def _scales(tables) -> tuple[ScaleTable, ...]:
-    """The four tables, in :data:`KIND_ORDER`."""
-    return (tables[HazardKind.WIND], tables[HazardKind.WIND_CHILL],
-            tables[HazardKind.FREEZING_TEMP], tables[HazardKind.WINTER_PRECIP])
-
-
 def _bands(period: ForecastPeriod, scales) -> tuple[HazardIcon, ...]:
     """The unbadged icon of the period's band on each of ``scales``."""
     wind, chill, freezing, winter = scales
@@ -444,12 +423,31 @@ def _icons(bands, gust: float | None, wind_table: ScaleTable) -> tuple[HazardIco
 _LEVEL = attrgetter("level")
 
 
-def _overall(rows, periods, wind_table: ScaleTable) -> tuple[HazardIcon, ...]:
-    """The worst-case icons of ``periods``, whose band icons are ``rows``."""
-    worst = [max(column, key=_LEVEL) for column in zip(*rows)]
+def derive_icon_rows(
+    doc: ForecastDocument,
+    tables=None,
+) -> tuple[tuple[HazardIcon, ...], tuple[tuple[HazardIcon, ...], ...]]:
+    """Both icon rows of a document, ``(overall, per_period)``, each in fixed
+    kind order, from one band lookup per period.
+
+    A period's row takes only its own fields and the scale tables: a wind
+    icon at or above Beaufort force :data:`WIND_DISPLAY_FLOOR`, a wind-chill
+    icon for any frostbite-time category, a freezing icon for a low strictly
+    below 32 F, and a winter-precipitation icon for any snow, sleet or
+    freezing-rain event; at most one icon per kind. The overall row, the
+    48-hour worst case, carries per kind the highest level any single period
+    reaches, under the same rules, with the wind icon badged by the highest
+    stated gust when that gust reaches a higher force.
+    """
+    periods = require_valid(doc).periods
+    tables = tables or load_tables()
+    scales = [tables[kind] for kind in KIND_ORDER]
+    wind = scales[0]
+    rows = [_bands(p, scales) for p in periods]
     gust = max((p.wind.gust_high for p in periods if p.wind.gust_high is not None),
                default=None)
-    return _icons(worst, gust, wind_table)
+    return (_icons([max(column, key=_LEVEL) for column in zip(*rows)], gust, wind),
+            tuple(_icons(bands, p.wind.gust_high, wind) for bands, p in zip(rows, periods)))
 
 
 def derive_document_icons(
@@ -457,34 +455,14 @@ def derive_document_icons(
     mode: str = "overall",
     tables=None,
 ) -> tuple[tuple[HazardIcon, ...], ...]:
-    """Icon sets for a whole document.
-
-    ``per_period`` yields one set per period, in order; ``overall`` yields
-    one set that carries, per hazard kind, the highest level any single
-    period reaches, with the wind icon badged by the highest stated gust
-    when that gust reaches a higher force.
-    """
-    periods = require_valid(doc).periods
-    scales = _scales(tables or load_tables())
+    """One of the two rows of :func:`derive_icon_rows`: ``overall`` yields
+    ``(overall,)``, ``per_period`` the row of each period, in order."""
+    overall, per_period = derive_icon_rows(doc, tables)
     if mode == "overall":
-        return (_overall([_bands(p, scales) for p in periods], periods, scales[0]),)
+        return (overall,)
     if mode == "per_period":
-        return tuple(_icons(_bands(p, scales), p.wind.gust_high, scales[0]) for p in periods)
+        return per_period
     raise ValueError(f"mode must be 'overall' or 'per_period', got {mode!r}")
-
-
-def derive_icon_rows(
-    doc: ForecastDocument,
-    tables=None,
-) -> tuple[tuple[HazardIcon, ...], tuple[tuple[HazardIcon, ...], ...]]:
-    """Both icon rows of a document, ``(overall, per_period)``, as
-    :func:`derive_document_icons` gives them in each mode, from one band
-    lookup per period."""
-    periods = require_valid(doc).periods
-    scales = _scales(tables or load_tables())
-    rows = [_bands(p, scales) for p in periods]
-    return (_overall(rows, periods, scales[0]),
-            tuple(_icons(bands, p.wind.gust_high, scales[0]) for bands, p in zip(rows, periods)))
 
 
 class TriadVerdict(Enum):

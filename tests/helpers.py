@@ -30,6 +30,7 @@ from summitwx.hazards import (
     WIND_DISPLAY_FLOOR,
     HazardIcon,
     HazardKind,
+    derive_icon_rows,
     period_wind_chill,
     round_half_away,
 )
@@ -235,6 +236,12 @@ def make_doc(periods: tuple[ForecastPeriod, ...] | None = None) -> ForecastDocum
         periods=periods,
         source_id="unit-test",
     )
+
+
+def period_row(period: ForecastPeriod) -> tuple[HazardIcon, ...]:
+    """The icon row ``derive_icon_rows`` gives ``period`` in a document of
+    four copies of it."""
+    return derive_icon_rows(make_doc((period,) * 4))[1][0]
 
 
 def visible_text(payload: bytes, format: str) -> str:

@@ -19,14 +19,20 @@ import pytest
 scipy_stats = pytest.importorskip("scipy.stats")
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, GOLDEN_DIR
-from helpers import build_random_document, build_random_period, chart_cells, squash, visible_text
+from helpers import (
+    build_random_document,
+    build_random_period,
+    chart_cells,
+    period_row,
+    squash,
+    visible_text,
+)
 from summitwx.canonical import emit_canonical, parse_canonical
 from summitwx.cli import main
 from summitwx.hazards import (
     HazardKind,
     beaufort_force,
     derive_document_icons,
-    derive_icons,
     round_half_away,
     wind_chill,
 )
@@ -143,7 +149,7 @@ def test_criterion_3_icon_rules_on_generated_periods(capsys):
         checked = 0
         for _ in range(600):
             period = build_random_period(rng)
-            icons = derive_icons(period)
+            icons = period_row(period)
             kinds = [icon.kind for icon in icons]
             assert len(kinds) == len(set(kinds)), period
             levels = levels_by_kind(icons)
@@ -151,7 +157,7 @@ def test_criterion_3_icon_rules_on_generated_periods(capsys):
             wintry = any(event.kind in WINTRY for event in period.precip_events)
             assert (HazardKind.WINTER_PRECIP in levels) == wintry
             for variant in (colder(period), windier(period)):
-                variant_levels = levels_by_kind(derive_icons(variant))
+                variant_levels = levels_by_kind(period_row(variant))
                 for kind in HazardKind:
                     assert variant_levels.get(kind, 0) >= levels.get(kind, 0), (period, kind)
             checked += 1
@@ -169,7 +175,7 @@ def test_criterion_4_overall_equals_per_period_maximum(capsys):
         for _ in range(520):
             doc = build_random_document(rng)
             overall = levels_by_kind(derive_document_icons(doc, "overall")[0])
-            per_period = [levels_by_kind(derive_icons(p)) for p in doc.periods]
+            per_period = [levels_by_kind(period_row(p)) for p in doc.periods]
             for kind in HazardKind:
                 expected = max(levels.get(kind, 0) for levels in per_period)
                 assert overall.get(kind, 0) == expected, (doc.source_id, kind)

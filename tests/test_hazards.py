@@ -8,7 +8,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import documents, periods
-from helpers import line_events, make_doc, make_period, oracle_icon_rows, oracle_position
+from helpers import (
+    line_events,
+    make_doc,
+    make_period,
+    oracle_icon_rows,
+    oracle_position,
+    period_row,
+)
 from summitwx import hazards, model
 from summitwx.hazards import (
     KIND_ORDER,
@@ -20,7 +27,6 @@ from summitwx.hazards import (
     beaufort_force,
     derive_document_icons,
     derive_icon_rows,
-    derive_icons,
     load_scale_table,
     load_tables,
     period_wind_chill,
@@ -83,7 +89,7 @@ def test_load_tables_is_complete_and_cached():
 
 
 def test_icon_fields_come_from_the_table():
-    icons = derive_icons(make_period(wind=(30, 60), temp=(40, 50)))
+    icons = period_row(make_period(wind=(30, 60), temp=(40, 50)))
     assert [i.kind for i in icons] == [HazardKind.WIND]
     icon = icons[0]
     assert icon.level == 10
@@ -104,65 +110,65 @@ def test_icons_follow_kind_order_and_at_most_one_per_kind():
             PrecipEvent(PrecipKind.SLEET, Certainty.MENTIONED),
         ),
     )
-    icons = derive_icons(period)
+    icons = period_row(period)
     kinds = [i.kind for i in icons]
     assert kinds == [k for k in KIND_ORDER if k in kinds]
     assert len(kinds) == len(set(kinds)) == 4
 
 
 def test_freezing_icon_iff_low_below_32():
-    assert HazardKind.FREEZING_TEMP in _kind_levels(derive_icons(make_period(temp=(31.9, 40))))
-    assert HazardKind.FREEZING_TEMP not in _kind_levels(derive_icons(make_period(temp=(32, 40))))
+    assert HazardKind.FREEZING_TEMP in _kind_levels(period_row(make_period(temp=(31.9, 40))))
+    assert HazardKind.FREEZING_TEMP not in _kind_levels(period_row(make_period(temp=(32, 40))))
 
 
 def test_wind_icon_iff_force_at_display_floor():
-    assert HazardKind.WIND not in _kind_levels(derive_icons(make_period(wind=(10, 24.9), temp=(40, 50))))
-    levels = _kind_levels(derive_icons(make_period(wind=(10, 25), temp=(40, 50))))
+    assert HazardKind.WIND not in _kind_levels(period_row(make_period(wind=(10, 24.9), temp=(40, 50))))
+    levels = _kind_levels(period_row(make_period(wind=(10, 25), temp=(40, 50))))
     assert levels.get(HazardKind.WIND) == 6
 
 
 def test_stated_chill_wins_over_computed():
     period = make_period(temp=(-20, -10), wind=(60, 80), chill=(-30, -20))
     assert period_wind_chill(period) == -30
-    levels = _kind_levels(derive_icons(period))
+    levels = _kind_levels(period_row(period))
     assert levels[HazardKind.WIND_CHILL] == 1
 
 
 def test_computed_chill_used_when_not_stated():
     period = make_period(temp=(-20, -10), wind=(60, 80))
     assert period_wind_chill(period) == wind_chill(-20, 80)
-    levels = _kind_levels(derive_icons(period))
+    levels = _kind_levels(period_row(period))
     assert levels[HazardKind.WIND_CHILL] == 3
 
 
 def test_no_chill_icon_when_category_zero():
-    levels = _kind_levels(derive_icons(make_period(temp=(30, 40), wind=(5, 10))))
+    levels = _kind_levels(period_row(make_period(temp=(30, 40), wind=(5, 10))))
     assert HazardKind.WIND_CHILL not in levels
 
 
 def test_winter_precip_iff_winter_kind():
     rain_only = make_period(precip=(PrecipEvent(PrecipKind.RAIN, Certainty.LIKELY),), temp=(40, 50))
-    assert HazardKind.WINTER_PRECIP not in _kind_levels(derive_icons(rain_only))
+    assert HazardKind.WINTER_PRECIP not in _kind_levels(period_row(rain_only))
     mixed_token = make_period(precip=(PrecipEvent(PrecipKind.MIXED, Certainty.CHANCE),), temp=(40, 50))
-    assert HazardKind.WINTER_PRECIP not in _kind_levels(derive_icons(mixed_token))
+    assert HazardKind.WINTER_PRECIP not in _kind_levels(period_row(mixed_token))
     for kind in (PrecipKind.SNOW, PrecipKind.SLEET, PrecipKind.FREEZING_RAIN):
         period = make_period(precip=(PrecipEvent(kind, Certainty.MENTIONED),), temp=(40, 50))
-        assert _kind_levels(derive_icons(period)).get(HazardKind.WINTER_PRECIP) == 1
+        assert _kind_levels(period_row(period)).get(HazardKind.WINTER_PRECIP) == 1
 
 
 def test_gust_annotation_only_when_gust_classifies_higher():
-    no_cross = derive_icons(make_period(wind=(30, 40), gust=46, temp=(40, 50)))
+    no_cross = period_row(make_period(wind=(30, 40), gust=46, temp=(40, 50)))
     assert no_cross[0].gust_annotation is None
-    cross = derive_icons(make_period(wind=(30, 40), gust=47, temp=(40, 50)))
+    cross = period_row(make_period(wind=(30, 40), gust=47, temp=(40, 50)))
     assert cross[0].gust_annotation == 47
-    top_band = derive_icons(make_period(wind=(80, 90), gust=150, temp=(40, 50)))
+    top_band = period_row(make_period(wind=(80, 90), gust=150, temp=(40, 50)))
     assert top_band[0].level == 12
     assert top_band[0].gust_annotation is None
 
 
 @given(periods())
 def test_icon_rules_hold_on_generated_periods(period):
-    icons = derive_icons(period)
+    icons = period_row(period)
     levels = _kind_levels(icons)
     assert len(icons) == len(levels)
     assert (HazardKind.FREEZING_TEMP in levels) == (period.temperature.low < 32)
@@ -182,7 +188,7 @@ def test_icon_rules_hold_on_generated_periods(period):
 @given(periods(), st.floats(0.1, 60), st.floats(0.1, 60))
 def test_icon_levels_monotone_under_worse_conditions(period, colder, windier):
     def level_map(p):
-        return {k: _kind_levels(derive_icons(p)).get(k, 0) for k in HazardKind}
+        return {k: _kind_levels(period_row(p)).get(k, 0) for k in HazardKind}
 
     before = level_map(period)
 
@@ -285,7 +291,7 @@ def test_overall_level_equals_max_of_per_period_levels(doc):
     for kind in HazardKind:
         expected = max(_kind_levels(icons).get(kind, 0) for icons in per_period)
         assert overall_levels[kind] == expected, kind
-    assert list(per_period) == [derive_icons(p) for p in doc.periods]
+    assert list(per_period) == [period_row(p) for p in doc.periods]
     assert derive_icon_rows(doc) == (overall, per_period) == oracle_icon_rows(doc, load_tables())
 
     # The wind icon shows exactly when the windiest period reaches the floor,
@@ -635,6 +641,25 @@ def test_table_reader_cost_grows_linearly_with_bands(tmp_path):
     for module in (hazards, model):
         ratio = events(400, module) / events(100, module)
         assert ratio <= 4.5, (module.__name__, ratio)
+
+
+def test_icon_rows_cost_grows_linearly_with_events_and_notes():
+    # 4x each period's precipitation events and hazard notes; a pass over the
+    # events read so far, per event, would read ~16x. The first call builds
+    # each table's band icons, so it runs before either count.
+    derive_icon_rows(make_doc())
+
+    def events(n):
+        precip = tuple(PrecipEvent(kind, Certainty.LIKELY) for kind in PrecipKind) * n
+        notes = tuple(f"Whiteout near the ridge {i}." for i in range(n))
+        doc = make_doc(tuple(make_period(label, temp=(-10, 0), precip=precip, notes=notes)
+                             for label in ("Today", "Tonight", "Tomorrow", "Tomorrow night")))
+        count, rows = line_events(hazards, lambda: derive_icon_rows(doc))
+        assert rows == oracle_icon_rows(doc, load_tables())
+        return count
+
+    ratio = events(100) / events(25)
+    assert ratio <= 4.5, ratio
 
 
 def test_icons_require_valid_period():

@@ -30,12 +30,13 @@ SUBMODULES = ("canonical", "cli", "distributions", "hazards", "layout", "model",
 #: bound when it imported every layer eagerly, with ``Participant`` in place
 #: of the per-response record and its two helpers, ``WIND_DISPLAY_FLOOR`` in
 #: place of the icon rule config and its default, and ``derive_icon_rows``,
-#: which gives both icon rows of a document. The lazy namespace keeps each.
+#: which gives both icon rows of a document, in place of ``derive_icons``,
+#: which gave the row of one period. The lazy namespace keeps each.
 EAGER_EXPORTS = {
     "canonical": "SCHEMA emit_canonical parse_canonical",
     "hazards": """KIND_ORDER WIND_DISPLAY_FLOOR HazardIcon HazardKind ScaleBand
         ScaleTable ScaleTableError TriadAdvisory TriadThresholds TriadVerdict beaufort_force
-        derive_document_icons derive_icon_rows derive_icons load_scale_table load_tables
+        derive_document_icons derive_icon_rows load_scale_table load_tables
         period_wind_chill round_half_away triad_advisory wind_chill wind_chill_category""",
     "layout": """CONDITION_TOKENS FORMATS STYLESHEET_VERSION LayoutCondition RenderedDocument
         condition_from_token render render_icon render_stimulus_set""",

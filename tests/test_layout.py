@@ -20,6 +20,7 @@ from helpers import (
     oracle_icon_rows,
     oracle_render,
     oracle_render_icon,
+    period_row,
     squash,
     visible_text,
 )
@@ -32,7 +33,6 @@ from summitwx.hazards import (
     TriadThresholds,
     derive_document_icons,
     derive_icon_rows,
-    derive_icons,
     load_tables,
     triad_advisory,
 )
@@ -527,7 +527,7 @@ def test_per_day_rows_match_per_period_derivation(fixture_docs):
         assert len(rows) == 4, name
         for row, period in zip(rows, doc.periods):
             expected = "HAZARDS:" + "".join(
-                f" {render_icon(icon)}" for icon in derive_icons(period)
+                f" {render_icon(icon)}" for icon in period_row(period)
             )
             assert row == expected, (name, period.label)
 
@@ -847,6 +847,6 @@ def test_stimulus_set_validates_each_period_once(fixture_docs, period_checks):
 
 def test_period_entry_points_validate_once(fixture_docs, period_checks):
     period = fixture_docs["severe-day"].periods[0]
-    derive_icons(period)
+    period_row(period)
     triad_advisory(period, TriadThresholds(wind_high_mph=50, temperature_low_f=0))
     assert period_checks == []

@@ -1238,7 +1238,7 @@ def shuffled_copy(paths: tuple[Path, Path], out: Path) -> tuple[Path, Path]:
 # SHA-256 of format_report, emit_report and emit_plot_spec. A change to the
 # grouping or to the order of any addition shows here as a new digest. They
 # were recorded where the builtin sum() of floats is plain left-to-right
-# addition (CPython 3.10 and 3.11); from 3.12 it is compensated, so the last
+# addition (CPython 3.11); from 3.12 it is compensated, so the last
 # bits of the statistics, and the digests, can differ there.
 PINNED_DIGESTS = {
     (False, None): (

@@ -3,11 +3,7 @@ import sys
 import textwrap
 import time
 from datetime import datetime
-
-try:
-    from re import _parser as sre_parse  # the pattern parser re compiles from (3.11+)
-except ImportError:
-    import sre_parse
+from re import _parser as sre_parse  # the pattern parser re compiles from
 
 import pytest
 from hypothesis import given, settings
